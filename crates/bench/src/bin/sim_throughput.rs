@@ -115,9 +115,10 @@ const CAMPAIGN_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Band for `campaign_restore_bytes_per_seed`, guarded with a *ceiling*
 /// (lower is better). Tight: the value is the snapshot engine's own
-/// deterministic byte accounting for a fixed seed range — CoW page
-/// adoptions plus dirty-page copies — so any drift is a real change to
-/// what a per-seed restore moves, not noise.
+/// deterministic byte accounting for a fixed seed range — CoW handle
+/// adoptions of the pages whose handles differ from the snapshot's — so
+/// any drift is a real change to what a per-seed restore moves, not
+/// noise.
 const RESTORE_BYTES_BAND: f64 = 0.10;
 
 /// On-CPU seconds this process has consumed, from the first field of
@@ -351,8 +352,8 @@ fn main() {
             CAMPAIGN_SEEDS_NOISE_BAND,
         );
         // Restore-bytes is a deterministic byte count with a *ceiling*:
-        // more bytes moved per seed means the O(dirty) restore (or the
-        // CoW adoption path) got worse.
+        // more bytes moved per seed means a restore moved pages it did not
+        // need to (a write path unsharing too much, or lost sharing).
         match json_number(&text, "campaign_restore_bytes_per_seed") {
             None => println!(
                 "baseline check {:<20} no baseline key, skipped",

@@ -47,8 +47,8 @@ pub struct BusError;
 ///
 /// `read`/`write` receive the owning [`Machine`] so DMA-capable devices
 /// can move memory through [`Machine::dma_read`] / [`Machine::dma_write`]
-/// (which preserve the memory-safety invariants: tag clearing, dirty-page
-/// tracking, predecoded-block invalidation). While a device method runs,
+/// (which preserve the memory-safety invariants: tag clearing, CoW page
+/// breaks for snapshots, predecoded-block invalidation). While a device method runs,
 /// the machine's bus is detached — devices must not recurse into MMIO.
 pub trait MmioDevice: Send {
     /// Stable kebab-case device-kind name ("uart", "dma", ...).

@@ -196,14 +196,10 @@ pub struct Machine {
     /// The decoded code region, `Arc`-shared with snapshots and forks
     /// (immutable while shared — [`Machine::try_load_program`] and
     /// [`Machine::patch_code`] unshare via `Arc::make_mut`, the code
-    /// region's CoW break).
+    /// region's CoW break). Two `Arc::ptr_eq` handles therefore hold
+    /// identical code, which lets [`Machine::restore_from`] skip the code
+    /// adoption and keep resident predecoded blocks.
     code: Arc<Vec<Instr>>,
-    /// Content-identity stamp of `code`: refreshed on every mutation
-    /// (append, patch), zero only while the code region is empty. Two
-    /// machines/snapshots with equal stamps hold identical code, letting
-    /// [`Machine::restore_from`] skip the code copy and keep resident
-    /// predecoded blocks.
-    code_content: u64,
     /// Predecoded basic-block cache over `code` (see [`crate::blockcache`]).
     blocks: BlockCache,
     /// Emit `BlockCompiled`/`BlockInvalidated` trace events? Off by
@@ -227,19 +223,17 @@ pub struct Machine {
 }
 
 /// Host-side counters for the snapshot/restore engine, exposed via
-/// [`Machine::snapshot_stats`]. A rising `pages_copied`-per-restore ratio
-/// (or any `full_restores` in a loop that should stay in lineage) flags a
-/// regression in dirty-tracking precision.
+/// [`Machine::snapshot_stats`]. Under CoW a restore moves only the pages
+/// whose handles differ from the snapshot's, so a rising
+/// `pages_copied`-per-restore ratio flags a write path that unshares
+/// pages it did not need to (or a lost sharing relationship).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
     /// Calls to [`Machine::restore_from`].
     pub restores: u64,
-    /// SRAM pages copied across all restores (dirty pages only, when the
-    /// lineage fast path applies).
+    /// SRAM pages moved across all restores: the pages whose handles
+    /// differed from the snapshot's (every page with CoW disabled).
     pub pages_copied: u64,
-    /// Restores that fell off the lineage fast path and copied the whole
-    /// bank.
-    pub full_restores: u64,
     /// Host bytes actually moved by restores: SRAM page transfers
     /// (honestly costed — a deep page copy charges data *and* tag-bitmap
     /// bytes, [`crate::mem::PAGE_COPY_BYTES`]; under CoW an adopted page
@@ -278,7 +272,6 @@ pub struct Snapshot {
     bus: DeviceBus,
     stats: Stats,
     code: Arc<Vec<Instr>>,
-    code_content: u64,
     blocks: BlockCache,
     halted: Option<ExitReason>,
     pending_use: Option<(Reg, u64)>,
@@ -303,9 +296,9 @@ impl Snapshot {
         Snapshot {
             cfg,
             cpu: Cpu::at_reset(),
-            // Zero-size bank: the first capture's slow path sizes it to
-            // the machine's shape without paying a throwaway allocation
-            // (snapshot banks never carry the decoded-cap side cache).
+            // Zero-size bank: the first capture reshapes it to the
+            // machine's shape (snapshot banks never carry the decoded-cap
+            // side cache).
             sram: Sram::new(layout::SRAM_BASE, 0),
             bitmap: RevocationBitmap::new(cfg.heap_base(), cfg.heap_end()),
             revoker: BackgroundRevoker::new(cfg.revoker),
@@ -317,7 +310,6 @@ impl Snapshot {
             bus: DeviceBus::default(),
             stats: Stats::default(),
             code: Arc::default(),
-            code_content: 0,
             blocks: BlockCache::default(),
             halted: None,
             pending_use: None,
@@ -341,10 +333,12 @@ impl Snapshot {
     }
 
     /// Approximate resident size of this snapshot in host bytes: the SRAM
-    /// bank (data + tags + dirty bookkeeping are dominated by the data
-    /// bytes, counted here), the console backlog, and the decoded code
-    /// region. The Arc-shared predecoded block table is deliberately
-    /// excluded — forks share it, so it costs nothing per instance.
+    /// bank (data bytes; the tag words add 1/64 on top and are not
+    /// counted), the console backlog, and the decoded code region. This is
+    /// the cost of a full deep copy; under CoW a fork shares these pages
+    /// and pays only handle adoptions. The Arc-shared predecoded block
+    /// table is deliberately excluded — forks share it, so it costs
+    /// nothing per instance.
     pub fn bytes(&self) -> u64 {
         u64::from(self.sram.size())
             + self.console.len() as u64
@@ -384,7 +378,6 @@ impl Clone for Machine {
             bus: self.bus.clone(),
             stats: self.stats,
             code: self.code.clone(),
-            code_content: self.code_content,
             blocks: BlockCache::default(),
             block_trace: self.block_trace,
             halted: self.halted,
@@ -422,7 +415,6 @@ impl Machine {
             bus: DeviceBus::with_defaults(),
             stats: Stats::default(),
             code: Arc::default(),
-            code_content: 0,
             blocks: BlockCache::default(),
             block_trace: false,
             halted: None,
@@ -531,11 +523,12 @@ impl Machine {
             });
         }
         let start = layout::CODE_BASE + 4 * self.code.len() as u32;
-        // The load is the code region's CoW break: unshare from any
-        // snapshot/fork still holding the old handle, then append.
-        Arc::make_mut(&mut self.code).extend_from_slice(instrs);
         if !instrs.is_empty() {
-            self.code_content = crate::mem::fresh_content_id();
+            // The load is the code region's CoW break: unshare from any
+            // snapshot/fork still holding the old handle, then append. An
+            // empty load keeps sharing, so the handle still says "same
+            // code".
+            Arc::make_mut(&mut self.code).extend_from_slice(instrs);
             // Blocks truncated at the old end of code must re-extend over
             // the new instructions; the generation bump lets observers see
             // that the cache noticed the load.
@@ -594,7 +587,6 @@ impl Machine {
         // The patch is a CoW break for the shared code region: siblings
         // forked from the same snapshot keep the unpatched instructions.
         let old = core::mem::replace(&mut Arc::make_mut(&mut self.code)[idx], instr);
-        self.code_content = crate::mem::fresh_content_id();
         let dropped = self.blocks.invalidate_covering(addr) as u32;
         if self.block_trace {
             self.trace_emit(EventKind::BlockInvalidated {
@@ -642,7 +634,7 @@ impl Machine {
 
     /// Captures the machine's full architectural state into a fresh
     /// [`Snapshot`]. Prefer [`Machine::snapshot_into`] in loops — it
-    /// reuses the snapshot's buffers and copies only pages dirtied since
+    /// reuses the snapshot's buffers and moves only pages written since
     /// the previous capture.
     pub fn snapshot(&mut self) -> Snapshot {
         let mut snap = Snapshot::empty(self.cfg);
@@ -652,13 +644,11 @@ impl Machine {
 
     /// Re-captures the machine's state into an existing snapshot.
     ///
-    /// SRAM moves through the dirty-page engine: when `snap` already holds
-    /// this machine's last-stamped SRAM content, only pages written since
-    /// that stamp move — O(dirty) — and under CoW each moved page is a
-    /// handle adoption (the snapshot shares the machine's page; the
-    /// machine's next write to it CoW-breaks). The code region and
-    /// (Arc-shared) predecoded block table are only re-adopted when the
-    /// code actually changed since `snap` was last captured.
+    /// Only SRAM pages whose handles differ from `snap`'s move, and under
+    /// CoW each moved page is a handle adoption (the snapshot shares the
+    /// machine's page; the machine's next write to it CoW-breaks). The
+    /// code region and (Arc-shared) predecoded block table are only
+    /// re-adopted when the code handle differs from `snap`'s.
     pub fn snapshot_into(&mut self, snap: &mut Snapshot) {
         snap.cfg = self.cfg;
         snap.cpu = self.cpu.clone();
@@ -673,12 +663,11 @@ impl Machine {
         snap.gpio_writes = self.gpio_writes;
         snap.bus = self.bus.clone();
         snap.stats = self.stats;
-        if snap.code_content != self.code_content {
+        if !Arc::ptr_eq(&snap.code, &self.code) {
             // O(1): the snapshot adopts the code handle; the machine's
             // next load/patch unshares it (`Arc::make_mut`).
             snap.code = Arc::clone(&self.code);
             snap.blocks = self.blocks.clone();
-            snap.code_content = self.code_content;
         }
         snap.halted = self.halted;
         snap.pending_use = self.pending_use;
@@ -688,16 +677,14 @@ impl Machine {
 
     /// Restores the machine to the state captured in `snap`.
     ///
-    /// O(dirty): SRAM pages not written since this machine's last
-    /// snapshot/restore stamp of the same content are guaranteed unchanged
-    /// and skipped; without a lineage match the whole bank moves (and is
-    /// counted in [`SnapshotStats::full_restores`]) — under CoW "moves"
-    /// means O(pages) handle adoptions, which is what makes a fleet fork
-    /// metadata-cost. When the code region
-    /// already matches (`code_content` stamps equal), resident predecoded
-    /// blocks are left in place, so a run forked after a reference run
-    /// inherits its decoded blocks; otherwise the snapshot's Arc-shared
-    /// block table is installed alongside the code copy.
+    /// SRAM pages whose handles equal the snapshot's are unchanged and
+    /// skipped, so a rewind moves only the pages written since the last
+    /// capture/restore against `snap`; under CoW every moved page is a
+    /// handle adoption, which is what makes a fleet fork metadata-cost.
+    /// When the code handle already matches, resident predecoded blocks
+    /// are left in place, so a run forked after a reference run inherits
+    /// its decoded blocks; otherwise the snapshot's Arc-shared block table
+    /// is installed alongside the code handle.
     ///
     /// The tracer and `block_trace` flag are host-side observers and are
     /// left untouched.
@@ -709,7 +696,6 @@ impl Machine {
     pub fn restore_from(&mut self, snap: &Snapshot) {
         self.cfg = snap.cfg;
         self.cpu = snap.cpu.clone();
-        let pages = self.sram.dirty_pages();
         let cost = self.sram.restore_page_wise(&snap.sram);
         self.bitmap.copy_from(&snap.bitmap);
         self.revoker = snap.revoker.clone();
@@ -721,12 +707,11 @@ impl Machine {
         self.gpio_writes = snap.gpio_writes;
         self.bus = snap.bus.clone();
         self.stats = snap.stats;
-        let code_copied = if self.code_content != snap.code_content {
+        let code_copied = if !Arc::ptr_eq(&self.code, &snap.code) {
             // Adopting the snapshot's code handle is O(1); the machine's
             // next load/patch unshares it.
             self.code = Arc::clone(&snap.code);
             self.blocks = snap.blocks.clone();
-            self.code_content = snap.code_content;
             std::mem::size_of::<Arc<Vec<Instr>>>() as u64
         } else {
             0
@@ -738,9 +723,6 @@ impl Machine {
         self.snap_stats.restores += 1;
         self.snap_stats.pages_copied += u64::from(cost.pages);
         self.snap_stats.bytes_copied += cost.bytes + snap.console.len() as u64 + code_copied;
-        if cost.pages > pages {
-            self.snap_stats.full_restores += 1;
-        }
     }
 
     /// Host-side snapshot/restore counters (see [`SnapshotStats`]).
@@ -1094,12 +1076,13 @@ impl Machine {
 
     /// A device-initiated write of `buf` at `dst`, preserving every
     /// memory-safety invariant a DMA master must: SRAM stores clear all
-    /// covered capability tags, mark the covered pages dirty for
-    /// snapshot/fork, and snoop the in-flight revoker sweep; code-region
-    /// stores decode each word and go through [`Machine::patch_code`], so
-    /// covering predecoded blocks are invalidated and the coherence
-    /// generation bumps (retiring chained successor links). Emits a
-    /// `DmaTransfer` trace event attributed to the dispatching device.
+    /// covered capability tags, unshare the covered pages from any
+    /// snapshot/fork (so the next restore moves them), and snoop the
+    /// in-flight revoker sweep; code-region stores decode each word and
+    /// go through [`Machine::patch_code`], so covering predecoded blocks
+    /// are invalidated and the coherence generation bumps (retiring
+    /// chained successor links). Emits a `DmaTransfer` trace event
+    /// attributed to the dispatching device.
     ///
     /// # Errors
     ///

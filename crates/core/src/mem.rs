@@ -11,25 +11,30 @@
 //! covering slice of the packed tag bitmap (512 granules = 8 tag words, so
 //! pages own whole tag words) — held through `Arc` handles. Pages are
 //! immutable while shared: every mutating path funnels through the write
-//! barrier ([`Sram::page_mut`]), which marks the page dirty *and* unshares
-//! it (`Arc::make_mut`) before handing out a mutable reference. That makes
-//! the dirty-tracking barrier the CoW break point: the first write to a
-//! page shared with a snapshot or a forked sibling clones just that page.
+//! barrier ([`Sram::page_mut`]), which unshares the page (`Arc::make_mut`)
+//! before handing out a mutable reference. That barrier is the CoW break
+//! point: the first write to a page shared with a snapshot or a forked
+//! sibling clones just that page.
 //!
-//! Structural sharing is what the snapshot/fork engine rides on:
+//! Structural sharing is what the snapshot/fork engine rides on, and it
+//! is also how the engine knows which pages differ: two `Arc::ptr_eq`
+//! handles hold identical content, so a capture or restore moves exactly
+//! the pages whose handles differ.
 //!
-//! * a **capture** hands the snapshot handle clones of the machine's pages
-//!   — O(pages) refcount bumps, zero byte copies;
+//! * a **capture** hands the snapshot handle clones of the machine's
+//!   differing pages — refcount bumps, zero byte copies;
 //! * a **restore/fork** adopts the snapshot's handles the same way, so a
 //!   1000-device fleet forked from one warm image holds one copy of every
-//!   boot page and each instance pays only for the pages it dirties;
+//!   boot page, each instance pays only for the pages it writes, and a
+//!   rewind moves only the pages written since the last capture/restore;
 //! * a fresh bank shares a single zero page across all slots, so an
 //!   untouched machine is resident-cheap too.
 //!
 //! The `--no-cow` escape hatch ([`Sram::set_cow`]) disables structural
-//! sharing: pages are kept uniquely owned and captures/restores copy bytes,
-//! reproducing the pre-CoW cost model. CoW on/off is architecturally
-//! invisible — runs are byte-identical either way (property-tested).
+//! sharing: pages are kept uniquely owned, so no handle ever matches and
+//! every capture/restore deep-copies the whole bank — the pre-CoW cost
+//! model. CoW on/off is architecturally invisible — runs are
+//! byte-identical either way (property-tested).
 //!
 //! Two simulator-only acceleration structures ride alongside the
 //! architectural state (neither is architecturally visible, and neither is
@@ -48,16 +53,15 @@
 
 use crate::trap::TrapCause;
 use cheriot_cap::Capability;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Capability-granule size: 8 bytes (a 64-bit capability).
 pub const GRANULE: u32 = 8;
 
-/// Page size of the copy-on-write store (also the dirty-tracking unit):
-/// 4 KiB. A page is 512 granules, an exact multiple of the 64-granule tag
-/// words, so each page owns whole tag words and CoW moves data and tags
-/// together.
+/// Page size of the copy-on-write store (also the snapshot transfer
+/// unit): 4 KiB. A page is 512 granules, an exact multiple of the
+/// 64-granule tag words, so each page owns whole tag words and CoW moves
+/// data and tags together.
 pub const PAGE_SIZE: u32 = 4096;
 
 const PAGE_SHIFT: usize = 12;
@@ -78,14 +82,6 @@ pub const PAGE_COPY_BYTES: u64 = PAGE_SIZE as u64 + (PAGE_TAG_WORDS * 8) as u64;
 /// Host bytes moved adopting a page by handle (an `Arc` clone): the
 /// pointer write. This is the entire per-page fork cost under CoW.
 pub const PAGE_HANDLE_BYTES: u64 = std::mem::size_of::<Arc<Page>>() as u64;
-
-/// Globally unique content-identity stamps for snapshot lineage. Never
-/// zero (zero means "unstamped").
-static CONTENT_IDS: AtomicU64 = AtomicU64::new(1);
-
-pub(crate) fn fresh_content_id() -> u64 {
-    CONTENT_IDS.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One CoW unit: 4 KiB of data plus its covering tag-bitmap slice.
 /// Immutable while shared; the write barrier unshares before mutating.
@@ -173,20 +169,6 @@ pub struct Sram {
     /// when the granule's tag is set and `c` equals
     /// `Capability::from_word(word, true)` for the granule's current word.
     caps: Vec<Option<Capability>>,
-    /// Dirty-page bitmap: bit `p % 64` of word `p / 64` is set when page
-    /// `p` may have been written since the last snapshot/restore stamp.
-    /// Maintained conservatively on every store/zero path (never on
-    /// reads — side-cache fills are derived state), so a clear bit
-    /// *guarantees* the page still holds the stamped content.
-    dirty: Vec<u64>,
-    /// Running population count of `dirty`, so `dirty_pages()` and the
-    /// any-dirty checks are O(1) instead of a bitmap scan.
-    dirty_count: u32,
-    /// Content-identity stamp the dirty bitmap is relative to: the bank
-    /// held exactly the content identified by this id when the bitmap was
-    /// last cleared. Zero means unstamped (no lineage; restores fall back
-    /// to full copies).
-    content: u64,
     /// Structural sharing enabled? When false (`--no-cow`), pages are
     /// kept uniquely owned and captures/restores copy bytes — the pre-CoW
     /// cost model, kept as an escape hatch and comparison baseline.
@@ -222,9 +204,6 @@ impl Clone for Sram {
             len: self.len,
             pages,
             caps: Vec::new(),
-            dirty: self.dirty.clone(),
-            dirty_count: self.dirty_count,
-            content: self.content,
             cow: self.cow,
             cow_stats: CowStats::default(),
         }
@@ -249,9 +228,6 @@ impl Sram {
             len: size as usize,
             pages: vec![zero; pages],
             caps: Vec::new(),
-            dirty: vec![0; pages.div_ceil(64)],
-            dirty_count: 0,
-            content: 0,
             cow: true,
             cow_stats: CowStats::default(),
         }
@@ -345,17 +321,11 @@ impl Sram {
         self.tag_word(g >> 6) & (1u64 << (g & 63)) != 0
     }
 
-    /// The write barrier and CoW break point: marks page `p` dirty
-    /// (maintaining the running dirty count) and returns a uniquely-owned
-    /// mutable reference to it, cloning the page first if it is shared
-    /// with a snapshot, a forked sibling, or the initial zero page.
+    /// The write barrier and CoW break point: returns a uniquely-owned
+    /// mutable reference to page `p`, cloning the page first if it is
+    /// shared with a snapshot, a forked sibling, or the initial zero page.
     #[inline]
     fn page_mut(&mut self, p: usize) -> &mut Page {
-        let (w, bit) = (p >> 6, 1u64 << (p & 63));
-        if self.dirty[w] & bit == 0 {
-            self.dirty[w] |= bit;
-            self.dirty_count += 1;
-        }
         if Arc::strong_count(&self.pages[p]) > 1 {
             self.cow_stats.breaks += 1;
             self.cow_stats.bytes_copied += PAGE_COPY_BYTES;
@@ -669,29 +639,11 @@ impl Sram {
         self.pages.len() as u32
     }
 
-    /// Number of pages currently marked dirty (written since the last
-    /// snapshot/restore stamp). O(1) — a running count, not a bitmap
-    /// scan.
-    pub fn dirty_pages(&self) -> u32 {
-        self.dirty_count
-    }
-
-    /// Is the page containing `addr` marked dirty? False outside the bank.
-    pub fn page_is_dirty(&self, addr: u32) -> bool {
-        if !self.contains(addr, 1) {
-            return false;
-        }
-        let p = self.offset(addr) / PAGE_SIZE as usize;
-        self.dirty[p >> 6] & (1u64 << (p & 63)) != 0
-    }
-
     /// Architectural-content equality: same base/size and identical bytes
     /// and tags. Pages sharing a handle compare in O(1); the decoded side
-    /// cache and dirty/CoW bookkeeping are derived state and deliberately
-    /// excluded.
+    /// cache and CoW counters are derived state and deliberately excluded.
     pub fn content_eq(&self, other: &Sram) -> bool {
-        self.base == other.base
-            && self.len == other.len
+        self.same_shape(other)
             && self
                 .pages
                 .iter()
@@ -699,88 +651,66 @@ impl Sram {
                 .all(|(a, b)| Arc::ptr_eq(a, b) || (a.bytes == b.bytes && a.tags == b.tags))
     }
 
-    fn clear_dirty(&mut self) {
-        self.dirty.fill(0);
-        self.dirty_count = 0;
-    }
-
     fn same_shape(&self, other: &Sram) -> bool {
         self.base == other.base && self.len == other.len
     }
 
-    /// Replaces page `p` with `src`'s content: a handle adoption
-    /// (refcount bump) under CoW, a deep copy otherwise. Returns the host
-    /// bytes moved. The caller owns side-cache and dirty bookkeeping.
-    fn adopt_page(&mut self, src: &Arc<Page>, p: usize) -> u64 {
-        if self.cow {
-            self.pages[p] = Arc::clone(src);
-            PAGE_HANDLE_BYTES
-        } else {
-            *Arc::make_mut(&mut self.pages[p]) = (**src).clone();
-            PAGE_COPY_BYTES
-        }
-    }
-
-    /// Captures the bank's current content into `dst`, stamping both with
-    /// the content id of the captured state.
-    ///
-    /// When `dst` already holds this bank's last-stamped content (their
-    /// content ids match), only pages dirtied since that stamp move —
-    /// O(dirty). Otherwise the whole bank moves. Under CoW "moves" means
-    /// handle adoption: the snapshot shares the machine's pages and the
-    /// machine's next write to any of them CoW-breaks. Both dirty bitmaps
-    /// are cleared; returns the pages/bytes actually transferred.
-    pub(crate) fn capture_into(&mut self, dst: &mut Sram) -> XferCost {
-        let any_dirty = self.dirty_count != 0;
+    /// Makes this bank's content equal `src`'s by adopting every page
+    /// whose handle differs from `src`'s. Shared pages are immutable, so
+    /// `Arc::ptr_eq` handles hold identical content and are skipped; in
+    /// steady state the differing set is exactly the pages written since
+    /// the two banks last matched. Under CoW adopting is a handle clone,
+    /// with CoW disabled a deep copy of data + tag words (no page is ever
+    /// shared then, so every page moves). Drops side-cache entries
+    /// covering adopted pages; returns the pages/bytes transferred.
+    fn adopt_differing(&mut self, src: &Sram) -> XferCost {
         let mut cost = XferCost::default();
-        if self.content != 0 && dst.content == self.content && self.same_shape(dst) {
-            for wi in 0..self.dirty.len() {
-                let mut w = self.dirty[wi];
-                while w != 0 {
-                    let p = (wi << 6) + w.trailing_zeros() as usize;
-                    cost.bytes += dst.adopt_page(&self.pages[p], p);
-                    w &= w - 1;
-                    cost.pages += 1;
-                }
-            }
-        } else {
-            dst.base = self.base;
-            dst.len = self.len;
-            dst.cow = self.cow;
+        let granules = self.granules();
+        // Scan to the next differing handle (a tight compare loop: in
+        // steady state almost every page is shared), adopt it, repeat.
+        let mut p = 0;
+        while let Some(skip) = self.pages[p..]
+            .iter()
+            .zip(&src.pages[p..])
+            .position(|(mine, theirs)| !Arc::ptr_eq(mine, theirs))
+        {
+            p += skip;
             if self.cow {
-                dst.pages.clone_from(&self.pages);
-                cost.bytes = self.pages.len() as u64 * PAGE_HANDLE_BYTES;
+                self.pages[p] = Arc::clone(&src.pages[p]);
+                cost.bytes += PAGE_HANDLE_BYTES;
             } else {
-                dst.pages = self.pages.iter().map(|p| Arc::new((**p).clone())).collect();
-                cost.bytes = self.pages.len() as u64 * PAGE_COPY_BYTES;
+                Arc::make_mut(&mut self.pages[p]).clone_from(&src.pages[p]);
+                cost.bytes += PAGE_COPY_BYTES;
             }
-            // Snapshot banks never carry the derived side cache; drop the
-            // allocation, not just the entries.
-            dst.caps = Vec::new();
-            dst.dirty.clear();
-            dst.dirty.resize(self.dirty.len(), 0);
-            cost.pages = self.num_pages();
+            cost.pages += 1;
+            if !self.caps.is_empty() {
+                let g0 = p * PAGE_GRANULES;
+                self.caps[g0..(g0 + PAGE_GRANULES).min(granules)].fill(None);
+            }
+            p += 1;
         }
-        if self.content == 0 || any_dirty {
-            self.content = fresh_content_id();
-        }
-        dst.content = self.content;
-        self.clear_dirty();
-        dst.clear_dirty();
         cost
     }
 
-    /// Restores the bank to the content of `src` (a snapshot's bank).
-    ///
-    /// When this bank's last stamp matches `src`'s content id, every page
-    /// not marked dirty is *guaranteed* unchanged since that stamp, so
-    /// only dirty pages move — O(dirty). Without a lineage match the
-    /// whole bank moves. Under CoW moving a page is a handle adoption
-    /// (the fork cost of a fleet instance is O(pages) pointer writes, not
-    /// O(bytes)); with CoW disabled it is a deep copy of data + tag
-    /// words. Clears the dirty bitmap, drops side-cache entries covering
-    /// adopted pages, and adopts `src`'s content id; returns the
-    /// pages/bytes actually transferred.
+    /// Captures the bank's current content into `dst` (a snapshot's
+    /// bank), moving only the pages whose handles differ; a `dst` of
+    /// another base or size is reshaped by becoming a clone of this bank.
+    /// Under CoW the snapshot then shares the machine's pages and the
+    /// machine's next write to any of them CoW-breaks. `dst` adopts this
+    /// bank's CoW mode.
+    pub(crate) fn capture_into(&self, dst: &mut Sram) {
+        if dst.same_shape(self) {
+            dst.cow = self.cow;
+            dst.adopt_differing(self);
+        } else {
+            *dst = self.clone();
+        }
+    }
+
+    /// Restores the bank to the content of `src` (a snapshot's bank),
+    /// moving only the pages whose handles differ from `src`'s — so a
+    /// fleet fork costs O(pages) pointer writes, not O(bytes), and a
+    /// rewind to the last capture moves just the pages written since.
     ///
     /// # Panics
     ///
@@ -790,36 +720,7 @@ impl Sram {
             self.same_shape(src),
             "snapshot restore across differently-shaped SRAM banks"
         );
-        let mut cost = XferCost::default();
-        if src.content != 0 && self.content == src.content {
-            for wi in 0..self.dirty.len() {
-                let mut w = self.dirty[wi];
-                while w != 0 {
-                    let p = (wi << 6) + w.trailing_zeros() as usize;
-                    cost.bytes += self.adopt_page(&src.pages[p], p);
-                    if !self.caps.is_empty() {
-                        let g0 = p * PAGE_GRANULES;
-                        let g1 = ((p + 1) * PAGE_GRANULES).min(self.granules());
-                        self.caps[g0..g1].fill(None);
-                    }
-                    w &= w - 1;
-                    cost.pages += 1;
-                }
-            }
-        } else {
-            if self.cow {
-                self.pages.clone_from(&src.pages);
-                cost.bytes = self.pages.len() as u64 * PAGE_HANDLE_BYTES;
-            } else {
-                self.pages = src.pages.iter().map(|p| Arc::new((**p).clone())).collect();
-                cost.bytes = self.pages.len() as u64 * PAGE_COPY_BYTES;
-            }
-            self.caps = Vec::new();
-            cost.pages = self.num_pages();
-        }
-        self.content = src.content;
-        self.clear_dirty();
-        cost
+        self.adopt_differing(src)
     }
 }
 
@@ -829,6 +730,11 @@ mod tests {
 
     fn sram() -> Sram {
         Sram::new(0x2000_0000, 0x1000)
+    }
+
+    /// Do the two banks hold the very same page handles?
+    fn shares_every_page(a: &Sram, b: &Sram) -> bool {
+        a.same_shape(b) && a.pages.iter().zip(&b.pages).all(|(x, y)| Arc::ptr_eq(x, y))
     }
 
     #[test]
@@ -971,29 +877,11 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_marks_exactly_the_touched_pages() {
-        let mut m = Sram::new(0x2000_0000, 0x4000); // 4 pages
-        let mut snap = Sram::new(0x2000_0000, 0x4000);
-        m.capture_into(&mut snap);
-        assert_eq!(m.dirty_pages(), 0);
-        m.write_scalar(0x2000_0004, 1, 0xaa).unwrap();
-        assert_eq!(m.dirty_pages(), 1);
-        assert!(m.page_is_dirty(0x2000_0004));
-        assert!(!m.page_is_dirty(0x2000_1000));
-        m.write_cap_word(0x2000_2000, 1, true).unwrap();
-        assert_eq!(m.dirty_pages(), 2);
-        // A zero spanning the page-1/page-2 boundary dirties both.
-        m.zero_range(0x2000_1ff8, 16).unwrap();
-        assert_eq!(m.dirty_pages(), 3);
-        assert!(m.page_is_dirty(0x2000_1ff8));
-    }
-
-    #[test]
-    fn dirty_tracking_never_under_reports() {
-        // Restore correctness under targeted single-page stores: every
-        // store path must mark its page, or the page-wise restore would
-        // silently keep the new bytes. Restoring after each kind of store
-        // must reproduce the snapshot content exactly.
+    fn restore_moves_exactly_the_pages_each_store_path_wrote() {
+        // Every store path must unshare the pages it writes, or the
+        // handle-identity restore would silently keep the new bytes.
+        // Restoring after each kind of store must move exactly the pages
+        // it covered and reproduce the snapshot content.
         let c = Capability::root_mem_rw()
             .with_address(0x2000_0100)
             .set_bounds(64)
@@ -1010,7 +898,9 @@ mod tests {
                     .unwrap()
             }),
         ];
-        for store in &stores {
+        // Pages each store covers: the last two straddle a page boundary.
+        let pages = [1, 1, 1, 1, 2, 2];
+        for (store, &pages) in stores.iter().zip(&pages) {
             let mut m = Sram::new(0x2000_0000, 0x4000);
             // Pre-populate so zeroing/overwrites actually change content.
             for a in (0x2000_0000u32..0x2000_4000).step_by(64) {
@@ -1019,34 +909,36 @@ mod tests {
             let mut snap = Sram::new(0x2000_0000, 0x4000);
             m.capture_into(&mut snap);
             store(&mut m);
-            let dirty = m.dirty_pages();
-            assert!(dirty > 0, "store path failed to mark any page");
-            assert_eq!(m.restore_page_wise(&snap).pages, dirty);
-            assert!(m.content_eq(&snap), "restore missed a dirtied page");
+            assert_eq!(m.restore_page_wise(&snap).pages, pages);
+            assert!(m.content_eq(&snap), "restore missed a written page");
         }
     }
 
     #[test]
-    fn page_wise_restore_copies_only_dirty_pages() {
+    fn page_wise_restore_copies_only_written_pages() {
         let mut m = Sram::new(0x2000_0000, 0x8000); // 8 pages
         m.write_cap_word(0x2000_4000, 7, true).unwrap();
         let mut snap = Sram::new(0x2000_0000, 0x8000);
-        let first = m.capture_into(&mut snap);
-        assert_eq!(
-            first.pages, 8,
-            "first capture into a fresh bank is a full transfer"
+        m.capture_into(&mut snap);
+        assert!(
+            shares_every_page(&m, &snap),
+            "capture hands over every handle"
         );
         m.write_scalar(0x2000_0000, 4, 1).unwrap();
         m.write_scalar(0x2000_7ffc, 4, 2).unwrap();
         assert_eq!(m.restore_page_wise(&snap).pages, 2);
         assert!(m.content_eq(&snap));
         assert!(m.tag_at(0x2000_4000));
-        // Re-capture with no divergence transfers nothing, keeps lineage.
-        assert_eq!(m.capture_into(&mut snap).pages, 0);
-        // A foreign bank has no lineage: full transfer.
+        // Capturing into a bank of another shape reshapes it first.
+        let mut reshaped = Sram::new(0x2000_0000, 0x1000);
+        m.capture_into(&mut reshaped);
+        assert!(shares_every_page(&m, &reshaped));
+        // A foreign bank shares no handle with the snapshot: full transfer.
         let mut other = Sram::new(0x2000_0000, 0x8000);
         assert_eq!(other.restore_page_wise(&snap).pages, 8);
         assert!(other.content_eq(&snap));
+        // A clone of the snapshot shares every handle: nothing moves.
+        assert_eq!(other.restore_page_wise(&snap.clone()).pages, 0);
     }
 
     #[test]
@@ -1111,10 +1003,9 @@ mod tests {
         let mut m = Sram::new(0x2000_0000, 0x4000);
         m.write_cap_word(0x2000_2000, 99, true).unwrap();
         let mut snap = Sram::new(0x2000_0000, 0x4000);
-        let cost = m.capture_into(&mut snap);
-        assert_eq!(cost.pages, 4);
-        assert_eq!(cost.bytes, 4 * PAGE_HANDLE_BYTES, "capture is handle-cost");
+        m.capture_into(&mut snap);
         // Machine and snapshot now share every page.
+        assert!(shares_every_page(&m, &snap));
         assert_eq!(m.shared_pages(), 4);
         let breaks_before = m.cow_stats().breaks;
         m.write_scalar(0x2000_2004, 4, 1).unwrap();
@@ -1154,18 +1045,14 @@ mod tests {
         m.write_cap_word(0x2000_0000, 5, true).unwrap();
         assert_eq!(m.cow_stats().breaks, 0, "unique pages never break");
         let mut snap = Sram::new(0x2000_0000, 0x4000);
-        let cost = m.capture_into(&mut snap);
-        assert_eq!(
-            cost.bytes,
-            4 * PAGE_COPY_BYTES,
-            "no-cow capture deep-copies"
-        );
-        assert_eq!(m.shared_pages(), 0);
+        m.capture_into(&mut snap);
+        assert!(snap.content_eq(&m));
+        assert_eq!(m.shared_pages(), 0, "no-cow capture deep-copies");
         assert!(!snap.cow_enabled(), "snapshot adopts the bank's mode");
         m.write_scalar(0x2000_0008, 4, 1).unwrap();
         let cost = m.restore_page_wise(&snap);
-        assert_eq!(cost.pages, 1);
-        assert_eq!(cost.bytes, PAGE_COPY_BYTES, "tag bytes are accounted");
+        assert_eq!(cost.pages, 4, "no handle is shared, so every page moves");
+        assert_eq!(cost.bytes, 4 * PAGE_COPY_BYTES, "tag bytes are accounted");
         assert!(m.content_eq(&snap));
     }
 
@@ -1194,22 +1081,6 @@ mod tests {
         a.restore_page_wise(&sa);
         b.restore_page_wise(&sb);
         assert!(a.content_eq(&b), "restores agree across modes");
-    }
-
-    #[test]
-    fn running_dirty_count_matches_bitmap() {
-        let mut m = Sram::new(0x2000_0000, 0x8000);
-        let mut snap = Sram::new(0x2000_0000, 0x8000);
-        m.capture_into(&mut snap);
-        for (i, a) in (0x2000_0000u32..0x2000_8000).step_by(4096).enumerate() {
-            m.write_scalar(a, 4, 1).unwrap();
-            m.write_scalar(a + 8, 4, 2).unwrap(); // same page: no recount
-            let popcount: u32 = m.dirty.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(m.dirty_pages(), popcount);
-            assert_eq!(m.dirty_pages(), i as u32 + 1);
-        }
-        m.restore_page_wise(&snap);
-        assert_eq!(m.dirty_pages(), 0);
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! `patch_code` — must break the sharing for the writer alone, leaving
 //! siblings byte-identical to the capture point. And the whole CoW
 //! machinery must be architecturally invisible: `--no-cow` runs produce
-//! the same machine state in every dispatch mode.
+//! the same machine state in every dispatch mode. Because shared pages
+//! are immutable, equal handles mean equal content, and a restore moves
+//! exactly the pages whose handles differ from the snapshot's.
 
 use cheriot_cap::Capability;
 use cheriot_core::insn::{AluOp, BranchCond, Instr, MemWidth, Reg};
 use cheriot_core::mem::PAGE_SIZE;
 use cheriot_core::{layout, CoreModel, ExitReason, Machine, MachineConfig};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A store loop: writes `A4` through `A1` and `A2`, then counts `A3`
 /// down to zero so block chaining has a back edge to chain.
@@ -84,8 +87,117 @@ fn fork_pair() -> (Machine, Machine) {
     (a, b)
 }
 
+/// One generated mutation: `(kind, page, offset, value)`. Kinds are a
+/// scalar store, a capability-word store, `zero_range`, a DMA
+/// `write_bytes` and `patch_code`; ranges may straddle pages.
+type Op = (u8, u32, u32, u64);
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u8..5, 0u32..16, 0u32..PAGE_SIZE, any::<u64>()), 1..24)
+}
+
+/// Applies `op` to `m` and returns the SRAM pages it wrote.
+fn apply(m: &mut Machine, (kind, page, offset, value): Op) -> Vec<u32> {
+    let bank_end = layout::SRAM_BASE + m.sram.size();
+    let addr = layout::SRAM_BASE + page * PAGE_SIZE + offset;
+    let (lo, len) = match kind {
+        0 => {
+            let a = addr & !3;
+            m.sram.write_scalar(a, 4, value as u32).unwrap();
+            (a, 4)
+        }
+        1 => {
+            let a = addr & !7;
+            m.sram.write_cap_word(a, value, value & 1 == 1).unwrap();
+            (a, 8)
+        }
+        2 => {
+            let len = (1 + (value % 0x2000) as u32).min(bank_end - addr);
+            m.sram.zero_range(addr, len).unwrap();
+            (addr, len)
+        }
+        3 => {
+            let len = (1 + (value % 64) as u32).min(bank_end - addr);
+            let buf: Vec<u8> = (0..len).map(|i| (value >> (i % 8 * 8)) as u8).collect();
+            m.dma_write(addr, &buf).unwrap();
+            (addr, len)
+        }
+        _ => {
+            let words = (m.code_end() - layout::CODE_BASE) / 4;
+            let at = layout::CODE_BASE + 4 * (value % u64::from(words)) as u32;
+            m.patch_code(at, Instr::Halt).unwrap();
+            return Vec::new();
+        }
+    };
+    let first = (lo - layout::SRAM_BASE) / PAGE_SIZE;
+    let last = (lo + len - 1 - layout::SRAM_BASE) / PAGE_SIZE;
+    (first..=last).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After a capture, any mix of writes through every mutation path is
+    /// undone by one restore, which moves exactly the distinct pages
+    /// written; a second restore moves nothing.
+    #[test]
+    fn restore_moves_exactly_the_written_pages(ops in ops()) {
+        let mut m = boot((true, true), true);
+        let snap = m.snapshot();
+        let captured = m.clone();
+        let mut written = BTreeSet::new();
+        for &op in &ops {
+            written.extend(apply(&mut m, op));
+        }
+        let before = m.snapshot_stats().pages_copied;
+        m.restore_from(&snap);
+        prop_assert_eq!(
+            m.snapshot_stats().pages_copied - before,
+            written.len() as u64,
+            "pages written: {:?}",
+            written
+        );
+        prop_assert!(m.sram.content_eq(&captured.sram));
+        for a in (layout::CODE_BASE..m.code_end()).step_by(4) {
+            prop_assert_eq!(m.code_at(a), captured.code_at(a));
+        }
+        m.restore_from(&snap);
+        prop_assert_eq!(m.snapshot_stats().pages_copied - before, written.len() as u64);
+    }
+
+    /// A machine restoring a snapshot of its forked sibling moves only
+    /// the pages either of them wrote since the fork: the pair shares
+    /// every other handle through the common parent snapshot.
+    #[test]
+    fn restore_from_sibling_snapshot_moves_only_differing_pages(
+        a_ops in ops(),
+        b_ops in ops(),
+    ) {
+        let mut m = boot((true, true), true);
+        let parent = m.snapshot();
+        let mut a = parent.to_machine();
+        let mut b = parent.to_machine();
+        let mut differing = BTreeSet::new();
+        for &op in &a_ops {
+            differing.extend(apply(&mut a, op));
+        }
+        for &op in &b_ops {
+            differing.extend(apply(&mut b, op));
+        }
+        let b_snap = b.snapshot();
+        let before = a.snapshot_stats().pages_copied;
+        a.restore_from(&b_snap);
+        prop_assert_eq!(
+            a.snapshot_stats().pages_copied - before,
+            differing.len() as u64,
+            "pages written by either sibling: {:?}",
+            differing
+        );
+        prop_assert!(a.sram.content_eq(&b.sram));
+        for addr in (layout::CODE_BASE..b.code_end()).step_by(4) {
+            prop_assert_eq!(a.code_at(addr), b.code_at(addr));
+        }
+    }
 
     /// Scalar writes after a fork are invisible to the sibling, whatever
     /// page they land on: exactly the touched pages CoW-break in the

@@ -1,6 +1,7 @@
 //! Snapshot/fork engine tests: a restore must be byte-identical to a
-//! fresh boot (same program, same entry), page-wise restores must copy
-//! only dirty pages, and forks must inherit the predecoded block table.
+//! fresh boot (same program, same entry), page-wise restores must move
+//! only the pages written since the capture, and forks must inherit the
+//! predecoded block table.
 
 use cheriot_cap::Capability;
 use cheriot_core::insn::{AluOp, Instr, MemWidth, Reg};
@@ -74,8 +75,11 @@ fn restore_is_byte_identical_to_a_fresh_boot() {
     let mut m = boot(true);
     let snap = m.snapshot();
     assert_eq!(m.run(10_000), ExitReason::Halted(7));
-    assert!(m.sram.dirty_pages() >= 2, "the run dirtied two pages");
     m.restore_from(&snap);
+    assert!(
+        m.snapshot_stats().pages_copied >= 2,
+        "the rewind moved the two pages the run wrote"
+    );
     let fresh = boot(true);
     assert_identical(&m, &fresh, "restore vs fresh boot");
     // And the restored machine re-runs to the same end state.
@@ -99,28 +103,22 @@ fn restore_replays_identically_in_both_block_cache_modes() {
 }
 
 #[test]
-fn page_wise_restore_copies_only_dirty_pages() {
+fn page_wise_restore_copies_only_written_pages() {
     let mut m = boot(true);
     let snap = m.snapshot();
     assert_eq!(m.run(10_000), ExitReason::Halted(7));
-    let dirty = m.sram.dirty_pages();
-    assert!((2..8).contains(&dirty), "run dirtied a handful of pages");
     m.restore_from(&snap);
     let s = m.snapshot_stats();
     assert_eq!(s.restores, 1);
-    assert_eq!(
-        s.pages_copied,
-        u64::from(dirty),
-        "copied exactly the dirty pages"
-    );
-    assert_eq!(s.full_restores, 0, "lineage fast path applied");
-    // Restoring again with nothing dirty copies nothing.
+    // The program stores only through A1 (page 0) and A2 (page 2).
+    assert_eq!(s.pages_copied, 2, "moved exactly the written pages");
+    // Restoring again with nothing written moves nothing.
     m.restore_from(&snap);
-    assert_eq!(m.snapshot_stats().pages_copied, u64::from(dirty));
+    assert_eq!(m.snapshot_stats().pages_copied, 2);
 }
 
 #[test]
-fn snapshot_into_reuses_buffers_and_keeps_lineage() {
+fn snapshot_into_reuses_buffers_and_round_trips() {
     let mut m = boot(true);
     let mut snap = m.snapshot();
     assert_eq!(m.run(10_000), ExitReason::Halted(7));
@@ -177,9 +175,13 @@ fn restore_reinstalls_code_after_divergent_patch() {
 fn restore_across_unrelated_machines_is_a_full_copy_but_correct() {
     let mut a = boot(true);
     let snap: Snapshot = a.snapshot();
-    let mut b = machine_with(true); // never saw `a`'s lineage
+    let mut b = machine_with(true); // shares no page with `a`
     b.restore_from(&snap);
     assert_identical(&b, &a, "cross-machine restore");
-    assert_eq!(b.snapshot_stats().full_restores, 1);
+    assert_eq!(
+        b.snapshot_stats().pages_copied,
+        u64::from(b.sram.num_pages()),
+        "no shared handle, so every page moves"
+    );
     assert_eq!(b.run(10_000), ExitReason::Halted(7));
 }

@@ -174,8 +174,9 @@ pub struct CampaignReport {
     /// Snapshot restores performed by the fork engine (0 on the legacy
     /// per-seed-reboot path).
     pub snapshot_restores: u64,
-    /// SRAM pages copied across those restores. A rising pages-per-restore
-    /// ratio flags a regression in dirty-tracking precision.
+    /// SRAM pages moved across those restores: the pages whose CoW
+    /// handles differed from the snapshot's. A rising pages-per-restore
+    /// ratio flags a write path unsharing pages it did not need to.
     pub dirty_pages_copied: u64,
     /// Host bytes those restores actually moved (honest accounting:
     /// handle adoptions under CoW, data + tag bytes on deep copies, plus

@@ -188,7 +188,7 @@ impl MmioDevice for LiteTimer {
 ///
 /// Every store goes through [`Machine::dma_write`], so the engine cannot
 /// forge capabilities (tags are cleared), cannot desync snapshots (pages
-/// are dirtied), and cannot leave stale predecoded blocks behind (code
+/// are unshared through the CoW write barrier), and cannot leave stale predecoded blocks behind (code
 /// stores invalidate and bump the coherence generation). A transfer that
 /// faults (unmapped range, oversized, undecodable code store) sets the
 /// error bit instead of completing.

@@ -15,7 +15,7 @@
 //! * **[`LiteTimer`]** — a LiteX-style 32-bit countdown timer, modelled
 //!   lazily from the cycle counter.
 //! * **[`DmaEngine`]** — memory-to-memory copies through the machine's
-//!   tag-clearing, dirty-tracking, block-invalidating DMA path.
+//!   tag-clearing, CoW-breaking, block-invalidating DMA path.
 //! * **[`NetLoopback`]** — a network interface with TX/RX descriptor
 //!   rings in SRAM; transmitted frames are delivered back into the RX
 //!   ring.

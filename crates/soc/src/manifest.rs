@@ -124,7 +124,8 @@ impl MachineSpec {
     /// # Errors
     ///
     /// Syntax errors (with line numbers for TOML), unknown keys or
-    /// sections, and non-scalar values.
+    /// sections, non-scalar values, and an `sram` size that is not a
+    /// non-zero multiple of 16 or would run into the MMIO windows.
     pub fn parse(text: &str) -> Result<MachineSpec, ManifestError> {
         if text.trim_start().starts_with('{') {
             MachineSpec::parse_json(text)
@@ -139,9 +140,12 @@ impl MachineSpec {
     ///
     /// # Errors
     ///
-    /// Unknown device kinds and bus conflicts (misaligned bases,
-    /// overlapping windows, out-of-range IRQ lines).
+    /// Unknown device kinds, bus conflicts (misaligned bases, overlapping
+    /// windows, out-of-range IRQ lines), and everything
+    /// [`MachineSpec::parse`] rejects (an unusable SRAM size, say), so a
+    /// spec built in code never reaches a panicking `Machine::new`.
     pub fn build(&self) -> Result<Machine, ManifestError> {
+        self.validate()?;
         let core = match self.core {
             CoreKind::Ibex => CoreModel::ibex(),
             CoreKind::Flute => CoreModel::flute(),
@@ -340,6 +344,22 @@ impl MachineSpec {
     }
 
     fn validate(&self) -> Result<(), ManifestError> {
+        if let Some(sram) = self.sram_size {
+            // Whole 16-byte units keep both halves (code/data below, heap
+            // above) granule-aligned, and the bank must end before the
+            // first MMIO window.
+            if sram == 0 || !sram.is_multiple_of(16) {
+                return Err(ManifestError::new(format!(
+                    "sram = {sram:#x}: must be a non-zero multiple of 16 bytes"
+                )));
+            }
+            if sram > layout::REV_BITMAP_BASE - layout::SRAM_BASE {
+                return Err(ManifestError::new(format!(
+                    "sram = {sram:#x}: the bank would run past {:#010x}",
+                    layout::REV_BITMAP_BASE
+                )));
+            }
+        }
         for d in &self.devices {
             if d.kind.is_empty() {
                 return Err(ManifestError::new("device missing `kind`"));

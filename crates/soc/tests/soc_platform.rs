@@ -1,7 +1,7 @@
 //! End-to-end tests of the declarative SoC platform: manifest parsing,
 //! booting every bundled manifest through the guest driver, dispatch-mode
 //! and snapshot equivalence with live devices, DMA coherence properties
-//! (tag clearing, dirty tracking, block-cache invalidation), and
+//! (tag clearing, snapshot rollback, block-cache invalidation), and
 //! interrupt delivery through the UART → interrupt-controller path.
 
 use cheriot_core::insn::{AluOp, Instr, Reg};
@@ -100,6 +100,26 @@ fn manifest_errors_are_reported_with_context() {
          [[device]]\nkind = \"dma\"\nbase = 0x8200_0000\n",
     )
     .unwrap();
+    assert!(spec.build().is_err());
+
+    // SRAM sizes that would panic `Machine::new` are manifest errors, in
+    // both formats: not a granule multiple, a heap half that is not
+    // granule-aligned, and a bank that overflows into the MMIO windows.
+    for (toml, json, why) in [
+        ("12", "12", "multiple of 16"),
+        ("8", "8", "multiple of 16"),
+        ("0xE000_0000", r#""0xE0000000""#, "run past"),
+    ] {
+        let err = MachineSpec::parse(&format!("[machine]\nsram = {toml}\n")).unwrap_err();
+        assert!(err.msg.contains(why), "toml sram = {toml}: {err}");
+        let err = MachineSpec::parse(&format!(r#"{{"machine": {{"sram": {json}}}}}"#)).unwrap_err();
+        assert!(err.msg.contains(why), "json sram = {json}: {err}");
+    }
+    // The same check guards specs built in code.
+    let spec = MachineSpec {
+        sram_size: Some(12),
+        ..MachineSpec::default()
+    };
     assert!(spec.build().is_err());
 }
 
@@ -240,13 +260,15 @@ fn mid_run_snapshot_resumes_to_identical_final_state() {
 
 // ------------------------------------------------------- DMA coherence
 
-/// Plants a capability on every granule of a window, DMA-writes `len`
-/// bytes at `off` into it, and checks the three coherence obligations:
-/// exactly the overlapped granules lose their tags, every covered page is
-/// dirty, and the bytes land.
+/// Plants a capability on every granule of a window, snapshots, DMA-writes
+/// `len` bytes at `off` into it, and checks the three coherence
+/// obligations: exactly the overlapped granules lose their tags, the bytes
+/// land, and the next restore moves exactly the pages the DMA covered
+/// (bringing every tag back).
 fn dma_window_check(off: u32, len: usize) {
     let mut m = Machine::new(MachineConfig::new(CoreModel::ibex()));
-    let window = layout::SRAM_BASE + 0x8000;
+    // The window straddles a page boundary, so some writes cover two pages.
+    let window = layout::SRAM_BASE + 0x8000 - 0x80;
     let granules = 40u32;
     for g in 0..granules {
         let a = window + g * GRANULE;
@@ -254,6 +276,7 @@ fn dma_window_check(off: u32, len: usize) {
             .write_cap(a, cheriot_cap::Capability::root_mem_rw().with_address(a))
             .unwrap();
     }
+    let snap = m.snapshot();
     let dst = window + off;
     let buf: Vec<u8> = (0..len)
         .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
@@ -272,19 +295,25 @@ fn dma_window_check(off: u32, len: usize) {
     let mut got = vec![0u8; len];
     m.dma_read(dst, &mut got).unwrap();
     assert_eq!(got, buf);
-    let mut page = dst & !(4096 - 1);
-    while page < dst + len as u32 {
+    let covered = (dst + len as u32 - 1) / 4096 - dst / 4096 + 1;
+    let before = m.snapshot_stats().pages_copied;
+    m.restore_from(&snap);
+    assert_eq!(
+        m.snapshot_stats().pages_copied - before,
+        u64::from(covered),
+        "the restore must move exactly the pages the DMA write covered"
+    );
+    for g in 0..granules {
         assert!(
-            m.sram.page_is_dirty(page),
-            "page {page:#010x} covering the DMA write must be dirty"
+            m.sram.tag_at(window + g * GRANULE),
+            "restore brings tags back"
         );
-        page += 4096;
     }
 }
 
 proptest! {
     #[test]
-    fn dma_writes_clear_overlapping_tags_and_mark_dirty(
+    fn dma_writes_clear_overlapping_tags_and_roll_back(
         off in 0u32..256,
         len in 1usize..128,
     ) {
