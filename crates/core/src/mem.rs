@@ -47,9 +47,12 @@
 //!   capability last written to each granule, so a `CLC` that follows a
 //!   `CSC` is a copy instead of a bounds re-derivation. Scalar writes, raw
 //!   word writes and tag clears invalidate the slot; the raw 64-bit word
-//!   plus tag bit remain the source of truth. The cache is allocated lazily
-//!   on first capability traffic, so banks that never move capabilities
-//!   (fleet guest nodes) never pay its footprint.
+//!   plus tag bit remain the source of truth. The cache is held per page
+//!   and allocated lazily at both levels: the page table on first
+//!   capability traffic, so banks that never move capabilities (fleet
+//!   guest nodes) never pay its footprint, and a page's slots on the first
+//!   fill in that page, so a program that keeps capabilities in a few
+//!   pages pays for those pages only. Invalidations visit live pages only.
 
 use crate::trap::TrapCause;
 use cheriot_cap::Capability;
@@ -164,11 +167,13 @@ pub struct Sram {
     /// The page store. Shared (`Arc` refcount > 1) pages are immutable;
     /// the write barrier unshares before mutating.
     pages: Vec<Arc<Page>>,
-    /// Decoded-capability side cache, one slot per granule, allocated
-    /// lazily on first capability traffic (empty = cold). `Some(c)` only
-    /// when the granule's tag is set and `c` equals
-    /// `Capability::from_word(word, true)` for the granule's current word.
-    caps: Vec<Option<Capability>>,
+    /// Decoded-capability side cache, one slot per granule, held per
+    /// page. The page table is allocated on first capability traffic
+    /// (empty = cold) and a page's slots on the first fill in that page
+    /// (`None` = no live slot in the page). `Some(c)` only when the
+    /// granule's tag is set and `c` equals `Capability::from_word(word,
+    /// true)` for the granule's current word.
+    caps: Vec<Option<Box<[Option<Capability>]>>>,
     /// Structural sharing enabled? When false (`--no-cow`), pages are
     /// kept uniquely owned and captures/restores copy bytes — the pre-CoW
     /// cost model, kept as an escape hatch and comparison baseline.
@@ -333,19 +338,38 @@ impl Sram {
         Arc::make_mut(&mut self.pages[p])
     }
 
-    /// The decoded side cache, allocated on first use.
-    fn caps_mut(&mut self) -> &mut [Option<Capability>] {
+    /// Fills granule `g`'s side-cache slot, allocating the page table and
+    /// the page's slots on first use.
+    fn caps_fill(&mut self, g: usize, c: Capability) {
         if self.caps.is_empty() {
-            self.caps = vec![None; self.granules()];
+            self.caps = vec![None; self.pages.len()];
         }
-        &mut self.caps
+        let slots = self.caps[g / PAGE_GRANULES]
+            .get_or_insert_with(|| vec![None; PAGE_GRANULES].into_boxed_slice());
+        slots[g % PAGE_GRANULES] = Some(c);
     }
 
-    /// Drops the side-cache entry for granule `g` if the cache is live.
+    /// The cached decode of granule `g`, if there is one.
+    #[inline]
+    fn caps_get(&self, g: usize) -> Option<Capability> {
+        self.caps.get(g / PAGE_GRANULES)?.as_ref()?[g % PAGE_GRANULES]
+    }
+
+    /// Drops the side-cache entry for granule `g` if its page is live.
     #[inline]
     fn caps_clear(&mut self, g: usize) {
-        if let Some(slot) = self.caps.get_mut(g) {
-            *slot = None;
+        if let Some(Some(slots)) = self.caps.get_mut(g / PAGE_GRANULES) {
+            slots[g % PAGE_GRANULES] = None;
+        }
+    }
+
+    /// Drops the side-cache entries of granules `[g0, g1]` (inclusive,
+    /// both in one page) if that page is live.
+    #[inline]
+    fn caps_clear_range(&mut self, g0: usize, g1: usize) {
+        debug_assert_eq!(g0 / PAGE_GRANULES, g1 / PAGE_GRANULES);
+        if let Some(Some(slots)) = self.caps.get_mut(g0 / PAGE_GRANULES) {
+            slots[g0 % PAGE_GRANULES..=g1 % PAGE_GRANULES].fill(None);
         }
     }
 
@@ -448,7 +472,7 @@ impl Sram {
         let o = self.offset(addr);
         let g = o / GRANULE as usize;
         if c.tag() {
-            self.caps_mut()[g] = Some(c);
+            self.caps_fill(g, c);
         } else {
             self.caps_clear(g);
         }
@@ -472,13 +496,13 @@ impl Sram {
             return Ok(Capability::from_word(word, false));
         }
         let g = self.granule(addr);
-        if let Some(&Some(c)) = self.caps.get(g) {
+        if let Some(c) = self.caps_get(g) {
             debug_assert_eq!(c, Capability::from_word(word, tag));
             debug_assert_eq!(c.bounds(), Capability::from_word(word, tag).bounds());
             return Ok(c);
         }
         let c = Capability::from_word(word, true);
-        self.caps_mut()[g] = Some(c);
+        self.caps_fill(g, c);
         Ok(c)
     }
 
@@ -497,18 +521,15 @@ impl Sram {
         }
         let o = self.offset(addr);
         let end = o + len as usize;
-        if !self.caps.is_empty() {
-            let g0 = o / GRANULE as usize;
-            let g1 = (end - 1) / GRANULE as usize;
-            self.caps[g0..=g1].fill(None);
-        }
         let mut cur = o;
         while cur < end {
             let p = cur >> PAGE_SHIFT;
             let stop = ((p + 1) << PAGE_SHIFT).min(end);
+            let (g0, g1) = (cur / GRANULE as usize, (stop - 1) / GRANULE as usize);
+            self.caps_clear_range(g0, g1);
             let pg = self.page_mut(p);
             pg.bytes[cur & PAGE_MASK..((stop - 1) & PAGE_MASK) + 1].fill(0);
-            pg.detag_range(cur / GRANULE as usize, (stop - 1) / GRANULE as usize);
+            pg.detag_range(g0, g1);
             cur = stop;
         }
         Ok(())
@@ -560,19 +581,16 @@ impl Sram {
         }
         let o = self.offset(addr);
         let end = o + buf.len();
-        if !self.caps.is_empty() {
-            let g0 = o / GRANULE as usize;
-            let g1 = (end - 1) / GRANULE as usize;
-            self.caps[g0..=g1].fill(None);
-        }
         let mut cur = o;
         while cur < end {
             let p = cur >> PAGE_SHIFT;
             let stop = ((p + 1) << PAGE_SHIFT).min(end);
+            let (g0, g1) = (cur / GRANULE as usize, (stop - 1) / GRANULE as usize);
+            self.caps_clear_range(g0, g1);
             let pg = self.page_mut(p);
             let po = cur & PAGE_MASK;
             pg.bytes[po..po + (stop - cur)].copy_from_slice(&buf[cur - o..stop - o]);
-            pg.detag_range(cur / GRANULE as usize, (stop - 1) / GRANULE as usize);
+            pg.detag_range(g0, g1);
             cur = stop;
         }
         Ok(())
@@ -639,6 +657,16 @@ impl Sram {
         self.pages.len() as u32
     }
 
+    /// Page `p`'s data bytes and tag words, read-only: byte `i` is the
+    /// byte at `base + p * PAGE_SIZE + i`, and bit `b` of tag word `w` is
+    /// the tag of granule `(p * 8 + w) * 64 + b`. A partial last page
+    /// reads as zero past the bank's end. This is the exit-state
+    /// comparator's view of the bank: whole pages, no copies.
+    pub fn page_content(&self, p: usize) -> (&[u8; PAGE_SIZE as usize], &[u64; PAGE_TAG_WORDS]) {
+        let pg = &self.pages[p];
+        (&pg.bytes, &pg.tags)
+    }
+
     /// Architectural-content equality: same base/size and identical bytes
     /// and tags. Pages sharing a handle compare in O(1); the decoded side
     /// cache and CoW counters are derived state and deliberately excluded.
@@ -665,7 +693,6 @@ impl Sram {
     /// covering adopted pages; returns the pages/bytes transferred.
     fn adopt_differing(&mut self, src: &Sram) -> XferCost {
         let mut cost = XferCost::default();
-        let granules = self.granules();
         // Scan to the next differing handle (a tight compare loop: in
         // steady state almost every page is shared), adopt it, repeat.
         let mut p = 0;
@@ -683,10 +710,7 @@ impl Sram {
                 cost.bytes += PAGE_COPY_BYTES;
             }
             cost.pages += 1;
-            if !self.caps.is_empty() {
-                let g0 = p * PAGE_GRANULES;
-                self.caps[g0..(g0 + PAGE_GRANULES).min(granules)].fill(None);
-            }
+            self.caps_clear_range(p * PAGE_GRANULES, (p + 1) * PAGE_GRANULES - 1);
             p += 1;
         }
         cost
@@ -959,6 +983,98 @@ mod tests {
         let back = m.read_cap(0x2000_0040).unwrap();
         assert_eq!(back, c);
         assert_eq!(back.bounds(), c.bounds());
+    }
+
+    /// Pages whose side-cache slots are allocated.
+    fn live_cap_pages(m: &Sram) -> usize {
+        m.caps.iter().filter(|slots| slots.is_some()).count()
+    }
+
+    fn cap_at(addr: u32) -> Capability {
+        Capability::root_mem_rw()
+            .with_address(addr)
+            .set_bounds(64)
+            .unwrap()
+    }
+
+    #[test]
+    fn bank_without_capability_traffic_keeps_an_empty_side_cache() {
+        let mut m = Sram::new(0x2000_0000, 0x4000);
+        m.write_scalar(0x2000_0010, 4, 7).unwrap();
+        m.write_cap_word(0x2000_1000, 0x1234, false).unwrap();
+        m.zero_range(0x2000_0ff0, 0x20).unwrap();
+        m.write_bytes(0x2000_2ffc, &[1; 8]).unwrap();
+        assert!(!m.read_cap(0x2000_1000).unwrap().tag());
+        let mut snap = Sram::new(0x2000_0000, 0x4000);
+        m.capture_into(&mut snap);
+        m.restore_page_wise(&snap);
+        assert!(m.caps.is_empty(), "no capability traffic, no page table");
+    }
+
+    #[test]
+    fn one_capability_store_allocates_one_pages_slots() {
+        let mut m = Sram::new(0x2000_0000, 0x4000);
+        m.write_cap(0x2000_2040, cap_at(0x2000_0100)).unwrap();
+        assert_eq!(m.caps.len(), 4, "the page table covers every page");
+        assert_eq!(live_cap_pages(&m), 1);
+        assert_eq!(m.caps[2].as_ref().map(|s| s.len()), Some(PAGE_GRANULES));
+        // A second capability in the same page allocates nothing more.
+        m.write_cap(0x2000_2ff8, cap_at(0x2000_0200)).unwrap();
+        assert_eq!(live_cap_pages(&m), 1);
+    }
+
+    #[test]
+    fn straddling_range_writes_drop_slots_in_both_pages() {
+        type Clear = fn(&mut Sram);
+        let clears: [Clear; 2] = [
+            |s| s.zero_range(0x2000_0ffc, 8).unwrap(),
+            |s| s.write_bytes(0x2000_0ffc, &[0xaa; 8]).unwrap(),
+        ];
+        for clear in clears {
+            let mut m = Sram::new(0x2000_0000, 0x2000);
+            let (lo, hi) = (cap_at(0x2000_0100), cap_at(0x2000_0200));
+            m.write_cap(0x2000_0ff8, lo).unwrap();
+            m.write_cap(0x2000_1000, hi).unwrap();
+            assert_eq!(live_cap_pages(&m), 2);
+            clear(&mut m);
+            let (g0, g1) = (0xff8 / GRANULE as usize, 0x1000 / GRANULE as usize);
+            assert_eq!((m.caps_get(g0), m.caps_get(g1)), (None, None));
+            // The next read decodes the raw word, untagged.
+            for a in [0x2000_0ff8, 0x2000_1000] {
+                let (word, tag) = m.read_cap_word(a).unwrap();
+                assert!(!tag);
+                assert_eq!(m.read_cap(a).unwrap(), Capability::from_word(word, false));
+            }
+        }
+    }
+
+    #[test]
+    fn restore_after_capability_writes_returns_the_snapshots_capability() {
+        let (old, new) = (cap_at(0x2000_0100), cap_at(0x2000_0300));
+        let mut m = Sram::new(0x2000_0000, 0x2000);
+        m.write_cap(0x2000_1040, old).unwrap();
+        let mut snap = Sram::new(0x2000_0000, 0x2000);
+        m.capture_into(&mut snap);
+        // The overwrite fills the slot with `new`; the restore must drop
+        // it rather than serve it for the snapshot's word.
+        m.write_cap(0x2000_1040, new).unwrap();
+        assert_eq!(m.read_cap(0x2000_1040).unwrap(), new);
+        m.restore_page_wise(&snap);
+        let back = m.read_cap(0x2000_1040).unwrap();
+        assert_eq!(back, old);
+        assert_eq!(back.bounds(), old.bounds());
+    }
+
+    #[test]
+    fn page_content_exposes_bytes_and_tag_words() {
+        let mut m = Sram::new(0x2000_0000, 0x2000);
+        m.write_cap_word(0x2000_1000 + 65 * 8, 0x0102_0304_0506_0708, true)
+            .unwrap();
+        let (bytes, tags) = m.page_content(1);
+        assert_eq!(bytes[65 * 8], 0x08);
+        assert_eq!(tags[1], 1 << 1, "granule 65 of the page: word 1, bit 1");
+        let (bytes, tags) = m.page_content(0);
+        assert!(bytes.iter().all(|&b| b == 0) && tags.iter().all(|&w| w == 0));
     }
 
     #[test]

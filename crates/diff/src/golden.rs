@@ -9,12 +9,14 @@
 //!   instruction at a time, with the interrupt poll before every
 //!   instruction — no predecoded blocks, no chained dispatch, no batched
 //!   event loop, no sentry inline caches.
-//! - **Naive memory.** A flat byte array plus one tag bit per 8-byte
-//!   granule. Capabilities are re-encoded with [`Capability::to_word`] on
-//!   every store and re-decoded with [`Capability::from_word`] on every
-//!   load — there is deliberately *no* decoded-capability side cache, so
-//!   the engine's side cache is checked against the architectural
-//!   encoding round-trip on every capability that touches memory.
+//! - **Naive memory.** 4 KiB byte pages, each allocated on its first
+//!   write (an unwritten page reads as zero), plus one tag bit per 8-byte
+//!   granule, packed 64 to a word. Accesses go byte by byte.
+//!   Capabilities are re-encoded with [`Capability::to_word`] on every
+//!   store and re-decoded with [`Capability::from_word`] on every load —
+//!   there is deliberately *no* decoded-capability side cache, so the
+//!   engine's side cache is checked against the architectural encoding
+//!   round-trip on every capability that touches memory.
 //! - **Same architectural state types.** Registers and special registers
 //!   live in the same [`Cpu`] type the engines use, capabilities are the
 //!   same [`Capability`]; only behaviour is re-implemented, so state
@@ -36,40 +38,84 @@ use cheriot_cap::bounds::{representable_alignment_mask, representable_length};
 use cheriot_cap::{Capability, InterruptPosture, OType, Permissions, SentryKind};
 use cheriot_core::cpu::Cpu;
 use cheriot_core::insn::{AluOp, BranchCond, CapField, CsrId, CsrOp, Instr, MulOp, Reg};
-use cheriot_core::machine::{layout, ExitReason, Stats};
+use cheriot_core::machine::{layout, ExitReason, MachineConfig, Stats};
 use cheriot_core::pipeline::CoreModel;
 use cheriot_core::trap::{TrapCause, PCC_REG_INDEX};
 
 /// One tag granule (8 bytes), as in the engine's tagged SRAM.
 const GRANULE: u32 = 8;
 
-/// SRAM size the default machine configuration uses (512 KiB).
-const SRAM_SIZE: u32 = 512 * 1024;
+/// Bytes per memory page: an allocation unit, not architectural. It is
+/// the engine's page size so the exit compare can pair pages one to one.
+const PAGE_SIZE: usize = cheriot_core::mem::PAGE_SIZE as usize;
 
 /// Naive tagged memory: bytes plus one tag bit per granule, nothing else.
 ///
-/// Capabilities are stored as their 64-bit encoding; loading one decodes
-/// that word from scratch. A scalar store clears the tag of the granule
-/// it lands in, exactly as the engine's SRAM does.
+/// Bytes live in 4 KiB pages allocated on first write; an unwritten page
+/// reads as zero. Tags are packed 64 to a `u64`: bit `g % 64` of word
+/// `g / 64` is the tag of granule `g`. Capabilities are stored as their
+/// 64-bit encoding; loading one decodes that word from scratch. A scalar
+/// store clears the tag of the granule it lands in, exactly as the
+/// engine's SRAM does.
 #[derive(Clone)]
 pub struct GoldenMem {
     base: u32,
-    bytes: Vec<u8>,
-    tags: Vec<bool>,
+    size: u32,
+    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+    tags: Vec<u64>,
 }
 
 impl GoldenMem {
+    /// A zeroed memory of `size` bytes at `base`; no page is allocated
+    /// until it is written.
     fn new(base: u32, size: u32) -> GoldenMem {
+        let pages = (size as usize).div_ceil(PAGE_SIZE);
         GoldenMem {
             base,
-            bytes: vec![0; size as usize],
-            tags: vec![false; (size / GRANULE) as usize],
+            size,
+            pages: vec![None; pages],
+            tags: vec![0; pages * PAGE_SIZE / GRANULE as usize / 64],
         }
+    }
+
+    /// Size in bytes.
+    pub fn size(&self) -> u32 {
+        self.size
     }
 
     fn contains(&self, addr: u32, size: u32) -> bool {
         let end = u64::from(addr) + u64::from(size);
-        addr >= self.base && end <= u64::from(self.base) + self.bytes.len() as u64
+        addr >= self.base && end <= u64::from(self.base) + u64::from(self.size)
+    }
+
+    /// The byte at offset `i`.
+    fn byte(&self, i: usize) -> u8 {
+        self.pages[i / PAGE_SIZE]
+            .as_ref()
+            .map_or(0, |p| p[i % PAGE_SIZE])
+    }
+
+    /// Writes the byte at offset `i`, allocating its page if needed.
+    fn set_byte(&mut self, i: usize, v: u8) {
+        let page = self.pages[i / PAGE_SIZE].get_or_insert_with(|| Box::new([0; PAGE_SIZE]));
+        page[i % PAGE_SIZE] = v;
+    }
+
+    /// Sets the tag of the granule holding `addr`.
+    fn set_tag(&mut self, addr: u32, tag: bool) {
+        let g = ((addr - self.base) / GRANULE) as usize;
+        let bit = 1u64 << (g % 64);
+        if tag {
+            self.tags[g / 64] |= bit;
+        } else {
+            self.tags[g / 64] &= !bit;
+        }
+    }
+
+    /// The tag of the granule holding `addr`.
+    fn tag(&self, addr: u32) -> bool {
+        let g = ((addr - self.base) / GRANULE) as usize;
+        self.tags[g / 64] >> (g % 64) & 1 == 1
     }
 
     /// The engine's access contract, in its exact order: range first
@@ -89,7 +135,7 @@ impl GoldenMem {
         let i = (addr - self.base) as usize;
         let mut v = 0u32;
         for k in (0..size as usize).rev() {
-            v = (v << 8) | u32::from(self.bytes[i + k]);
+            v = (v << 8) | u32::from(self.byte(i + k));
         }
         Ok(v)
     }
@@ -98,9 +144,9 @@ impl GoldenMem {
         self.check(addr, size)?;
         let i = (addr - self.base) as usize;
         for k in 0..size as usize {
-            self.bytes[i + k] = (value >> (8 * k)) as u8;
+            self.set_byte(i + k, (value >> (8 * k)) as u8);
         }
-        self.tags[((addr - self.base) / GRANULE) as usize] = false;
+        self.set_tag(addr, false);
         Ok(())
     }
 
@@ -109,9 +155,9 @@ impl GoldenMem {
         let i = (addr - self.base) as usize;
         let mut word = 0u64;
         for k in (0..GRANULE as usize).rev() {
-            word = (word << 8) | u64::from(self.bytes[i + k]);
+            word = (word << 8) | u64::from(self.byte(i + k));
         }
-        let tag = self.tags[((addr - self.base) / GRANULE) as usize];
+        let tag = self.tag(addr);
         Ok(Capability::from_word(word, tag))
     }
 
@@ -120,20 +166,23 @@ impl GoldenMem {
         let i = (addr - self.base) as usize;
         let word = c.to_word();
         for k in 0..GRANULE as usize {
-            self.bytes[i + k] = (word >> (8 * k)) as u8;
+            self.set_byte(i + k, (word >> (8 * k)) as u8);
         }
-        self.tags[((addr - self.base) / GRANULE) as usize] = c.tag();
+        self.set_tag(addr, c.tag());
         Ok(())
     }
 
-    /// Raw bytes, for exit-state comparison against the engine's SRAM.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The bytes of page `p` (from `base + p * 4096`), or `None` if the
+    /// page was never written and so reads as zero. For exit-state
+    /// comparison against the engine's SRAM.
+    pub fn page(&self, p: usize) -> Option<&[u8]> {
+        self.pages[p].as_deref().map(<[u8; PAGE_SIZE]>::as_slice)
     }
 
-    /// Tag of granule `g` (by index), for exit-state comparison.
-    pub fn tag_at_index(&self, g: usize) -> bool {
-        self.tags[g]
+    /// Packed tag word `w`: bit `b` is the tag of granule `w * 64 + b`.
+    /// For exit-state comparison.
+    pub fn tag_word(&self, w: usize) -> u64 {
+        self.tags[w]
     }
 }
 
@@ -340,7 +389,7 @@ impl Golden {
         Golden {
             core,
             cpu,
-            mem: GoldenMem::new(layout::SRAM_BASE, SRAM_SIZE),
+            mem: GoldenMem::new(layout::SRAM_BASE, MachineConfig::new(core).sram_size),
             code: prog.to_vec(),
             cycles: 0,
             mtimecmp: u64::MAX,
@@ -1006,5 +1055,45 @@ fn sign_extend(v: u32, bytes: u32) -> u32 {
         1 => v as u8 as i8 as i32 as u32,
         2 => v as u16 as i16 as i32 as u32,
         _ => v,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: u32 = layout::SRAM_BASE;
+
+    #[test]
+    fn unwritten_pages_read_as_zero_and_stay_unallocated() {
+        let mut m = GoldenMem::new(BASE, 0x3000);
+        m.write_scalar(BASE + 0x2004, 4, 0xdead_beef).unwrap();
+        assert!(m.page(0).is_none() && m.page(1).is_none());
+        assert_eq!(m.read_scalar(BASE + 0x1ffc, 4).unwrap(), 0);
+        let zero = m.read_cap(BASE + 0x1000).unwrap();
+        assert!(!zero.tag());
+        assert_eq!(zero.to_word(), 0);
+        let written = m.page(2).expect("a written page is allocated");
+        assert_eq!(written[4..8], 0xdead_beef_u32.to_le_bytes());
+        assert_eq!(m.read_scalar(BASE + 0x2004, 4).unwrap(), 0xdead_beef);
+    }
+
+    #[test]
+    fn tag_bits_63_and_64_land_in_different_words() {
+        let mut m = GoldenMem::new(BASE, 0x1000);
+        let c = Capability::root_mem_rw()
+            .with_address(BASE)
+            .set_bounds(64)
+            .unwrap();
+        m.write_cap(BASE + 63 * GRANULE, c).unwrap();
+        assert_eq!((m.tag_word(0), m.tag_word(1)), (1 << 63, 0));
+        m.write_cap(BASE + 64 * GRANULE, c).unwrap();
+        assert_eq!((m.tag_word(0), m.tag_word(1)), (1 << 63, 1));
+        let back = m.read_cap(BASE + 64 * GRANULE).unwrap();
+        assert!(back.tag());
+        assert_eq!(back.to_word(), c.to_word());
+        // A scalar store into granule 63 clears that tag alone.
+        m.write_scalar(BASE + 63 * GRANULE + 4, 4, 0).unwrap();
+        assert_eq!((m.tag_word(0), m.tag_word(1)), (0, 1));
     }
 }

@@ -17,13 +17,15 @@
 //! (register file with tags, PCC, all SCRs, interrupt flags, trap CSRs),
 //! cycle counter, `mtimecmp`, retirement statistics, the in-flight
 //! load-to-use hazard, trap/exit records — and, at exit, every SRAM byte
-//! and every capability tag.
+//! and every capability tag, compared page by page and 64 tags at a time.
 
 use crate::generator::Program;
 use crate::golden::Golden;
 use cheriot_core::insn::Reg;
 use cheriot_core::machine::{layout, Machine, MachineConfig};
+use cheriot_core::mem::{GRANULE, PAGE_SIZE};
 use cheriot_core::pipeline::CoreModel;
+use std::fmt::Debug;
 
 /// `(block_cache, block_chain)` triples the fuzzer compares.
 pub const DISPATCH_MODES: [(&str, (bool, bool)); 3] = [
@@ -177,120 +179,115 @@ pub fn run_pair(
     Ok(g)
 }
 
-/// Full architectural-state comparison; `with_memory` additionally walks
-/// all of SRAM (bytes and capability tags) — done at exit, where it
-/// proves the whole run, not just the live registers.
+/// Full architectural-state comparison; `with_memory` additionally
+/// compares the whole SRAM bank (bytes and capability tags) — done at
+/// exit, where it proves the whole run, not just the live registers.
+/// Fields are compared by value and formatted only when they differ.
 pub fn compare(g: &Golden, m: &Machine, with_memory: bool) -> Vec<Mismatch> {
     let mut out = Vec::new();
-    let mut diff = |field: &str, gv: String, ev: String| {
-        if gv != ev {
-            out.push(Mismatch {
-                field: field.to_string(),
-                golden: gv,
-                engine: ev,
-            });
-        }
-    };
-
-    diff("cycles", g.cycles.to_string(), m.cycles.to_string());
+    check(&mut out, "cycles", &g.cycles, &m.cycles);
     if g.cpu != m.cpu {
+        let (gc, ec) = (&g.cpu, &m.cpu);
         for i in 0..16u8 {
-            let r = Reg(i);
-            let gv = g.cpu.read(r);
-            let ev = m.cpu.read(r);
-            if gv != ev {
-                diff(&format!("x{i}"), format!("{gv:?}"), format!("{ev:?}"));
-            }
+            check(
+                &mut out,
+                &format!("x{i}"),
+                &gc.read(Reg(i)),
+                &ec.read(Reg(i)),
+            );
         }
-        diff(
-            "pcc",
-            format!("{:?}", g.cpu.pcc),
-            format!("{:?}", m.cpu.pcc),
-        );
-        diff(
-            "mtcc",
-            format!("{:?}", g.cpu.mtcc),
-            format!("{:?}", m.cpu.mtcc),
-        );
-        diff(
-            "mtdc",
-            format!("{:?}", g.cpu.mtdc),
-            format!("{:?}", m.cpu.mtdc),
-        );
-        diff(
-            "mscratchc",
-            format!("{:?}", g.cpu.mscratchc),
-            format!("{:?}", m.cpu.mscratchc),
-        );
-        diff(
-            "mepcc",
-            format!("{:?}", g.cpu.mepcc),
-            format!("{:?}", m.cpu.mepcc),
-        );
-        diff(
+        check(&mut out, "pcc", &gc.pcc, &ec.pcc);
+        check(&mut out, "mtcc", &gc.mtcc, &ec.mtcc);
+        check(&mut out, "mtdc", &gc.mtdc, &ec.mtdc);
+        check(&mut out, "mscratchc", &gc.mscratchc, &ec.mscratchc);
+        check(&mut out, "mepcc", &gc.mepcc, &ec.mepcc);
+        check(
+            &mut out,
             "interrupts_enabled",
-            format!("{}", g.cpu.interrupts_enabled),
-            format!("{}", m.cpu.interrupts_enabled),
+            &gc.interrupts_enabled,
+            &ec.interrupts_enabled,
         );
-        diff(
+        check(
+            &mut out,
             "prev_interrupts_enabled",
-            format!("{}", g.cpu.prev_interrupts_enabled),
-            format!("{}", m.cpu.prev_interrupts_enabled),
+            &gc.prev_interrupts_enabled,
+            &ec.prev_interrupts_enabled,
         );
-        diff("mcause", g.cpu.mcause.to_string(), m.cpu.mcause.to_string());
-        diff("mtval", g.cpu.mtval.to_string(), m.cpu.mtval.to_string());
-        diff("mshwm", g.cpu.mshwm.to_string(), m.cpu.mshwm.to_string());
-        diff("mshwmb", g.cpu.mshwmb.to_string(), m.cpu.mshwmb.to_string());
+        check(&mut out, "mcause", &gc.mcause, &ec.mcause);
+        check(&mut out, "mtval", &gc.mtval, &ec.mtval);
+        check(&mut out, "mshwm", &gc.mshwm, &ec.mshwm);
+        check(&mut out, "mshwmb", &gc.mshwmb, &ec.mshwmb);
     }
-    diff("mtimecmp", g.mtimecmp.to_string(), m.mtimecmp.to_string());
-    diff("stats", format!("{:?}", g.stats), format!("{:?}", m.stats));
-    diff(
+    check(&mut out, "mtimecmp", &g.mtimecmp, &m.mtimecmp);
+    check(&mut out, "stats", &g.stats, &m.stats);
+    check(
+        &mut out,
         "pending_load_use",
-        format!("{:?}", g.pending_use),
-        format!("{:?}", m.pending_load_use()),
+        &g.pending_use,
+        &m.pending_load_use(),
     );
-    diff(
-        "exit",
-        format!("{:?}", g.halted),
-        format!("{:?}", m.exit_status()),
-    );
-    diff(
-        "last_trap",
-        format!("{:?}", g.last_trap),
-        format!("{:?}", m.last_trap()),
-    );
+    check(&mut out, "exit", &g.halted, &m.exit_status());
+    check(&mut out, "last_trap", &g.last_trap, &m.last_trap());
 
     if with_memory {
-        let base = layout::SRAM_BASE;
-        let gb = g.mem.bytes();
-        let mut buf = [0u8; 4096];
-        for page in 0..(gb.len() / buf.len()) {
-            let addr = base + (page * buf.len()) as u32;
-            m.sram
-                .read_bytes(addr, &mut buf)
-                .expect("SRAM page is readable");
-            let gp = &gb[page * buf.len()..(page + 1) * buf.len()];
-            if gp != buf {
-                let off = gp.iter().zip(&buf).position(|(a, b)| a != b).unwrap_or(0);
-                diff(
-                    &format!("mem[{:#x}]", addr + off as u32),
-                    gp[off].to_string(),
-                    buf[off].to_string(),
-                );
-                break;
-            }
+        compare_memory(g, m, &mut out);
+    }
+    out
+}
+
+/// Records a mismatch of `field` if the two values differ, formatting
+/// them only then.
+fn check<T: PartialEq + Debug>(out: &mut Vec<Mismatch>, field: &str, golden: &T, engine: &T) {
+    if golden != engine {
+        out.push(Mismatch {
+            field: field.to_string(),
+            golden: format!("{golden:?}"),
+            engine: format!("{engine:?}"),
+        });
+    }
+}
+
+/// The exit-state memory compare over the whole bank: bytes page by page
+/// (a golden page never written is zeros), then tags 64 granules at a
+/// time. Reports the lowest differing byte (`mem[addr]`) and the lowest
+/// differing tag (`tag[addr]`); banks of different sizes are reported as
+/// `sram_size`, not compared over their common prefix.
+fn compare_memory(g: &Golden, m: &Machine, out: &mut Vec<Mismatch>) {
+    static ZEROS: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+    if g.mem.size() != m.sram.size() {
+        check(out, "sram_size", &g.mem.size(), &m.sram.size());
+        return;
+    }
+    let base = layout::SRAM_BASE;
+    let pages = m.sram.num_pages() as usize;
+    for p in 0..pages {
+        let gp = g.mem.page(p).unwrap_or(&ZEROS);
+        let (ep, _) = m.sram.page_content(p);
+        if gp != ep.as_slice() {
+            let off = gp
+                .iter()
+                .zip(ep)
+                .position(|(a, b)| a != b)
+                .expect("unequal pages differ somewhere");
+            let addr = base + (p * PAGE_SIZE as usize + off) as u32;
+            check(out, &format!("mem[{addr:#x}]"), &gp[off], &ep[off]);
+            break;
         }
-        for gix in 0..(gb.len() / 8) {
-            let addr = base + (gix * 8) as u32;
-            let gt = g.mem.tag_at_index(gix);
-            let et = m.sram.tag_at(addr);
+    }
+    for p in 0..pages {
+        let (_, etags) = m.sram.page_content(p);
+        for (i, &et) in etags.iter().enumerate() {
+            let w = p * etags.len() + i;
+            let gt = g.mem.tag_word(w);
             if gt != et {
-                diff(&format!("tag[{addr:#x}]"), gt.to_string(), et.to_string());
-                break;
+                let bit = (gt ^ et).trailing_zeros();
+                let addr = base + (w as u32 * 64 + bit) * GRANULE;
+                let tag = |word: u64| word >> bit & 1 == 1;
+                check(out, &format!("tag[{addr:#x}]"), &tag(gt), &tag(et));
+                return;
             }
         }
     }
-    out
 }
 
 /// Instruction-granular re-run: fresh golden + fresh engine, compared
