@@ -32,7 +32,7 @@
 //! nonzero on regression, leaving the file untouched.
 
 use cheriot_bench::baseline::{json_number, upsert_baseline};
-use cheriot_bench::write_csv;
+use cheriot_bench::{cpu_now, write_csv};
 use cheriot_farm::{run_farm, FarmConfig};
 use std::time::Instant;
 
@@ -48,17 +48,6 @@ const FARM_NOISE_BAND: f64 = 0.40;
 /// (same config ⇒ same value), not timings — any drift is a real change
 /// to what a fork copies.
 const FORK_COST_BAND: f64 = 0.10;
-
-/// On-CPU seconds consumed by this process (see `sim_throughput` for
-/// why: wall clock folds other tenants of a shared host into the
-/// metric). Falls back to wall time where schedstat is unavailable.
-fn cpu_now(epoch: Instant) -> f64 {
-    std::fs::read_to_string("/proc/self/schedstat")
-        .ok()
-        .and_then(|s| s.split_whitespace().next()?.parse::<u64>().ok())
-        .map(|ns| ns as f64 / 1e9)
-        .unwrap_or_else(|| epoch.elapsed().as_secs_f64())
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -49,7 +49,7 @@
 //! same pressure. Baselines that predate a key skip its check.
 
 use cheriot_bench::baseline::{json_number, upsert_baseline};
-use cheriot_bench::write_csv;
+use cheriot_bench::{cpu_now, write_csv};
 use cheriot_core::CoreModel;
 use cheriot_workloads::{run_coremark_for_cycles_dispatch, CoreMarkConfig, DispatchMode};
 use std::time::Instant;
@@ -120,19 +120,6 @@ const CAMPAIGN_SPEEDUP_FLOOR: f64 = 2.0;
 /// any drift is a real change to what a per-seed restore moves, not
 /// noise.
 const RESTORE_BYTES_BAND: f64 = 0.10;
-
-/// On-CPU seconds this process has consumed, from the first field of
-/// Linux's `/proc/self/schedstat` (nanosecond resolution, excludes time
-/// stolen by other tenants of a shared host). Falls back to wall-clock
-/// time where the file is unavailable. The benchmark is single-threaded,
-/// so process time and loop time coincide.
-fn cpu_now(epoch: Instant) -> f64 {
-    std::fs::read_to_string("/proc/self/schedstat")
-        .ok()
-        .and_then(|s| s.split_whitespace().next()?.parse::<u64>().ok())
-        .map(|ns| ns as f64 / 1e9)
-        .unwrap_or_else(|| epoch.elapsed().as_secs_f64())
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -22,6 +22,21 @@ pub mod figures;
 pub mod harness;
 
 use std::fmt::Write as _;
+use std::time::Instant;
+
+/// On-CPU seconds this process has consumed, from the first field of
+/// Linux's `/proc/self/schedstat` (nanosecond resolution, excludes time
+/// stolen by other tenants of a shared host). Falls back to wall-clock
+/// time since `epoch` where the file is unavailable. The throughput
+/// benchmarks time single-threaded loops, so process time and loop time
+/// coincide.
+pub fn cpu_now(epoch: Instant) -> f64 {
+    std::fs::read_to_string("/proc/self/schedstat")
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse::<u64>().ok())
+        .map(|ns| ns as f64 / 1e9)
+        .unwrap_or_else(|| epoch.elapsed().as_secs_f64())
+}
 
 /// Renders a markdown-style table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {

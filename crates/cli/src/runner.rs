@@ -2,8 +2,8 @@
 
 use crate::parser::{parse_program, ParseError};
 use cheriot_core::encoding::DecodeError;
-use cheriot_core::insn::Reg;
-use cheriot_core::trace::Tracer;
+use cheriot_core::insn::{Instr, Reg};
+use cheriot_core::trace::{EventKind, Tracer};
 use cheriot_core::{CoreKind, CoreModel, ExitReason, Machine, MachineConfig, SimError};
 use std::fmt::Write as _;
 
@@ -152,10 +152,7 @@ pub fn run_words(words: &[u32], opts: &RunOptions) -> Result<RunOutcome, RunErro
     run_instructions(&prog, opts)
 }
 
-fn run_instructions(
-    prog: &[cheriot_core::insn::Instr],
-    opts: &RunOptions,
-) -> Result<RunOutcome, RunError> {
+fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, RunError> {
     let mut m = match &opts.machine {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| {
@@ -193,7 +190,7 @@ fn run_instructions(
             true,
         ));
     } else if opts.trace_depth > 0 {
-        m.enable_trace(opts.trace_depth);
+        m.set_tracer(Tracer::instr_ring(opts.trace_depth));
     }
     let entry = m.try_load_program(prog)?;
     m.set_entry(entry);
@@ -220,15 +217,13 @@ fn run_instructions(
     }
     if opts.trace_depth > 0 {
         let _ = writeln!(report, "last retired instructions:");
-        let entries = m.trace_entries();
-        let skip = entries.len().saturating_sub(opts.trace_depth);
-        for e in &entries[skip..] {
+        let retired = retired_instrs(&m);
+        let skip = retired.len().saturating_sub(opts.trace_depth);
+        for (cycles, pc, instr) in &retired[skip..] {
             let _ = writeln!(
                 report,
-                "  cycle {:>6}  pc {:#010x}  {}",
-                e.cycles,
-                e.pc,
-                cheriot_asm::disassemble(&e.instr)
+                "  cycle {cycles:>6}  pc {pc:#010x}  {}",
+                cheriot_asm::disassemble(instr)
             );
         }
     }
@@ -292,6 +287,21 @@ fn run_instructions(
         cycles: m.cycles,
         instructions: m.stats.instructions,
         report,
+    })
+}
+
+/// The tracer's buffered instruction retires (oldest first) as
+/// `(cycles, pc, instruction)`, the instruction read back from the code
+/// region by PC. Empty without a tracer that records retires.
+fn retired_instrs(m: &Machine) -> Vec<(u64, u32, Instr)> {
+    m.tracer().map_or_else(Vec::new, |t| {
+        t.events()
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::InstrRetired { pc } => Some((ev.cycles, pc, m.code_at(pc)?)),
+                _ => None,
+            })
+            .collect()
     })
 }
 

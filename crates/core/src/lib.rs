@@ -60,9 +60,7 @@ pub use blockcache::BlockCacheStats;
 pub use bus::{BusError, DeviceBus, IrqController, MmioDevice, Uart, INTC_DEV_ID};
 pub use encoding::{decode, decode_program, encode, encode_program, DecodeError, EncodeError};
 pub use error::{state_dump, SimError};
-pub use machine::{
-    layout, ExitReason, Machine, MachineConfig, Snapshot, SnapshotStats, Stats, TraceEntry,
-};
+pub use machine::{layout, ExitReason, Machine, MachineConfig, Snapshot, SnapshotStats, Stats};
 pub use mem::CowStats;
 pub use meter::Meter;
 pub use pipeline::{CoreKind, CoreModel};

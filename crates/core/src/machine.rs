@@ -346,17 +346,6 @@ impl Snapshot {
     }
 }
 
-/// One retired-instruction trace record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Cycle count at retire.
-    pub cycles: u64,
-    /// Program counter.
-    pub pc: u32,
-    /// The instruction.
-    pub instr: Instr,
-}
-
 impl Clone for Machine {
     /// Clones the architectural state. The tracer (if any) stays with the
     /// original: a trace is a log of one machine's history, and sinks may
@@ -460,42 +449,6 @@ impl Machine {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.emit(self.cycles, kind);
         }
-    }
-
-    /// Enables the classic execution trace: the last `depth` retired
-    /// instructions are kept readable via [`Machine::trace_entries`].
-    ///
-    /// Compat wrapper over the structured tracing subsystem: installs a
-    /// [`Tracer`] in instruction-ring configuration
-    /// ([`Tracer::instr_ring`]).
-    pub fn enable_trace(&mut self, depth: usize) {
-        self.set_tracer(Tracer::instr_ring(depth));
-    }
-
-    /// The buffered instruction trace (oldest first). Empty unless a
-    /// tracer whose sink records instruction-retire events is installed
-    /// ([`Machine::enable_trace`] does).
-    ///
-    /// Compat wrapper: reconstructs each [`TraceEntry`]'s instruction from
-    /// the (immutable) code region by program counter.
-    pub fn trace_entries(&self) -> Vec<TraceEntry> {
-        let Some(t) = self.tracer.as_deref() else {
-            return Vec::new();
-        };
-        t.events()
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                EventKind::InstrRetired { pc } => {
-                    let idx = pc.checked_sub(layout::CODE_BASE)? / 4;
-                    self.code.get(idx as usize).map(|&instr| TraceEntry {
-                        cycles: ev.cycles,
-                        pc,
-                        instr,
-                    })
-                }
-                _ => None,
-            })
-            .collect()
     }
 
     // --- Program loading ----------------------------------------------------
@@ -835,13 +788,23 @@ impl Machine {
     #[inline]
     pub fn advance(&mut self, cycles: u64, mem_beats: u64) {
         self.cycles += cycles;
-        if self.cfg.hw_revoker && self.revoker.in_progress() {
+        if !self.cycles_plain() {
             let idle = cycles.saturating_sub(mem_beats);
             self.revoker.step_n(&mut self.sram, &self.bitmap, idle);
             if self.tracer.is_some() && !self.revoker.in_progress() {
                 self.emit_revoker_finish();
             }
         }
+    }
+
+    /// Is [`Machine::advance`] a plain cycle bump right now? True exactly
+    /// when no hardware revoker sweep is in flight. Only an MMIO store to
+    /// the revoker's `KICK` register (or a host call between runs) can
+    /// make it false; only the revoker stepping to completion (under
+    /// `advance` or an idle `wfi`) makes it true again.
+    #[inline]
+    fn cycles_plain(&self) -> bool {
+        !(self.cfg.hw_revoker && self.revoker.in_progress())
     }
 
     /// Emits the sweep-completion event (called from the two places that
@@ -1650,17 +1613,20 @@ impl Machine {
         // out-of-bounds move decodes identically (see
         // `Capability::with_address`).
         let has_tracer = self.tracer.is_some();
-        // With no hardware revoker configured, `advance` is a bare
-        // cycle bump; hoisting the config load lets the hot arm skip
-        // the call entirely. (`cfg.hw_revoker` never changes mid-run.)
-        let plain_cycles = !self.cfg.hw_revoker;
+        // While no revoker sweep is in flight, `advance` is a bare cycle
+        // bump, so the hot arms skip the call and keep `cyc` in a
+        // register. A sweep can only start through the general `exec`
+        // path (an MMIO store to `KICK`), which always calls `advance`
+        // and re-reads this flag with `irq_pend`; fast arms cannot start
+        // one.
+        let mut plain_cycles = self.cycles_plain();
         // Register-resident loop state. `cyc`/`ins` are the
         // authoritative cycle/instruction counters inside the loop;
         // they are written back to `self` before every operation that
         // could observe them (tracing, `advance`, the general `exec`
         // path, every exit) and re-read after every operation that
-        // could move them. `mtimecmp`/`irq_pend` can only change
-        // through general-path instructions (MMIO stores, revoker
+        // could move them. `mtimecmp`/`irq_pend`/`plain_cycles` can only
+        // change through general-path instructions (MMIO stores, revoker
         // stepping under `advance`), so they are re-read exactly
         // there; across inline ALU stretches the cached values are
         // exact.
@@ -1689,19 +1655,20 @@ impl Machine {
                 // bounds what one full non-trapping pass can accrue, so when
                 // `cyc + worst_cycles` clears both the budget limit and the
                 // timer compare (and the instruction budget covers the whole
-                // block, no tracer wants per-instruction events, and cycles
-                // are plain bumps), none of the per-instruction boundary
-                // checks below can fire — run the block's *fast stream*
-                // (chased jumps pre-folded into their successors at decode)
-                // without them. Fast arms cannot move `mtimecmp`, the
-                // interrupt posture or the halt latch, and without a hardware
-                // revoker `irq_pend` is constant across the stretch, so every
-                // skipped check would have evaluated false. An element the
-                // fast path refuses falls through to the checked loop at its
-                // `resume` index with nothing executed twice: `ins`/`cyc` are
-                // charged only after `exec_fast` succeeds, and a hazard stall
-                // consumed here stays consumed (`pending_use.take()`),
-                // matching the stepwise order of charge-then-execute.
+                // block, no tracer wants per-instruction events, and no
+                // revoker sweep is in flight), none of the per-instruction
+                // boundary checks below can fire — run the block's *fast
+                // stream* (chased jumps pre-folded into their successors at
+                // decode) without them. Fast arms cannot move `mtimecmp`, the
+                // interrupt posture or the halt latch, nor start a sweep, so
+                // with no sweep in flight `irq_pend` is constant across the
+                // stretch and every skipped check would have evaluated false.
+                // An element the fast path refuses falls through to the
+                // checked loop at its `resume` index with nothing executed
+                // twice: `ins`/`cyc` are charged only after `exec_fast`
+                // succeeds, and a hazard stall consumed here stays consumed
+                // (`pending_use.take()`), matching the stepwise order of
+                // charge-then-execute.
                 let mut skip = 0usize;
                 if plain_cycles
                     && !has_tracer
@@ -1752,6 +1719,7 @@ impl Machine {
                                     self.advance(penalty, 0);
                                     cyc = self.cycles;
                                     irq_pend = self.irq_lines_pending();
+                                    plain_cycles = self.cycles_plain();
                                 }
                             }
                         }
@@ -1770,6 +1738,7 @@ impl Machine {
                             self.advance(d.base_cycles, d.mem_beats);
                             cyc = self.cycles;
                             irq_pend = self.irq_lines_pending();
+                            plain_cycles = self.cycles_plain();
                         }
                         // Fast arms cannot halt, so only the interrupt-arrival
                         // check applies before the next instruction. (A fast
@@ -1813,6 +1782,7 @@ impl Machine {
                                 self.advance(d.base_cycles + extra, d.mem_beats);
                                 cyc = self.cycles;
                                 irq_pend = self.irq_lines_pending();
+                                plain_cycles = self.cycles_plain();
                             }
                             break 'body BodyExit::Fall(npc);
                         }
@@ -1830,6 +1800,7 @@ impl Machine {
                                 );
                                 cyc = self.cycles;
                                 irq_pend = self.irq_lines_pending();
+                                plain_cycles = self.cycles_plain();
                             }
                             break 'body BodyExit::Fall(pc.wrapping_add(offset as u32));
                         }
@@ -1858,6 +1829,7 @@ impl Machine {
                                         cyc = self.cycles;
                                         mtimecmp = self.mtimecmp;
                                         irq_pend = self.irq_lines_pending();
+                                        plain_cycles = self.cycles_plain();
                                         break 'body BodyExit::Jumped;
                                     }
                                     if let Some(en) = ic.posture {
@@ -1887,6 +1859,7 @@ impl Machine {
                                         );
                                         cyc = self.cycles;
                                         irq_pend = self.irq_lines_pending();
+                                        plain_cycles = self.cycles_plain();
                                     }
                                     break 'body BodyExit::JumpedIc {
                                         slot: ic.target_slot as usize,
@@ -1908,14 +1881,14 @@ impl Machine {
                     self.stats.instructions = ins;
                     match self.exec(d.instr, pc) {
                         Ok((extra, out)) => {
-                            if plain_cycles {
-                                self.cycles += d.base_cycles + extra;
-                            } else {
-                                self.advance(d.base_cycles + extra, d.mem_beats);
-                            }
+                            // Always `advance`: this instruction may have
+                            // just kicked a sweep, which then takes its
+                            // idle cycles exactly as in `step_instr`.
+                            self.advance(d.base_cycles + extra, d.mem_beats);
                             cyc = self.cycles;
                             mtimecmp = self.mtimecmp;
                             irq_pend = self.irq_lines_pending();
+                            plain_cycles = self.cycles_plain();
                             match out {
                                 PcOutcome::Advance => {}
                                 PcOutcome::Jumped => break 'body BodyExit::Jumped,
@@ -1937,6 +1910,7 @@ impl Machine {
                             cyc = self.cycles;
                             mtimecmp = self.mtimecmp;
                             irq_pend = self.irq_lines_pending();
+                            plain_cycles = self.cycles_plain();
                             ic_pending = None;
                             break 'body BodyExit::Jumped;
                         }
@@ -2627,7 +2601,7 @@ impl Machine {
             if self.cycles >= self.mtimecmp || self.irq_lines_pending() {
                 return;
             }
-            if self.cfg.hw_revoker && self.revoker.in_progress() {
+            if !self.cycles_plain() {
                 // Idle cycles all go to the revoker, batched up to the
                 // timer horizon: one cycle per engine slot, plus one for
                 // the completion transition (which consumes no slot but

@@ -2,10 +2,12 @@
 //! side cache must be invisible to software (CSC/scalar-store/CLC
 //! interleavings, load-filter strips), and the batched `run()` event loop
 //! must deliver interrupts at exactly the same instruction boundaries and
-//! cycle counts as the stepwise `step()` loop.
+//! cycle counts as the stepwise `step()` loop — also while a hardware
+//! revoker sweep takes idle cycles from the chained loop's fast arms.
 
 use cheriot_cap::Capability;
-use cheriot_core::insn::{AluOp, Instr, MemWidth, Reg};
+use cheriot_core::insn::{AluOp, CapField, CsrId, CsrOp, Instr, MemWidth, Reg, ScrId};
+use cheriot_core::revocation::revoker_reg;
 use cheriot_core::{layout, CoreModel, ExitReason, Machine, MachineConfig};
 
 fn machine() -> Machine {
@@ -439,4 +441,201 @@ fn batched_run_resumes_across_cycle_limit_slices() {
         sliced.cpu.read_int(Reg::A1),
         "interrupt deliveries diverged"
     );
+}
+
+/// Sweep window of [`live_sweep_machine`]: 4 KiB at this SRAM offset.
+const SWEEP_BASE: u32 = layout::SRAM_BASE + 0x4000;
+const SWEEP_LEN: u32 = 0x1000;
+/// Where the revoker-IRQ handler logs `(mcause, mepc)` pairs (256 slots).
+const IRQ_LOG: u32 = layout::SRAM_BASE + 0x6000;
+
+/// A guest that keeps the hardware revoker busy from inside a hot
+/// fast-arm loop. Setup programs START/END over a 4 KiB window; each loop
+/// iteration plants a capability to a freed object in the window, loads
+/// it back through the filter, stores a scalar elsewhere in the window
+/// and kicks the revoker with an MMIO store (ignored while a sweep is in
+/// flight). Interrupts are on, so each sweep's completion IRQ lands
+/// mid-loop; the handler logs `mcause` and the interrupted PC to SRAM
+/// and counts deliveries in `a1`. Each sweep starts inside a chained
+/// stretch that began with the revoker idle, so the loop's fast arms run
+/// both with and without a sweep in flight.
+fn live_sweep_machine(core: CoreModel, (block_cache, block_chain): (bool, bool)) -> Machine {
+    let mut m = Machine::new(MachineConfig::new(core));
+    m.cfg.block_cache = block_cache;
+    m.cfg.block_chain = block_chain;
+    let op_imm = |op, rd, rs1, imm| Instr::OpImm { op, rd, rs1, imm };
+    let handler = vec![
+        Instr::Csr {
+            op: CsrOp::Rs,
+            rd: Reg::GP,
+            rs1: Reg::ZERO,
+            csr: CsrId::Mcause,
+        },
+        op_imm(AluOp::Sll, Reg::SP, Reg::A1, 3),
+        op_imm(AluOp::And, Reg::SP, Reg::SP, 0x7f8),
+        Instr::CIncAddr {
+            rd: Reg::RA,
+            rs1: Reg::S1,
+            rs2: Reg::SP,
+        },
+        Instr::Store {
+            width: MemWidth::W,
+            rs2: Reg::GP,
+            rs1: Reg::RA,
+            offset: 0,
+        },
+        Instr::CSpecialRw {
+            rd: Reg::GP,
+            rs1: Reg::ZERO,
+            scr: ScrId::Mepcc,
+        },
+        Instr::CGet {
+            field: CapField::Addr,
+            rd: Reg::GP,
+            rs1: Reg::GP,
+        },
+        Instr::Store {
+            width: MemWidth::W,
+            rs2: Reg::GP,
+            rs1: Reg::RA,
+            offset: 4,
+        },
+        op_imm(AluOp::Add, Reg::A1, Reg::A1, 1),
+        Instr::Mret,
+    ];
+    let h = m.load_program(&handler);
+    let main = vec![
+        // START = SWEEP_BASE (s0), END = s0 + SWEEP_LEN (t0).
+        Instr::Store {
+            width: MemWidth::W,
+            rs2: Reg::S0,
+            rs1: Reg::A2,
+            offset: revoker_reg::START as i32,
+        },
+        Instr::Store {
+            width: MemWidth::W,
+            rs2: Reg::T0,
+            rs1: Reg::A2,
+            offset: revoker_reg::END as i32,
+        },
+        // loop:
+        op_imm(AluOp::Add, Reg::A0, Reg::A0, 1),
+        op_imm(AluOp::Sll, Reg::T2, Reg::A0, 3),
+        op_imm(AluOp::And, Reg::T2, Reg::T2, 0x7f8),
+        Instr::CIncAddr {
+            rd: Reg::A5,
+            rs1: Reg::A4,
+            rs2: Reg::T2,
+        },
+        Instr::Csc {
+            rs2: Reg::TP,
+            rs1: Reg::A5,
+            offset: 0,
+        },
+        Instr::Clc {
+            rd: Reg::T0,
+            rs1: Reg::A5,
+            offset: 0,
+        },
+        Instr::CGet {
+            field: CapField::Tag,
+            rd: Reg::T1,
+            rs1: Reg::T0,
+        },
+        Instr::Store {
+            width: MemWidth::W,
+            rs2: Reg::A0,
+            rs1: Reg::A5,
+            offset: 0x400,
+        },
+        Instr::Store {
+            width: MemWidth::W,
+            rs2: Reg::A3,
+            rs1: Reg::A2,
+            offset: revoker_reg::KICK as i32,
+        },
+        Instr::Jal {
+            rd: Reg::ZERO,
+            offset: -36,
+        },
+    ];
+    let e = m.load_program(&main);
+    m.set_entry(e);
+    m.cpu.mtcc = m.boot_pcc(h);
+    let rw = |addr: u32, len: u64| {
+        Capability::root_mem_rw()
+            .with_address(addr)
+            .set_bounds(len)
+            .unwrap()
+    };
+    let freed = m.cfg.heap_base() + 0x200;
+    m.bitmap.set_range(freed, 32);
+    m.cpu.write(Reg::TP, rw(freed, 32));
+    m.cpu.write(Reg::A2, rw(layout::REVOKER_BASE, 16));
+    m.cpu.write_int(Reg::A3, 1);
+    m.cpu.write(Reg::A4, rw(SWEEP_BASE, u64::from(SWEEP_LEN)));
+    m.cpu.write(Reg::S1, rw(IRQ_LOG, 0x800));
+    m.cpu.write_int(Reg::S0, SWEEP_BASE);
+    m.cpu.write_int(Reg::T0, SWEEP_BASE + SWEEP_LEN);
+    m.cpu.interrupts_enabled = true;
+    m
+}
+
+#[test]
+fn three_way_dispatch_equivalence_under_a_live_revoker_sweep() {
+    // The chained loop keeps cycles register-resident and runs the
+    // unchecked fast stream only while no sweep is in flight. A sweep
+    // that a loop instruction starts must take its idle cycles from every
+    // following instruction, in every tier, so its completion IRQ lands
+    // at the same boundary.
+    let modes = [(false, false), (true, false), (true, true)];
+    for core in [CoreModel::ibex(), CoreModel::flute()] {
+        let mut machines: Vec<Machine> = modes
+            .iter()
+            .map(|&mode| live_sweep_machine(core, mode))
+            .collect();
+        let exits: Vec<ExitReason> = machines.iter_mut().map(|m| m.run(200_000)).collect();
+        let (s, rest) = machines.split_first().unwrap();
+        let kind = core.kind;
+        assert_eq!(exits[0], ExitReason::CycleLimit, "{kind:?}");
+        assert!(
+            s.stats.interrupts > 20,
+            "{kind:?}: revoker IRQs must land mid-loop (got {})",
+            s.stats.interrupts
+        );
+        assert_eq!(
+            u64::from(s.cpu.read_int(Reg::A1)),
+            s.stats.interrupts,
+            "{kind:?}: every delivery ran the handler"
+        );
+        assert!(s.revoker.epoch() > 40, "{kind:?}: sweeps must repeat");
+        assert!(
+            s.revoker.words_invalidated > 0,
+            "{kind:?}: sweeps must strip planted capabilities"
+        );
+        assert_eq!(
+            s.stats.stall_cycles > 0,
+            core.load_to_use > 0,
+            "{kind:?}: load-to-use stalls"
+        );
+        for (m, (exit, mode)) in rest.iter().zip(exits[1..].iter().zip(&modes[1..])) {
+            let at = format!("{kind:?} mode {mode:?}");
+            assert_eq!(*exit, exits[0], "{at}: exit");
+            assert_eq!(m.cycles, s.cycles, "{at}: cycles");
+            assert_eq!(m.stats, s.stats, "{at}: stats");
+            assert_eq!(m.cpu.pc(), s.cpu.pc(), "{at}: PC");
+            assert_eq!(m.last_trap(), s.last_trap(), "{at}: trap cause");
+            assert_eq!(m.cpu.mepcc, s.cpu.mepcc, "{at}: trap PC");
+            assert_eq!(m.revoker.epoch(), s.revoker.epoch(), "{at}: epoch");
+            assert_eq!(
+                m.revoker.words_invalidated, s.revoker.words_invalidated,
+                "{at}: revoked words"
+            );
+            for i in 0..16u8 {
+                let r = Reg(i);
+                assert_eq!(m.cpu.read(r), s.cpu.read(r), "{at}: register c{i}");
+            }
+            assert!(m.sram.content_eq(&s.sram), "{at}: SRAM bytes and tags");
+        }
+    }
 }

@@ -6,6 +6,7 @@
 
 use cheriot_cap::Capability;
 use cheriot_core::insn::{AluOp, BranchCond, CapField, CsrId, CsrOp, Instr, MemWidth, MulOp, Reg};
+use cheriot_core::trace::{EventKind, Tracer};
 use cheriot_core::{layout, CoreModel, ExitReason, Machine, MachineConfig};
 
 fn run_binop(mk: impl Fn(Reg, Reg, Reg) -> Instr, a: u32, b: u32) -> u32 {
@@ -369,17 +370,20 @@ fn mtimecmp_write_via_mmio_round_trips() {
 #[test]
 fn trace_buffer_is_bounded_and_ordered() {
     let mut m = Machine::new(MachineConfig::new(CoreModel::ibex()));
-    m.enable_trace(4);
+    m.set_tracer(Tracer::instr_ring(4));
     let prog: Vec<Instr> = std::iter::repeat_n(Instr::NOP, 10)
         .chain([Instr::Halt])
         .collect();
     let e = m.load_program(&prog);
     m.set_entry(e);
     m.run(1000);
-    let t = m.trace_entries();
+    let t = m.tracer().unwrap().events();
     assert_eq!(t.len(), 4, "ring buffer depth respected");
     assert!(t.windows(2).all(|w| w[0].cycles <= w[1].cycles));
-    assert_eq!(t.last().unwrap().instr, Instr::Halt);
+    let EventKind::InstrRetired { pc } = t.last().unwrap().kind else {
+        panic!("{t:?}");
+    };
+    assert_eq!(m.code_at(pc), Some(Instr::Halt));
 }
 
 #[test]

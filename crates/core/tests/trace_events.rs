@@ -1,7 +1,7 @@
 //! Exact-sequence tests for the tracing subsystem's machine-level event
 //! emission: trap entry, interrupt delivery and posture changes (trap /
-//! `mret` / sentry jumps), load-filter strips, and the ring-buffer compat
-//! layer on top of the structured tracer.
+//! `mret` / sentry jumps), load-filter strips, and the instruction-ring
+//! tracer.
 
 use cheriot_cap::{Capability, OType};
 use cheriot_core::insn::{AluOp, Instr, MemWidth, Reg};
@@ -219,9 +219,8 @@ fn load_filter_strip_emits_event_with_address() {
 }
 
 #[test]
-fn instr_ring_compat_keeps_last_n_and_counts_all() {
-    // The legacy `enable_trace`/`trace_entries` API now rides on the
-    // structured tracer: the ring keeps the newest `depth` retires while
+fn instr_ring_keeps_last_n_and_counts_all() {
+    // An instruction-ring tracer keeps the newest `depth` retires while
     // `recorded()` still counts every event that passed through.
     let mut m = machine();
     let prog = vec![
@@ -247,12 +246,16 @@ fn instr_ring_compat_keeps_last_n_and_counts_all() {
     ];
     let e = m.load_program(&prog);
     m.set_entry(e);
-    m.enable_trace(2);
+    m.set_tracer(Tracer::instr_ring(2));
     assert_eq!(m.run(1_000), ExitReason::Halted(9));
 
-    let entries = m.trace_entries();
+    let entries = m.tracer().unwrap().events();
     assert_eq!(entries.len(), 2, "ring depth bounds the window");
-    assert_eq!(entries.last().unwrap().instr, Instr::Halt);
+    assert_eq!(
+        entries.last().unwrap().kind,
+        EventKind::InstrRetired { pc: e + 12 },
+        "the newest retire is the halt"
+    );
     assert!(
         entries.windows(2).all(|w| w[0].cycles <= w[1].cycles),
         "entries stay in retirement order"

@@ -719,6 +719,50 @@ mod tests {
     }
 
     #[test]
+    fn idle_hardware_revoker_is_invisible_to_coremark() {
+        // A hardware revoker that is never kicked must cost nothing: every
+        // tier runs the kernel to the same cycle, retirement, stall,
+        // register and checksum record as a machine without one.
+        let cfg = CoreMarkConfig {
+            iterations: 3,
+            list_nodes: 24,
+            find_passes: 2,
+            ..CoreMarkConfig::capabilities_with_filter()
+        };
+        for core in [CoreModel::ibex(), CoreModel::flute()] {
+            let run = |mode, hw_revoker| {
+                let mut m = setup_machine(core, &cfg, mode);
+                m.cfg.hw_revoker = hw_revoker;
+                let exit = m.run(2_000_000_000);
+                assert!(matches!(exit, ExitReason::Halted(_)), "{exit:?}");
+                assert_eq!(m.revoker.epoch(), 0, "no sweep ever starts");
+                let regs: Vec<_> = (0..16).map(|i| m.cpu.read(Reg(i))).collect();
+                (
+                    exit,
+                    m.cycles,
+                    m.stats.instructions,
+                    m.stats.stall_cycles,
+                    regs,
+                )
+            };
+            let reference = run(DispatchMode::Stepwise, false);
+            for mode in [
+                DispatchMode::Stepwise,
+                DispatchMode::Cached,
+                DispatchMode::Chained,
+            ] {
+                assert_eq!(run(mode, false), reference, "{:?} {mode:?}", core.kind);
+                assert_eq!(
+                    run(mode, true),
+                    reference,
+                    "{:?} {mode:?} + idle revoker",
+                    core.kind
+                );
+            }
+        }
+    }
+
+    #[test]
     fn flute_hides_the_load_filter() {
         let cfg_nf = CoreMarkConfig {
             load_filter: false,

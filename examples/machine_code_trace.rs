@@ -6,6 +6,7 @@
 use cheriot::asm::{disassemble, disassemble_words, Asm};
 use cheriot::cap::Capability;
 use cheriot::core::insn::Reg;
+use cheriot::core::trace::{EventKind, Tracer};
 use cheriot::core::{layout, CoreModel, ExitReason, Machine, MachineConfig};
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
 
     // Load the *binary* (it is decoded by the machine, not the builder).
     let mut m = Machine::new(MachineConfig::new(CoreModel::ibex()));
-    m.enable_trace(8);
+    m.set_tracer(Tracer::instr_ring(8));
     let entry = m.load_binary(&words).expect("valid machine code");
     m.set_entry(entry);
     let table = Capability::root_mem_rw()
@@ -48,13 +49,15 @@ fn main() {
     assert_eq!(r, ExitReason::Halted(144), "fib(12) = 144");
 
     println!("\nlast retired instructions:");
-    for e in m.trace_entries() {
-        println!(
-            "  cycle {:>5}  pc {:#010x}  {}",
-            e.cycles,
-            e.pc,
-            disassemble(&e.instr)
-        );
+    for ev in m.tracer().expect("tracer installed").events() {
+        if let EventKind::InstrRetired { pc } = ev.kind {
+            let instr = m.code_at(pc).expect("retired from loaded code");
+            println!(
+                "  cycle {:>5}  pc {pc:#010x}  {}",
+                ev.cycles,
+                disassemble(&instr)
+            );
+        }
     }
 
     // The table was filled through the bounded capability.
