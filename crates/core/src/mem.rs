@@ -27,14 +27,16 @@
 //!   1000-device fleet forked from one warm image holds one copy of every
 //!   boot page, each instance pays only for the pages it writes, and a
 //!   rewind moves only the pages written since the last capture/restore;
-//! * a fresh bank shares a single zero page across all slots, so an
-//!   untouched machine is resident-cheap too.
+//! * untouched pages hold no handle at all (`None` reads as one static
+//!   zero page, and two `None` slots count as the same handle), so a
+//!   fresh bank costs no allocation, and creating, cloning, capturing,
+//!   restoring and dropping a bank touch only the pages something wrote.
 //!
 //! The `--no-cow` escape hatch ([`Sram::set_cow`]) disables structural
-//! sharing: pages are kept uniquely owned, so no handle ever matches and
-//! every capture/restore deep-copies the whole bank — the pre-CoW cost
-//! model. CoW on/off is architecturally invisible — runs are
-//! byte-identical either way (property-tested).
+//! sharing: every page is materialised and kept uniquely owned, so no
+//! handle ever matches and every capture/restore deep-copies the whole
+//! bank — the pre-CoW cost model. CoW on/off is architecturally
+//! invisible — runs are byte-identical either way (property-tested).
 //!
 //! Two simulator-only acceleration structures ride alongside the
 //! architectural state (neither is architecturally visible, and neither is
@@ -74,7 +76,7 @@ const PAGE_MASK: usize = PAGE_SIZE as usize - 1;
 const PAGE_GRANULES: usize = (PAGE_SIZE / GRANULE) as usize;
 
 /// Tag words per page (64 granules per word).
-const PAGE_TAG_WORDS: usize = PAGE_GRANULES / 64;
+pub const PAGE_TAG_WORDS: usize = PAGE_GRANULES / 64;
 
 /// Host bytes actually moved when a page's *content* is copied: the data
 /// bytes plus the covering tag-bitmap words. This is the unit the honest
@@ -134,13 +136,17 @@ impl Page {
     }
 }
 
+/// What every page slot without a handle reads as.
+static ZERO_PAGE: Page = Page::ZERO;
+
 /// Host-side counters for the CoW page store, exposed via
 /// [`Sram::cow_stats`]. Not architectural state; never captured or
 /// restored by snapshots.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CowStats {
     /// Pages unshared by the write barrier: first writes to a page shared
-    /// with a snapshot, a forked sibling, or the bank's initial zero page.
+    /// with a snapshot or a forked sibling, or to a page that held no
+    /// handle yet (untouched zero memory).
     pub breaks: u64,
     /// Host bytes those breaks copied (`breaks * PAGE_COPY_BYTES`): the
     /// deferred fork cost actually paid so far.
@@ -164,9 +170,11 @@ pub struct Sram {
     /// Logical size in bytes (the last page may be partial; its tail
     /// bytes and tag bits are unreachable and stay zero).
     len: usize,
-    /// The page store. Shared (`Arc` refcount > 1) pages are immutable;
-    /// the write barrier unshares before mutating.
-    pages: Vec<Arc<Page>>,
+    /// The page store. `None` is an untouched page: all-zero bytes and
+    /// tags, no handle (never `None` with CoW off). Shared (`Arc`
+    /// refcount > 1) pages are immutable; the write barrier allocates or
+    /// unshares before mutating.
+    pages: Vec<Option<Arc<Page>>>,
     /// Decoded-capability side cache, one slot per granule, held per
     /// page. The page table is allocated on first capability traffic
     /// (empty = cold) and a page's slots on the first fill in that page
@@ -193,16 +201,19 @@ impl std::fmt::Debug for Sram {
 }
 
 impl Clone for Sram {
-    /// Clones the bank. Under CoW this is O(pages) handle clones — the
-    /// clone shares every page with the original and either side's next
-    /// write unshares just that page. With CoW disabled the pages are
-    /// deep-copied. The decoded side cache is derived state and starts
-    /// cold in the clone; CoW counters start at zero.
+    /// Clones the bank. Under CoW this is one handle clone per written
+    /// page — the clone shares every page with the original and either
+    /// side's next write unshares just that page. With CoW disabled the
+    /// pages are deep-copied. The decoded side cache is derived state and
+    /// starts cold in the clone; CoW counters start at zero.
     fn clone(&self) -> Sram {
         let pages = if self.cow {
             self.pages.clone()
         } else {
-            self.pages.iter().map(|p| Arc::new((**p).clone())).collect()
+            self.pages
+                .iter()
+                .map(|p| Some(Arc::new(page_or_zero(p).clone())))
+                .collect()
         };
         Sram {
             base: self.base,
@@ -216,9 +227,9 @@ impl Clone for Sram {
 }
 
 impl Sram {
-    /// Creates a zeroed SRAM bank of `size` bytes at `base`. Every page
-    /// slot shares one zero page, so a fresh bank is resident-cheap; the
-    /// first write to each page unshares it.
+    /// Creates a zeroed SRAM bank of `size` bytes at `base`. Untouched
+    /// pages hold no handle, so a fresh bank allocates no page; the first
+    /// write to each page allocates it.
     ///
     /// # Panics
     ///
@@ -227,11 +238,10 @@ impl Sram {
         assert_eq!(base % GRANULE, 0, "SRAM base must be granule-aligned");
         assert_eq!(size % GRANULE, 0, "SRAM size must be granule-aligned");
         let pages = (size as usize).div_ceil(PAGE_SIZE as usize);
-        let zero = Arc::new(Page::ZERO);
         Sram {
             base,
             len: size as usize,
-            pages: vec![zero; pages],
+            pages: vec![None; pages],
             caps: Vec::new(),
             cow: true,
             cow_stats: CowStats::default(),
@@ -239,14 +249,14 @@ impl Sram {
     }
 
     /// Enables/disables structural sharing. Disabling materializes every
-    /// currently-shared page into a private copy (not counted as a CoW
-    /// break — this is a mode switch, not a write).
+    /// untouched or currently-shared page into a private copy (not
+    /// counted as a CoW break — this is a mode switch, not a write).
     pub fn set_cow(&mut self, on: bool) {
         self.cow = on;
         if !on {
             for p in &mut self.pages {
-                if Arc::strong_count(p) > 1 {
-                    *p = Arc::new((**p).clone());
+                if is_shared(p) {
+                    *p = Some(Arc::new(page_or_zero(p).clone()));
                 }
             }
         }
@@ -262,14 +272,11 @@ impl Sram {
         self.cow_stats
     }
 
-    /// Pages currently shared with another bank (or the zero page):
-    /// `Arc` refcount > 1. These are the pages a fork has not yet paid
-    /// for.
+    /// Pages currently shared with another bank (`Arc` refcount > 1) or
+    /// holding no handle yet (untouched zero memory). These are the pages
+    /// a fork has not yet paid for.
     pub fn shared_pages(&self) -> u32 {
-        self.pages
-            .iter()
-            .filter(|p| Arc::strong_count(p) > 1)
-            .count() as u32
+        self.pages.iter().filter(|p| is_shared(p)).count() as u32
     }
 
     /// Host bytes of page content this bank uniquely owns (its private
@@ -316,10 +323,16 @@ impl Sram {
         self.len / GRANULE as usize
     }
 
+    /// Page `p`'s content; an untouched page reads as the zero page.
+    #[inline]
+    fn page(&self, p: usize) -> &Page {
+        page_or_zero(&self.pages[p])
+    }
+
     /// The packed tag word `w` (64 granules per word; 8 words per page).
     #[inline]
     fn tag_word(&self, w: usize) -> u64 {
-        self.pages[w / PAGE_TAG_WORDS].tags[w % PAGE_TAG_WORDS]
+        self.page(w / PAGE_TAG_WORDS).tags[w % PAGE_TAG_WORDS]
     }
 
     fn tag_get(&self, g: usize) -> bool {
@@ -328,14 +341,16 @@ impl Sram {
 
     /// The write barrier and CoW break point: returns a uniquely-owned
     /// mutable reference to page `p`, cloning the page first if it is
-    /// shared with a snapshot, a forked sibling, or the initial zero page.
+    /// shared with a snapshot or a forked sibling, and allocating it if
+    /// it held no handle yet. Either counts as one break.
     #[inline]
     fn page_mut(&mut self, p: usize) -> &mut Page {
-        if Arc::strong_count(&self.pages[p]) > 1 {
+        let slot = &mut self.pages[p];
+        if is_shared(slot) {
             self.cow_stats.breaks += 1;
             self.cow_stats.bytes_copied += PAGE_COPY_BYTES;
         }
-        Arc::make_mut(&mut self.pages[p])
+        Arc::make_mut(slot.get_or_insert_with(|| Arc::new(Page::ZERO)))
     }
 
     /// Fills granule `g`'s side-cache slot, allocating the page table and
@@ -394,7 +409,7 @@ impl Sram {
         debug_assert!(matches!(size, 1 | 2 | 4));
         let o = self.offset(addr);
         // Aligned 1/2/4-byte accesses never cross a page boundary.
-        let pg = &self.pages[o >> PAGE_SHIFT];
+        let pg = self.page(o >> PAGE_SHIFT);
         let po = o & PAGE_MASK;
         Ok(match size {
             1 => u32::from(pg.bytes[po]),
@@ -435,7 +450,7 @@ impl Sram {
     pub fn read_cap_word(&self, addr: u32) -> Result<(u64, bool), TrapCause> {
         self.check(addr, GRANULE)?;
         let o = self.offset(addr);
-        let pg = &self.pages[o >> PAGE_SHIFT];
+        let pg = self.page(o >> PAGE_SHIFT);
         let po = o & PAGE_MASK;
         let word = u64::from_le_bytes(pg.bytes[po..po + GRANULE as usize].try_into().unwrap());
         Ok((word, self.tag_get(self.granule(addr))))
@@ -556,7 +571,7 @@ impl Sram {
             let p = cur >> PAGE_SHIFT;
             let stop = ((p + 1) << PAGE_SHIFT).min(end);
             let po = cur & PAGE_MASK;
-            buf[cur - o..stop - o].copy_from_slice(&self.pages[p].bytes[po..po + (stop - cur)]);
+            buf[cur - o..stop - o].copy_from_slice(&self.page(p).bytes[po..po + (stop - cur)]);
             cur = stop;
         }
         Ok(())
@@ -652,19 +667,52 @@ impl Sram {
         (limit - g0) as u32
     }
 
+    /// [`Sram::untagged_run`] going down: length (in granules, capped at
+    /// `max_granules` and at the bank base) of the run of *untagged*
+    /// granules ending at granule-aligned `addr`, `addr` included. Scans
+    /// the packed tag words, one load per all-clear word. Returns 0 for
+    /// addresses outside the bank or unaligned.
+    pub fn untagged_run_down(&self, addr: u32, max_granules: u32) -> u32 {
+        if max_granules == 0 || !addr.is_multiple_of(GRANULE) || !self.contains(addr, GRANULE) {
+            return 0;
+        }
+        let g0 = self.granule(addr);
+        // Lowest granule the run may reach.
+        let limit = g0.saturating_sub(max_granules as usize - 1);
+        let mut g = g0;
+        loop {
+            let masked = self.tag_word(g >> 6) & (!0u64 >> (63 - (g & 63)));
+            if masked != 0 {
+                let prev_tagged = (g & !63) + 63 - masked.leading_zeros() as usize;
+                if prev_tagged < limit {
+                    break;
+                }
+                return (g0 - prev_tagged) as u32;
+            }
+            if g & !63 <= limit {
+                break;
+            }
+            g = (g & !63) - 1;
+        }
+        (g0 - limit + 1) as u32
+    }
+
     /// Number of pages in the bank.
     pub fn num_pages(&self) -> u32 {
         self.pages.len() as u32
     }
 
-    /// Page `p`'s data bytes and tag words, read-only: byte `i` is the
-    /// byte at `base + p * PAGE_SIZE + i`, and bit `b` of tag word `w` is
-    /// the tag of granule `(p * 8 + w) * 64 + b`. A partial last page
-    /// reads as zero past the bank's end. This is the exit-state
+    /// Page `p`'s data bytes and tag words, read-only, or `None` if the
+    /// page holds no handle (its bytes and tags are all zero): byte `i`
+    /// is the byte at `base + p * PAGE_SIZE + i`, and bit `b` of tag word
+    /// `w` is the tag of granule `(p * 8 + w) * 64 + b`. A partial last
+    /// page reads as zero past the bank's end. This is the exit-state
     /// comparator's view of the bank: whole pages, no copies.
-    pub fn page_content(&self, p: usize) -> (&[u8; PAGE_SIZE as usize], &[u64; PAGE_TAG_WORDS]) {
-        let pg = &self.pages[p];
-        (&pg.bytes, &pg.tags)
+    pub fn page_content(
+        &self,
+        p: usize,
+    ) -> Option<(&[u8; PAGE_SIZE as usize], &[u64; PAGE_TAG_WORDS])> {
+        self.pages[p].as_deref().map(|pg| (&pg.bytes, &pg.tags))
     }
 
     /// Architectural-content equality: same base/size and identical bytes
@@ -672,11 +720,12 @@ impl Sram {
     /// cache and CoW counters are derived state and deliberately excluded.
     pub fn content_eq(&self, other: &Sram) -> bool {
         self.same_shape(other)
-            && self
-                .pages
-                .iter()
-                .zip(&other.pages)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || (a.bytes == b.bytes && a.tags == b.tags))
+            && self.pages.iter().zip(&other.pages).all(|(a, b)| {
+                same_handle(a, b) || {
+                    let (a, b) = (page_or_zero(a), page_or_zero(b));
+                    a.bytes == b.bytes && a.tags == b.tags
+                }
+            })
     }
 
     fn same_shape(&self, other: &Sram) -> bool {
@@ -685,10 +734,11 @@ impl Sram {
 
     /// Makes this bank's content equal `src`'s by adopting every page
     /// whose handle differs from `src`'s. Shared pages are immutable, so
-    /// `Arc::ptr_eq` handles hold identical content and are skipped; in
-    /// steady state the differing set is exactly the pages written since
-    /// the two banks last matched. Under CoW adopting is a handle clone,
-    /// with CoW disabled a deep copy of data + tag words (no page is ever
+    /// `Arc::ptr_eq` handles (and two untouched slots) hold identical
+    /// content and are skipped; in steady state the differing set is
+    /// exactly the pages written since the two banks last matched. Under
+    /// CoW adopting is a handle clone, with CoW disabled a deep copy of
+    /// data + tag words (every page is materialised and none is ever
     /// shared then, so every page moves). Drops side-cache entries
     /// covering adopted pages; returns the pages/bytes transferred.
     fn adopt_differing(&mut self, src: &Sram) -> XferCost {
@@ -699,14 +749,15 @@ impl Sram {
         while let Some(skip) = self.pages[p..]
             .iter()
             .zip(&src.pages[p..])
-            .position(|(mine, theirs)| !Arc::ptr_eq(mine, theirs))
+            .position(|(mine, theirs)| !same_handle(mine, theirs))
         {
             p += skip;
             if self.cow {
-                self.pages[p] = Arc::clone(&src.pages[p]);
+                self.pages[p].clone_from(&src.pages[p]);
                 cost.bytes += PAGE_HANDLE_BYTES;
             } else {
-                Arc::make_mut(&mut self.pages[p]).clone_from(&src.pages[p]);
+                let mine = self.pages[p].get_or_insert_with(|| Arc::new(Page::ZERO));
+                Arc::make_mut(mine).clone_from(page_or_zero(&src.pages[p]));
                 cost.bytes += PAGE_COPY_BYTES;
             }
             cost.pages += 1;
@@ -748,6 +799,29 @@ impl Sram {
     }
 }
 
+/// A page slot's content: an untouched slot reads as the zero page.
+#[inline]
+fn page_or_zero(slot: &Option<Arc<Page>>) -> &Page {
+    slot.as_deref().unwrap_or(&ZERO_PAGE)
+}
+
+/// Does the write barrier have to allocate or unshare this slot? True for
+/// a handle shared with another bank and for an untouched slot.
+#[inline]
+fn is_shared(slot: &Option<Arc<Page>>) -> bool {
+    slot.as_ref().is_none_or(|a| Arc::strong_count(a) > 1)
+}
+
+/// Do two page slots hold the same handle? Two untouched slots do.
+#[inline]
+fn same_handle(a: &Option<Arc<Page>>, b: &Option<Arc<Page>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (None, None) => true,
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,7 +832,7 @@ mod tests {
 
     /// Do the two banks hold the very same page handles?
     fn shares_every_page(a: &Sram, b: &Sram) -> bool {
-        a.same_shape(b) && a.pages.iter().zip(&b.pages).all(|(x, y)| Arc::ptr_eq(x, y))
+        a.same_shape(b) && a.pages.iter().zip(&b.pages).all(|(x, y)| same_handle(x, y))
     }
 
     #[test]
@@ -885,6 +959,43 @@ mod tests {
     }
 
     #[test]
+    fn untagged_run_down_scans_word_boundaries() {
+        let mut m = Sram::new(0x2000_0000, 0x2000); // 1024 granules
+        let at = |g: u32| 0x2000_0000 + g * GRANULE;
+        // Empty bank: the run reaches the base, or stops at the cap.
+        assert_eq!(m.untagged_run_down(at(1023), 2048), 1024);
+        assert_eq!(m.untagged_run_down(at(1023), 100), 100);
+        assert_eq!(m.untagged_run_down(at(0), 5), 1, "the base granule only");
+        // Tags at the last granule of word 1 and the first of word 2.
+        m.write_cap_word(at(127), 1, true).unwrap();
+        m.write_cap_word(at(128), 1, true).unwrap();
+        assert_eq!(m.untagged_run_down(at(128), 1024), 0, "addr itself tagged");
+        assert_eq!(
+            m.untagged_run_down(at(191), 1024),
+            63,
+            "stops above granule 128"
+        );
+        assert_eq!(m.untagged_run_down(at(126), 1024), 127, "runs to the base");
+        // Granule 64 is a word's lowest bit; granule 63 the word below.
+        m.write_cap_word(at(63), 1, true).unwrap();
+        assert_eq!(m.untagged_run_down(at(126), 1024), 63);
+        assert_eq!(m.untagged_run_down(at(64), 1024), 1);
+        // The base granule tagged: a run from just above it stops there.
+        m.write_cap_word(at(0), 1, true).unwrap();
+        assert_eq!(m.untagged_run_down(at(62), 1024), 62);
+        assert_eq!(m.untagged_run_down(at(0), 1024), 0);
+        // Window edge: a tag exactly one granule past the cap is not seen.
+        assert_eq!(m.untagged_run_down(at(126), 63), 63);
+        assert_eq!(m.untagged_run_down(at(126), 64), 63);
+        assert_eq!(m.untagged_run_down(at(126), 62), 62);
+        // Unaligned or out-of-bank addresses yield no run.
+        assert_eq!(m.untagged_run_down(0x2000_0004, 8), 0);
+        assert_eq!(m.untagged_run_down(0x2000_2000, 8), 0);
+        assert_eq!(m.untagged_run_down(0x1fff_fff8, 8), 0);
+        assert_eq!(m.untagged_run_down(at(10), 0), 0);
+    }
+
+    #[test]
     fn side_cache_returns_written_capability() {
         use cheriot_cap::Capability;
         let mut m = sram();
@@ -957,9 +1068,12 @@ mod tests {
         let mut reshaped = Sram::new(0x2000_0000, 0x1000);
         m.capture_into(&mut reshaped);
         assert!(shares_every_page(&m, &reshaped));
-        // A foreign bank shares no handle with the snapshot: full transfer.
+        // A foreign bank shares no written page with the snapshot: the
+        // pages either bank has written move, untouched ones on both
+        // sides match without a handle.
         let mut other = Sram::new(0x2000_0000, 0x8000);
-        assert_eq!(other.restore_page_wise(&snap).pages, 8);
+        other.write_scalar(0x2000_1000, 4, 3).unwrap();
+        assert_eq!(other.restore_page_wise(&snap).pages, 2);
         assert!(other.content_eq(&snap));
         // A clone of the snapshot shares every handle: nothing moves.
         assert_eq!(other.restore_page_wise(&snap.clone()).pages, 0);
@@ -1070,10 +1184,13 @@ mod tests {
         let mut m = Sram::new(0x2000_0000, 0x2000);
         m.write_cap_word(0x2000_1000 + 65 * 8, 0x0102_0304_0506_0708, true)
             .unwrap();
-        let (bytes, tags) = m.page_content(1);
+        let (bytes, tags) = m.page_content(1).expect("a written page has a handle");
         assert_eq!(bytes[65 * 8], 0x08);
         assert_eq!(tags[1], 1 << 1, "granule 65 of the page: word 1, bit 1");
-        let (bytes, tags) = m.page_content(0);
+        assert!(m.page_content(0).is_none(), "an untouched page has none");
+        // A page written back to zeros keeps its handle.
+        m.write_scalar(0x2000_0000, 4, 0).unwrap();
+        let (bytes, tags) = m.page_content(0).unwrap();
         assert!(bytes.iter().all(|&b| b == 0) && tags.iter().all(|&w| w == 0));
     }
 
@@ -1102,16 +1219,80 @@ mod tests {
     // --- CoW page-store behaviour -----------------------------------------
 
     #[test]
-    fn fresh_bank_shares_one_zero_page_until_written() {
+    fn fresh_bank_holds_no_page_until_written() {
         let mut m = Sram::new(0x2000_0000, 0x4000); // 4 pages
-        assert_eq!(m.shared_pages(), 4, "all slots share the zero page");
+        assert!(m.pages.iter().all(Option::is_none), "no page allocated");
+        assert_eq!(
+            m.shared_pages(),
+            m.num_pages(),
+            "untouched counts as shared"
+        );
         m.write_scalar(0x2000_1004, 4, 7).unwrap();
-        assert_eq!(m.shared_pages(), 3, "first write unshared its page");
+        assert_eq!(m.shared_pages(), 3, "first write allocated its page");
+        assert!(m.pages[1].is_some());
         assert_eq!(m.cow_stats().breaks, 1);
         assert_eq!(m.cow_stats().bytes_copied, PAGE_COPY_BYTES);
         // Writing the same page again is barrier-cheap: no further break.
         m.write_scalar(0x2000_1008, 4, 8).unwrap();
         assert_eq!(m.cow_stats().breaks, 1);
+        assert_eq!(m.cow_stats().bytes_copied, PAGE_COPY_BYTES);
+    }
+
+    #[test]
+    fn first_write_by_every_store_path_is_one_break() {
+        let stores: [fn(&mut Sram); 5] = [
+            |s| s.write_scalar(0x2000_0abc, 1, 0).unwrap(),
+            |s| s.write_cap_word(0x2000_0ab8, 0, false).unwrap(),
+            |s| s.write_cap(0x2000_0ab8, cap_at(0x2000_0100)).unwrap(),
+            |s| s.zero_range(0x2000_0a00, 0x40).unwrap(),
+            |s| s.write_bytes(0x2000_0a00, &[0; 16]).unwrap(),
+        ];
+        for store in stores {
+            let mut m = Sram::new(0x2000_0000, 0x2000);
+            store(&mut m);
+            let stats = m.cow_stats();
+            assert_eq!((stats.breaks, stats.bytes_copied), (1, PAGE_COPY_BYTES));
+            assert_eq!(m.shared_pages(), 1, "only the written page has a handle");
+        }
+    }
+
+    #[test]
+    fn reading_an_untouched_page_allocates_nothing() {
+        let mut m = Sram::new(0x2000_0000, 0x2000);
+        assert_eq!(m.read_scalar(0x2000_1ffc, 4).unwrap(), 0);
+        assert_eq!(m.read_cap_word(0x2000_1ff8).unwrap(), (0, false));
+        assert!(!m.read_cap(0x2000_1ff8).unwrap().tag());
+        let mut buf = [0xffu8; 16];
+        m.read_bytes(0x2000_0ff8, &mut buf).unwrap();
+        assert_eq!(buf, [0; 16]);
+        assert_eq!(m.count_tags(0x2000_0000, 0x2000), 0);
+        assert_eq!(m.untagged_run(0x2000_0000, 1024), 1024);
+        assert!(m.pages.iter().all(Option::is_none));
+        assert_eq!(m.cow_stats(), CowStats::default());
+    }
+
+    #[test]
+    fn no_cow_bank_materialises_every_page_and_captures_all() {
+        let mut m = Sram::new(0x2000_0000, 0x4000);
+        m.set_cow(false);
+        assert!(
+            m.pages.iter().all(Option::is_some),
+            "every page materialised"
+        );
+        assert_eq!(m.shared_pages(), 0);
+        let mut snap = Sram::new(0x2000_0000, 0x4000);
+        m.capture_into(&mut snap);
+        assert!(snap.pages.iter().all(Option::is_some));
+        assert_eq!(snap.shared_pages(), 0);
+        assert!(m.clone().pages.iter().all(Option::is_some));
+        // Restoring from an untouched CoW bank copies zeros into every
+        // page rather than dropping handles.
+        let zero = Sram::new(0x2000_0000, 0x4000);
+        m.write_scalar(0x2000_0000, 4, 1).unwrap();
+        let cost = m.restore_page_wise(&zero);
+        assert_eq!((cost.pages, cost.bytes), (4, 4 * PAGE_COPY_BYTES));
+        assert!(m.content_eq(&zero));
+        assert_eq!(m.shared_pages(), 0);
     }
 
     #[test]

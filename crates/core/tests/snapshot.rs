@@ -172,16 +172,22 @@ fn restore_reinstalls_code_after_divergent_patch() {
 }
 
 #[test]
-fn restore_across_unrelated_machines_is_a_full_copy_but_correct() {
+fn restore_across_unrelated_machines_moves_only_written_pages() {
     let mut a = boot(true);
+    a.sram
+        .write_cap_word(layout::SRAM_BASE + 0x3000, 5, true)
+        .unwrap();
     let snap: Snapshot = a.snapshot();
-    let mut b = machine_with(true); // shares no page with `a`
+    let mut b = machine_with(true); // shares no written page with `a`
+    b.sram
+        .write_scalar(layout::SRAM_BASE + 0x5000, 4, 9)
+        .unwrap();
     b.restore_from(&snap);
     assert_identical(&b, &a, "cross-machine restore");
     assert_eq!(
         b.snapshot_stats().pages_copied,
-        u64::from(b.sram.num_pages()),
-        "no shared handle, so every page moves"
+        2,
+        "the page `a` wrote and the page `b` wrote move; untouched pages match"
     );
     assert_eq!(b.run(10_000), ExitReason::Halted(7));
 }

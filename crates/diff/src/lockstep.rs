@@ -23,7 +23,7 @@ use crate::generator::Program;
 use crate::golden::Golden;
 use cheriot_core::insn::Reg;
 use cheriot_core::machine::{layout, Machine, MachineConfig};
-use cheriot_core::mem::{GRANULE, PAGE_SIZE};
+use cheriot_core::mem::{GRANULE, PAGE_SIZE, PAGE_TAG_WORDS};
 use cheriot_core::pipeline::CoreModel;
 use std::fmt::Debug;
 
@@ -248,12 +248,14 @@ fn check<T: PartialEq + Debug>(out: &mut Vec<Mismatch>, field: &str, golden: &T,
 }
 
 /// The exit-state memory compare over the whole bank: bytes page by page
-/// (a golden page never written is zeros), then tags 64 granules at a
-/// time. Reports the lowest differing byte (`mem[addr]`) and the lowest
-/// differing tag (`tag[addr]`); banks of different sizes are reported as
-/// `sram_size`, not compared over their common prefix.
+/// (a golden page never written and an engine page holding no handle are
+/// zeros, and a page zero on both sides is skipped), then every tag word,
+/// 64 granules at a time. Reports the lowest differing byte (`mem[addr]`)
+/// and the lowest differing tag (`tag[addr]`); banks of different sizes
+/// are reported as `sram_size`, not compared over their common prefix.
 fn compare_memory(g: &Golden, m: &Machine, out: &mut Vec<Mismatch>) {
     static ZEROS: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+    static ZERO_TAGS: [u64; PAGE_TAG_WORDS] = [0; PAGE_TAG_WORDS];
     if g.mem.size() != m.sram.size() {
         check(out, "sram_size", &g.mem.size(), &m.sram.size());
         return;
@@ -261,8 +263,10 @@ fn compare_memory(g: &Golden, m: &Machine, out: &mut Vec<Mismatch>) {
     let base = layout::SRAM_BASE;
     let pages = m.sram.num_pages() as usize;
     for p in 0..pages {
-        let gp = g.mem.page(p).unwrap_or(&ZEROS);
-        let (ep, _) = m.sram.page_content(p);
+        let (gp, ep) = match (g.mem.page(p), m.sram.page_content(p)) {
+            (None, None) => continue,
+            (gp, ep) => (gp.unwrap_or(&ZEROS), ep.map_or(&ZEROS, |(b, _)| b)),
+        };
         if gp != ep.as_slice() {
             let off = gp
                 .iter()
@@ -275,7 +279,7 @@ fn compare_memory(g: &Golden, m: &Machine, out: &mut Vec<Mismatch>) {
         }
     }
     for p in 0..pages {
-        let (_, etags) = m.sram.page_content(p);
+        let etags = m.sram.page_content(p).map_or(&ZERO_TAGS, |(_, t)| t);
         for (i, &et) in etags.iter().enumerate() {
             let w = p * etags.len() + i;
             let gt = g.mem.tag_word(w);

@@ -68,6 +68,45 @@ fn tag_only_difference_is_reported_as_a_tag() {
 }
 
 #[test]
+fn engine_page_written_back_to_zeros_equals_a_never_written_golden_page() {
+    // The engine page holds a handle (it was written), the golden page was
+    // never allocated: both read as zeros, so the run agrees.
+    let prog = generate(1, &Profile::full());
+    let (mode, dispatch) = DISPATCH_MODES[2];
+    let page = sram_end() - 0x3000;
+    let tweak = move |m: &mut Machine| {
+        m.sram.write_cap_word(page + 0x40, 0x1234, true).unwrap();
+        m.sram.zero_range(page, 0x1000).unwrap();
+        let p = ((page - layout::SRAM_BASE) / 0x1000) as usize;
+        assert!(m.sram.page_content(p).is_some(), "the write kept a handle");
+    };
+    let run = run_pair(
+        &prog,
+        CoreModel::ibex(),
+        "ibex",
+        mode,
+        dispatch,
+        60_000,
+        None,
+        Some(&tweak),
+    );
+    assert!(run.is_ok(), "{:?}", run.err().map(|d| d.mismatches));
+}
+
+#[test]
+fn tag_in_an_otherwise_zero_page_is_reported_as_a_tag() {
+    // The top granule of the bank: the last tag word of the last page.
+    let addr = sram_end() - 8;
+    let (checkpoint, mm) = diverge(&move |m: &mut Machine| {
+        m.sram.write_scalar(addr - 0x800, 4, 0).unwrap();
+        m.sram.write_cap_word(addr, 0, true).unwrap();
+    });
+    assert!(checkpoint.starts_with("exit@"), "{checkpoint}");
+    let field = format!("tag[{addr:#x}]");
+    assert_eq!(fields(&mm), [(field.as_str(), "false", "true")]);
+}
+
+#[test]
 fn lowest_differing_address_is_reported() {
     let (hi, lo) = (sram_end() - 0x10, layout::SRAM_BASE + 0x3_0008);
     let (_, mm) = diverge(&move |m: &mut Machine| {

@@ -9,6 +9,7 @@
 //! recorded as skipped rather than forced.
 
 use crate::plan::{FaultKind, FaultPlan};
+use cheriot_core::mem::Sram;
 use cheriot_core::Machine;
 
 /// Granule size of tagged memory in bytes.
@@ -302,59 +303,90 @@ impl Injector {
         InjectEffect::CodeBitFlipped { addr, bit }
     }
 
-    /// Clears the tag of the tagged granule nearest `addr` (within the
-    /// search window). Clearing — never forging — keeps the fault inside
-    /// what tag-SRAM upsets do to real parts: a flipped set bit. If no
-    /// granule in the window holds a capability the fault dissipates.
+    /// Clears the tag of the tagged granule nearest `addr` (see
+    /// [`tag_flip_target`]). Clearing — never forging — keeps the fault
+    /// inside what tag-SRAM upsets do to real parts: a flipped set bit. If
+    /// no granule in the window holds a capability the fault dissipates.
     fn clear_nearest_tag(m: &mut Machine, addr: u32) -> InjectEffect {
-        let addr = addr & !(GRANULE - 1);
-        for step in 0..=TAG_SEARCH_GRANULES {
-            let offsets: [Option<u32>; 2] = [
-                addr.checked_add(step * GRANULE),
-                addr.checked_sub(step * GRANULE),
-            ];
-            for candidate in offsets.into_iter().flatten() {
-                if m.sram.contains(candidate, GRANULE) && m.sram.tag_at(candidate) {
-                    if let Ok((word, _)) = m.sram.read_cap_word(candidate) {
-                        if m.sram.write_cap_word(candidate, word, false).is_ok() {
-                            return InjectEffect::TagCleared(candidate);
-                        }
-                    }
-                    return InjectEffect::Skipped;
-                }
+        let Some(a) = tag_flip_target(&m.sram, addr) else {
+            return InjectEffect::Skipped;
+        };
+        match m.sram.read_cap_word(a) {
+            Ok((word, _)) if m.sram.write_cap_word(a, word, false).is_ok() => {
+                InjectEffect::TagCleared(a)
             }
+            _ => InjectEffect::Skipped,
         }
-        InjectEffect::Skipped
     }
 
     /// XORs `bit` of the capability word held by the first tagged granule
-    /// at or after `addr` (tag preserved), so the corruption targets a
-    /// live capability rather than inert data.
+    /// at or after `addr` (see [`cap_corrupt_target`]; tag preserved), so
+    /// the corruption targets a live capability rather than inert data.
     fn flip_cap_bit(m: &mut Machine, addr: u32, bit: u32) -> InjectEffect {
-        let addr = addr & !(GRANULE - 1);
-        let mut a = addr;
-        for _ in 0..CAP_SCAN_GRANULES {
-            if !m.sram.contains(a, GRANULE) {
-                break;
+        let Some(a) = cap_corrupt_target(&m.sram, addr) else {
+            return InjectEffect::Skipped;
+        };
+        match m.sram.read_cap_word(a) {
+            Ok((word, _)) if m.sram.write_cap_word(a, word ^ (1 << bit), true).is_ok() => {
+                InjectEffect::CapBitFlipped { addr: a, bit }
             }
-            if m.sram.tag_at(a) {
-                return match m.sram.read_cap_word(a) {
-                    Ok((word, _)) => {
-                        if m.sram.write_cap_word(a, word ^ (1 << bit), true).is_err() {
-                            return InjectEffect::Skipped;
-                        }
-                        InjectEffect::CapBitFlipped { addr: a, bit }
-                    }
-                    Err(_) => InjectEffect::Skipped,
-                };
-            }
-            match a.checked_add(GRANULE) {
-                Some(n) => a = n,
-                None => break,
-            }
+            _ => InjectEffect::Skipped,
         }
-        InjectEffect::Skipped
     }
+}
+
+/// The granule a [`FaultKind::TagFlip`] aimed at `addr` clears: the tagged
+/// granule nearest the granule holding `addr`, at most
+/// [`TAG_SEARCH_GRANULES`] granules away in either direction. On a tie the
+/// higher address wins. `addr` may lie outside the bank; granules outside
+/// it are never chosen. Both directions scan packed tag words
+/// ([`Sram::untagged_run`], [`Sram::untagged_run_down`]), so empty memory
+/// costs one load per 64 granules.
+pub fn tag_flip_target(sram: &Sram, addr: u32) -> Option<u32> {
+    let addr = u64::from(addr & !(GRANULE - 1));
+    let (base, end) = (u64::from(sram.base()), sram.end());
+    if end == base {
+        return None;
+    }
+    let g = u64::from(GRANULE);
+    let (last, window) = (end - g, u64::from(TAG_SEARCH_GRANULES) * g);
+    // Forward: the first tagged granule in [max(addr, base), min(addr +
+    // window, last)]. The window ends inside the bank, so a run shorter
+    // than the window stops on a tag.
+    let (lo, hi) = (addr.max(base), (addr + window).min(last));
+    let up = if lo <= hi {
+        let n = ((hi - lo) / g + 1) as u32;
+        let run = sram.untagged_run(lo as u32, n);
+        (run < n).then(|| lo + u64::from(run) * g)
+    } else {
+        None
+    };
+    // Backward: the last tagged granule in [max(addr - window, base),
+    // min(addr, last)].
+    let (lo, hi) = (addr.saturating_sub(window).max(base), addr.min(last));
+    let down = if lo <= hi {
+        let n = ((hi - lo) / g + 1) as u32;
+        let run = sram.untagged_run_down(hi as u32, n);
+        (run < n).then(|| hi - u64::from(run) * g)
+    } else {
+        None
+    };
+    let hit = match (up, down) {
+        (Some(u), Some(d)) => Some(if u - addr <= addr - d { u } else { d }),
+        (u, d) => u.or(d),
+    };
+    hit.map(|a| a as u32)
+}
+
+/// The granule a [`FaultKind::CapCorrupt`] aimed at `addr` corrupts: the
+/// first tagged granule at or after the granule holding `addr`, within
+/// [`CAP_SCAN_GRANULES`] granules and the bank. `None` when `addr` lies
+/// outside the bank. Scans packed tag words ([`Sram::untagged_run`]).
+pub fn cap_corrupt_target(sram: &Sram, addr: u32) -> Option<u32> {
+    let addr = addr & !(GRANULE - 1);
+    let run = sram.untagged_run(addr, CAP_SCAN_GRANULES);
+    let a = addr.checked_add(run * GRANULE)?;
+    (run < CAP_SCAN_GRANULES && sram.tag_at(a)).then_some(a)
 }
 
 #[cfg(test)]
