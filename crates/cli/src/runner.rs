@@ -247,6 +247,8 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
                 .add("block_cache_invalidations", bs.invalidated);
             tracer.metrics.add("block_chain_hits", bs.chain_hits);
             tracer.metrics.add("block_chain_links", bs.chain_links);
+            tracer.metrics.add("block_promotions", bs.promotions);
+            tracer.metrics.add("block_side_exits", bs.side_exits);
             tracer.metrics.add("sentry_ic_hits", bs.sentry_ic_hits);
             tracer.metrics.add("sentry_ic_misses", bs.sentry_ic_misses);
             let ss = m.snapshot_stats();
@@ -408,6 +410,8 @@ mod tests {
             assert!(out.report.contains("block_cache_misses"), "{}", out.report);
             assert!(out.report.contains("block_chain_hits"), "{}", out.report);
             assert!(out.report.contains("block_chain_links"), "{}", out.report);
+            assert!(out.report.contains("block_promotions"), "{}", out.report);
+            assert!(out.report.contains("block_side_exits"), "{}", out.report);
             assert!(out.report.contains("sentry_ic_hits"), "{}", out.report);
             assert!(out.report.contains("sentry_ic_misses"), "{}", out.report);
         }
@@ -438,14 +442,48 @@ mod tests {
         }
         assert_eq!(outs[0].cycles, outs[1].cycles);
         assert_eq!(outs[0].instructions, outs[1].instructions);
-        let hits: u64 = outs[0]
-            .report
+        let hits = metric(&outs[0].report, "block_chain_hits");
+        assert!(hits > 30, "hot loop should chain: {}", outs[0].report);
+    }
+
+    /// The value of metric `name` in a `--metrics` report.
+    fn metric(report: &str, name: &str) -> u64 {
+        report
             .lines()
-            .find(|l| l.contains("block_chain_hits"))
+            .find(|l| l.split_whitespace().next() == Some(name))
             .and_then(|l| l.split_whitespace().last())
             .and_then(|v| v.parse().ok())
-            .unwrap();
-        assert!(hits > 30, "hot loop should chain: {}", outs[0].report);
+            .unwrap_or_else(|| panic!("no {name} in {report}"))
+    }
+
+    #[test]
+    fn hot_loop_promotes_side_exits_and_matches_every_mode() {
+        // The example guest's `skip` block is promoted together with the
+        // loop head its `blt` keeps branching to, and the last trip leaves
+        // the superblock through that guard. Only chained dispatch
+        // promotes, and the three modes agree on everything else.
+        let prog = include_str!("../../../examples/guest/hot_loop.s");
+        let mut outs = Vec::new();
+        for (block_cache, block_chain) in [(true, true), (true, false), (false, false)] {
+            let opts = RunOptions {
+                metrics: true,
+                block_cache,
+                block_chain,
+                ..RunOptions::default()
+            };
+            let out = run_source(prog, &opts).unwrap();
+            assert_eq!(out.exit, ExitReason::Halted(20400));
+            let promoted = metric(&out.report, "block_promotions");
+            let side_exits = metric(&out.report, "block_side_exits");
+            assert_eq!(promoted > 0, block_chain, "{}", out.report);
+            assert_eq!(side_exits > 0, block_chain, "{}", out.report);
+            assert!(metric(&out.report, "block_chain_hits") > 0 || !block_chain);
+            outs.push(out);
+        }
+        for out in &outs[1..] {
+            assert_eq!(out.cycles, outs[0].cycles);
+            assert_eq!(out.instructions, outs[0].instructions);
+        }
     }
 
     /// Drives the iot.toml platform: a UART store, then a DMA copy kicked

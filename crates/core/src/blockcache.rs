@@ -17,6 +17,10 @@
 //! * **Superblocks**: decode chases unconditional forward jumps
 //!   (`jal x0, +off`) instead of ending the block, so straight-line-plus-
 //!   glue code predecodes as one block covering several [`Block::ranges`].
+//!   At runtime a block that keeps taking the same edge out of its final
+//!   `j` or conditional branch is *promoted* ([`promote`]): its slot gets
+//!   the block followed by its successor, the branch kept inline as a
+//!   guard that side-exits when it resolves the other way.
 //! * **Successor links**: each slot carries up to two weak links
 //!   `(generation, next_pc, PCC fingerprint) → successor slot` recorded by
 //!   the chained dispatch loop; a matching link lets the loop jump block to
@@ -61,12 +65,18 @@ use std::sync::Arc;
 pub const MAX_BLOCK_LEN: usize = 64;
 
 /// Maximum distance, in code words, of any instruction a block may cover
-/// from the block's start slot. Linear decode is already bounded by
-/// [`MAX_BLOCK_LEN`]; superblock chasing can skip forward, and this bounds
-/// how far, which in turn bounds the invalidation scan window (a patch at
-/// `addr` can only be covered by blocks starting within `MAX_COVER_SPAN -
-/// 1` slots before it).
+/// from the block's start slot, in either direction. Linear decode is
+/// already bounded by [`MAX_BLOCK_LEN`]; superblock chasing can skip
+/// forward and runtime promotion can append code on either side (a loop
+/// tail's backward `j`), and this bounds how far, which in turn bounds the
+/// invalidation scan window (a patch at `addr` can only be covered by
+/// blocks starting within `MAX_COVER_SPAN - 1` slots of it).
 pub const MAX_COVER_SPAN: usize = 256;
+
+/// Successor-link follows after which a one-way edge is promoted: a block
+/// that has left through the same link `HOT` times, with no second live
+/// link, gets its successor appended ([`promote`]).
+pub const HOT: u32 = 16;
 
 /// One instruction with everything the dispatch loop needs precomputed.
 #[derive(Clone, Copy, Debug)]
@@ -78,8 +88,10 @@ pub struct PredecodedInsn {
     pub instr: Instr,
     /// Base cycle cost from the core model, with the load-filter CLC
     /// penalty already folded in (both are fixed at machine construction).
-    /// For a chased unconditional jump, the jump penalty is folded in too
-    /// (its cost is unconditional by definition).
+    /// For a chased unconditional jump (or a `j` made interior by
+    /// promotion), the jump penalty is folded in too (its cost is
+    /// unconditional by definition). An interior conditional branch (a
+    /// guard) keeps its bare cost: its taken penalty is dynamic.
     pub base_cycles: u64,
     /// Memory-unit beats (cycles unavailable to the background revoker).
     pub mem_beats: u64,
@@ -103,7 +115,9 @@ pub struct PredecodedInsn {
 /// budget or interrupt boundary can fire inside the block, and tracers
 /// (which want per-instruction events) disable it. On a dynamic bail-out
 /// nothing of the element has executed and the checked loop resumes at
-/// [`FastOp::resume`].
+/// [`FastOp::resume`]. Interior conditional branches (guards of promoted
+/// blocks) are elements too: the stream continues when one resolves to
+/// the next instruction and side-exits the block otherwise.
 #[derive(Clone, Copy, Debug)]
 pub struct FastOp {
     /// The instruction to execute (never a chased jump).
@@ -127,8 +141,10 @@ pub struct FastOp {
 /// A predecoded (super)block: instructions in execution order, ending at a
 /// control-flow/trap boundary, the end of loaded code, [`MAX_BLOCK_LEN`]
 /// or [`MAX_COVER_SPAN`]. Unconditional forward jumps may be interior
-/// (chased during decode), so the covered addresses form one or more
-/// disjoint, ascending [`Block::ranges`].
+/// (chased during decode), and a promoted block also carries interior
+/// backward jumps and conditional branches (guards), so the covered
+/// addresses form one or more disjoint [`Block::ranges`], in execution
+/// order; no address is covered twice.
 #[derive(Debug)]
 pub struct Block {
     /// Address of the first instruction.
@@ -144,8 +160,9 @@ pub struct Block {
     pub ranges: Box<[(u32, u32)]>,
     /// Upper bound on the cycles one full pass over the block can accrue
     /// on non-trapping paths: every instruction's `base_cycles`, the
-    /// worst-case load-to-use stall wherever the hazard is checked, and
-    /// the worst control-flow penalty of the final instruction. The
+    /// worst-case load-to-use stall wherever the hazard is checked, each
+    /// guard's taken penalty, and the worst control-flow penalty of the
+    /// final instruction. The
     /// chained dispatch loop uses it to prove, at block entry, that no
     /// cycle-budget or timer-interrupt boundary can fire *inside* the
     /// block — and then runs the block's inline arms without the
@@ -205,6 +222,13 @@ pub struct BlockCacheStats {
     /// `cjalr` dispatches that missed the inline cache (including the
     /// install miss).
     pub sentry_ic_misses: u64,
+    /// Blocks replaced by a promoted superblock (hot one-way edge
+    /// appended). Not counted as builds: [`BlockCacheStats::misses`] only
+    /// moves on first execution of a start PC.
+    pub promotions: u64,
+    /// Guards of promoted blocks that resolved away from the promoted
+    /// path and left the block early.
+    pub side_exits: u64,
 }
 
 /// One weak successor link: valid only while the recorded generation is
@@ -223,6 +247,10 @@ struct BlockLink {
     fp_top: u64,
     /// Slot index of the successor block.
     target_slot: u32,
+    /// Times the link was followed while it was the slot's only live
+    /// link, counting up to [`HOT`], which makes the edge a promotion
+    /// candidate once.
+    follows: u32,
 }
 
 impl BlockLink {
@@ -333,22 +361,32 @@ impl BlockCache {
         self.slots[idx] = Some(block);
     }
 
-    /// Looks up a live successor link out of slot `from`: current
+    /// Follows a live successor link out of slot `from`: current
     /// generation, same successor address, same PCC fingerprint. Returns
-    /// the successor's slot.
+    /// the successor's slot, and whether this follow made the edge hot:
+    /// the newest link taken for the [`HOT`]-th time while the second link
+    /// slot holds no live link (the block has left one way only).
     #[inline]
-    pub(crate) fn link_lookup(
-        &self,
+    pub(crate) fn link_follow(
+        &mut self,
         from: usize,
         gen: u64,
         next_pc: u32,
         fp: (u32, u64),
-    ) -> Option<usize> {
-        let sl = self.links.get(from)?;
-        sl.links
-            .iter()
-            .find(|l| l.matches(gen, next_pc, fp))
-            .map(|l| l.target_slot as usize)
+    ) -> Option<(usize, bool)> {
+        let sl = self.links.get_mut(from)?;
+        let [newest, older] = &mut sl.links;
+        if newest.matches(gen, next_pc, fp) {
+            let mut hot = false;
+            if newest.follows < HOT && older.gen_plus1 != gen + 1 {
+                newest.follows += 1;
+                hot = newest.follows == HOT;
+            }
+            return Some((newest.target_slot as usize, hot));
+        }
+        older
+            .matches(gen, next_pc, fp)
+            .then_some((older.target_slot as usize, false))
     }
 
     /// Records a successor link out of slot `from` (most-recent-first,
@@ -371,6 +409,7 @@ impl BlockCache {
             fp_base: fp.0,
             fp_top: fp.1,
             target_slot: target_slot as u32,
+            follows: 0,
         };
         if !sl.links[0].matches(gen, next_pc, fp) {
             sl.links[1] = sl.links[0];
@@ -400,24 +439,40 @@ impl BlockCache {
         }
     }
 
+    /// Accounts for a promoted block the dispatch loop is installing in
+    /// the slot of the block it holds (the loop already verified its
+    /// fetch under the current PCC). Bumps the generation: a link *into*
+    /// that slot recorded under another PCC fingerprint certified only
+    /// the old block's ranges, never the appended ones, so every link and
+    /// inline cache must die. Returns the new generation.
+    pub(crate) fn note_promotion(&mut self) -> u64 {
+        self.stats.promotions += 1;
+        self.stats.generation += 1;
+        self.stats.generation
+    }
+
+    /// The slots whose blocks can cover the code word at `slot`: starts
+    /// within `MAX_COVER_SPAN - 1` slots on either side.
+    fn cover_window(&self, slot: usize) -> std::ops::Range<usize> {
+        let lo = slot.saturating_sub(MAX_COVER_SPAN - 1);
+        let hi = (slot + MAX_COVER_SPAN).min(self.slots.len());
+        lo..hi.max(lo)
+    }
+
     /// Drops every cached block covering `addr` through any of its ranges
     /// (there can be several: slow-path entry mid-block builds overlapping
-    /// suffix blocks; superblocks cover disjoint segments). Returns the
-    /// number discarded. Always bumps the generation: the *code* changed
-    /// whether or not a block cached it — and the bump alone retires every
+    /// suffix blocks; superblocks cover disjoint segments, and a promoted
+    /// block can cover code *below* its start). Returns the number
+    /// discarded. Always bumps the generation: the *code* changed whether
+    /// or not a block cached it — and the bump alone retires every
     /// successor link and inline cache.
     pub fn invalidate_covering(&mut self, addr: u32) -> u64 {
         self.stats.generation += 1;
         let Some(slot) = Self::slot_of(addr & !3) else {
             return 0;
         };
-        if self.slots.is_empty() {
-            return 0;
-        }
-        let lo = slot.saturating_sub(MAX_COVER_SPAN - 1);
-        let hi = slot.min(self.slots.len() - 1);
         let mut removed = 0;
-        for s in lo..=hi {
+        for s in self.cover_window(slot) {
             if let Some(b) = &self.slots[s] {
                 if b.covers(addr) {
                     self.slots[s] = None;
@@ -432,18 +487,19 @@ impl BlockCache {
     /// Called after code is appended at `old_end` (the previous exclusive
     /// end of the code region): drops blocks that ended exactly there, so a
     /// block truncated by the end of loaded code is rebuilt over the new
-    /// instructions. (Only a block's *final* segment can be truncated by
-    /// the code end — forward chasing never targets the last loaded word —
-    /// so checking `end` still suffices for superblocks.) Returns the
-    /// number discarded.
+    /// instructions. Only a block's *final* segment can be truncated by
+    /// the code end: decode stops there, so a segment that ends at the
+    /// code end is the last one decoded, and promotion only appends after
+    /// a block's final `j` or branch, which ended it at a boundary rather
+    /// than at the code end. Checking `end` therefore suffices for
+    /// superblocks of both kinds. Returns the number discarded.
     pub fn on_append(&mut self, old_end: u32) -> u64 {
         self.stats.generation += 1;
         let Some(end_slot) = Self::slot_of(old_end) else {
             return 0;
         };
-        let lo = end_slot.saturating_sub(MAX_COVER_SPAN);
         let mut removed = 0;
-        for s in lo..end_slot.min(self.slots.len()) {
+        for s in self.cover_window(end_slot.saturating_sub(1)) {
             if let Some(b) = &self.slots[s] {
                 if b.end == old_end {
                     self.slots[s] = None;
@@ -490,10 +546,6 @@ pub fn build_block(
     let mut seg_start = start;
     let mut idx = start_idx;
     let mut prev_is_load = true; // a hazard can cross the block entry
-                                 // Accumulates [`Block::worst_cycles`]: pushed `base_cycles` (chased
-                                 // jumps carry their folded penalty), a worst-case stall wherever the
-                                 // hazard is consulted, and the final instruction's worst penalty.
-    let mut worst_cycles = 0u64;
     while let Some(&instr) = code.get(idx) {
         let pc = layout::CODE_BASE + 4 * idx as u32;
         let mut base_cycles = core.instr_cycles(&instr);
@@ -508,12 +560,12 @@ pub fn build_block(
             if let Instr::Jal { rd, offset } = instr {
                 let target = pc.wrapping_add(offset as u32);
                 // Forward only (backward jumps are loop edges — the
-                // successor links handle those without unrolling), and
-                // always leaving room for at least one instruction at the
-                // target, so a chased jump is never the last instruction
-                // (its jump penalty is folded into `base_cycles`; the
-                // dispatch loop must never route it through `exec`, which
-                // would charge the penalty again).
+                // successor links and runtime promotion handle those
+                // without unrolling), and always leaving room for at least
+                // one instruction at the target, so a chased jump is never
+                // the last instruction (its jump penalty is folded into
+                // `base_cycles`; the dispatch loop must never route it
+                // through `exec`, which would charge the penalty again).
                 if rd == Reg::ZERO
                     && offset % 4 == 0
                     && target > pc
@@ -521,9 +573,6 @@ pub fn build_block(
                 {
                     let t_idx = ((target - layout::CODE_BASE) / 4) as usize;
                     if t_idx < code.len() && t_idx - start_idx < MAX_COVER_SPAN {
-                        worst_cycles += base_cycles
-                            + core.jump_penalty
-                            + if prev_is_load { core.load_to_use } else { 0 };
                         insns.push(PredecodedInsn {
                             pc,
                             instr,
@@ -541,7 +590,6 @@ pub fn build_block(
                 }
             }
         }
-        worst_cycles += base_cycles + if prev_is_load { core.load_to_use } else { 0 };
         insns.push(PredecodedInsn {
             pc,
             instr,
@@ -559,23 +607,96 @@ pub fn build_block(
             break;
         }
     }
-    let end = layout::CODE_BASE + 4 * idx as u32;
-    ranges.push((seg_start, end));
-    // The final instruction may pay a taken-branch or jump penalty on top
-    // of its base cost (interior chased jumps already folded theirs in).
-    worst_cycles += core.branch_taken_penalty.max(core.jump_penalty);
-    // Fast stream: fold chased jumps — interior `jal x0`, identified by
-    // position, since every other `jal` ends the block — into the
-    // instruction they land on, and stop at the first instruction the
-    // inline arms cannot handle.
-    let mut fast = Vec::with_capacity(insns.len());
+    ranges.push((seg_start, layout::CODE_BASE + 4 * idx as u32));
+    finish(start, insns, ranges, core)
+}
+
+/// Promotes a hot edge: `head` followed by `tail`, the block at the
+/// successor `head`'s final `j` or conditional branch keeps taking, as one
+/// block starting at `head.start`. The final `j` becomes interior with its
+/// jump penalty folded in, exactly like a decode-time chased jump; a final
+/// conditional branch becomes a *guard* — identified by its interior
+/// position — that continues when it resolves to the next instruction's
+/// `pc` and otherwise leaves the block through its real successor.
+///
+/// `None` when `head` does not end in `j` or a conditional branch, `tail`
+/// does not start at one of its successors, the result would exceed
+/// [`MAX_BLOCK_LEN`], cover some address twice (nothing is unrolled), or
+/// reach more than [`MAX_COVER_SPAN`] - 1 words from `head.start` in
+/// either direction.
+pub fn promote(head: &Block, tail: &Block, core: &CoreModel) -> Option<Block> {
+    let last = head.insns.last()?;
+    let folded_penalty = match last.instr {
+        Instr::Jal { rd, offset } if rd == Reg::ZERO => {
+            (last.pc.wrapping_add(offset as u32) == tail.start).then_some(core.jump_penalty)?
+        }
+        Instr::Branch { offset, .. } => (tail.start == last.pc.wrapping_add(4)
+            || tail.start == last.pc.wrapping_add(offset as u32))
+        .then_some(0)?,
+        _ => return None,
+    };
+    if head.len() + tail.len() > MAX_BLOCK_LEN {
+        return None;
+    }
+    let span = 4 * (MAX_COVER_SPAN as u32 - 1);
+    let (lo, hi) = (
+        head.start.saturating_sub(span),
+        head.start.saturating_add(span),
+    );
+    for &(s, e) in tail.ranges.iter() {
+        if s < lo || e - 4 > hi || head.ranges.iter().any(|&(hs, he)| s < he && hs < e) {
+            return None;
+        }
+    }
+    let mut insns = Vec::with_capacity(head.len() + tail.len());
+    insns.extend_from_slice(&head.insns);
+    insns.last_mut()?.base_cycles += folded_penalty;
+    let first_tail = insns.len();
+    insns.extend_from_slice(&tail.insns);
+    // The hazard gate of the tail's first instruction was armed only
+    // because a hazard can cross a block entry; behind a `j` or branch
+    // (never a load) no hazard is pending.
+    insns[first_tail].check_hazard = false;
+    let mut ranges = head.ranges.to_vec();
+    for &(s, e) in tail.ranges.iter() {
+        match ranges.last_mut() {
+            Some(r) if r.1 == s => r.1 = e,
+            _ => ranges.push((s, e)),
+        }
+    }
+    Some(finish(head.start, insns, ranges, core))
+}
+
+/// Completes a block from its instructions and covered ranges: the
+/// [`Block::worst_cycles`] bound and the fast stream.
+fn finish(
+    start: u32,
+    insns: Vec<PredecodedInsn>,
+    ranges: Vec<(u32, u32)>,
+    core: &CoreModel,
+) -> Block {
+    let n = insns.len();
+    // Pushed `base_cycles` (interior jumps carry their folded penalty), a
+    // worst-case stall wherever the hazard is consulted, each guard's
+    // taken penalty, and the final instruction's worst penalty.
+    let mut worst_cycles = core.branch_taken_penalty.max(core.jump_penalty);
+    for (i, d) in insns.iter().enumerate() {
+        worst_cycles += d.base_cycles + if d.check_hazard { core.load_to_use } else { 0 };
+        if i + 1 < n && matches!(d.instr, Instr::Branch { .. }) {
+            worst_cycles += core.branch_taken_penalty;
+        }
+    }
+    // Fast stream: fold interior `jal x0` — identified by position, since
+    // every other `jal` ends the block — into the instruction they land
+    // on, and stop at the first instruction the inline arms cannot handle.
+    let mut fast = Vec::with_capacity(n);
     let mut fast_end = 0u32;
     let mut fold_cycles = 0u64;
     let mut fold_retires = 0u32;
     let mut fold_start: Option<u32> = None;
     let mut fold_hazard: Option<(bool, [Option<Reg>; 2])> = None;
     for (i, d) in insns.iter().enumerate() {
-        let interior = i + 1 < insns.len();
+        let interior = i + 1 < n;
         if interior && matches!(d.instr, Instr::Jal { rd, .. } if rd == Reg::ZERO) {
             fold_cycles += d.base_cycles;
             fold_retires += 1;
@@ -585,7 +706,7 @@ pub fn build_block(
             }
             continue;
         }
-        if !statically_fast(&d.instr) {
+        if !(statically_fast(&d.instr) || interior && matches!(d.instr, Instr::Branch { .. })) {
             break;
         }
         let (check_hazard, srcs) = fold_hazard.take().unwrap_or((d.check_hazard, d.srcs));
@@ -603,7 +724,7 @@ pub fn build_block(
     }
     Block {
         start,
-        end,
+        end: ranges.last().map_or(start, |r| r.1),
         insns: insns.into_boxed_slice(),
         ranges: ranges.into_boxed_slice(),
         worst_cycles,
@@ -836,17 +957,17 @@ mod tests {
         let fp = (0x8000_0000u32, 0x8001_0000u64);
         cache.link_insert(0, gen, 0x8000_0040, fp, 4);
         cache.link_insert(0, gen, 0x8000_0080, fp, 8);
-        assert_eq!(cache.link_lookup(0, gen, 0x8000_0040, fp), Some(4));
-        assert_eq!(cache.link_lookup(0, gen, 0x8000_0080, fp), Some(8));
+        assert_eq!(cache.link_follow(0, gen, 0x8000_0040, fp), Some((4, false)));
+        assert_eq!(cache.link_follow(0, gen, 0x8000_0080, fp), Some((8, false)));
         assert_eq!(cache.stats.chain_links, 2);
         // Different fingerprint: no match.
         let other_fp = (0x8000_0000u32, 0x8000_8000u64);
-        assert_eq!(cache.link_lookup(0, gen, 0x8000_0040, other_fp), None);
+        assert_eq!(cache.link_follow(0, gen, 0x8000_0040, other_fp), None);
         // Any invalidation event retires every link at once.
         cache.invalidate_covering(0x100);
         let gen = cache.stats.generation;
-        assert_eq!(cache.link_lookup(0, gen, 0x8000_0040, fp), None);
-        assert_eq!(cache.link_lookup(0, gen, 0x8000_0080, fp), None);
+        assert_eq!(cache.link_follow(0, gen, 0x8000_0040, fp), None);
+        assert_eq!(cache.link_follow(0, gen, 0x8000_0080, fp), None);
     }
 
     #[test]
@@ -861,7 +982,151 @@ mod tests {
         cache.link_insert(0, gen, 0x8000_0080, fp, 8);
         // Refreshing the hot edge must not evict the cold one.
         cache.link_insert(0, gen, 0x8000_0040, fp, 4);
-        assert_eq!(cache.link_lookup(0, gen, 0x8000_0080, fp), Some(8));
+        assert_eq!(cache.link_follow(0, gen, 0x8000_0080, fp), Some((8, false)));
+    }
+
+    /// `0: nop; 1: bne a0, a1, +8; 2: nop; 3: nop; 4: j -16; 5: halt` —
+    /// block 0 (words 0–1) branches to block 3 (words 3–4), which jumps
+    /// back to word 0.
+    fn two_block_loop() -> Vec<Instr> {
+        vec![
+            Instr::NOP,
+            Instr::Branch {
+                cond: BranchCond::Ne,
+                rs1: Reg::A0,
+                rs2: Reg::A1,
+                offset: 8,
+            },
+            Instr::NOP,
+            Instr::NOP,
+            Instr::Jal {
+                rd: Reg::ZERO,
+                offset: -16,
+            },
+            Instr::Halt,
+        ]
+    }
+
+    #[test]
+    fn promotion_keeps_a_branch_as_guard_and_folds_a_jump() {
+        let code = two_block_loop();
+        let core = CoreModel::flute();
+        let (head, tail) = (
+            build_block(&code, 0, &core, true, true),
+            build_block(&code, 3, &core, true, true),
+        );
+        let sb = promote(&head, &tail, &core).expect("branch edge promotes");
+        let base = layout::CODE_BASE;
+        assert_eq!(sb.len(), 4);
+        assert_eq!(&*sb.ranges, &[(base, base + 8), (base + 12, base + 20)]);
+        assert_eq!(sb.end, base + 20);
+        // The guard keeps its bare cost; the bound adds its taken penalty.
+        assert_eq!(sb.insns[1].base_cycles, head.insns[1].base_cycles);
+        assert!(!sb.insns[2].check_hazard, "no hazard behind a branch");
+        assert_eq!(
+            sb.worst_cycles,
+            head.worst_cycles + tail.worst_cycles
+                - core.load_to_use
+                - core.branch_taken_penalty.max(core.jump_penalty)
+                + core.branch_taken_penalty
+        );
+        // The guard runs in the fast stream; the final `j` does not.
+        assert_eq!(sb.fast.len(), 3);
+        assert_eq!(sb.fast_end, 3);
+
+        // The loop tail's backward `j` appends code *below* the start and
+        // becomes interior with its penalty folded in.
+        let sb = promote(&tail, &head, &core).expect("jump edge promotes");
+        assert_eq!(&*sb.ranges, &[(base + 12, base + 20), (base, base + 8)]);
+        assert_eq!(
+            sb.insns[1].base_cycles,
+            tail.insns[1].base_cycles + core.jump_penalty
+        );
+        assert!(sb.covers(base) && !sb.covers(base + 8));
+    }
+
+    #[test]
+    fn promotion_refuses_what_it_cannot_append_exactly() {
+        let code = two_block_loop();
+        let core = CoreModel::ibex();
+        let block = |i| build_block(&code, i, &core, true, true);
+        let sb = promote(&block(0), &block(3), &core).unwrap();
+        // Covering a word twice would unroll the loop.
+        assert!(promote(&sb, &block(0), &core).is_none());
+        // Word 4 is not a successor of the branch; `halt` ends no edge.
+        assert!(promote(&block(0), &block(4), &core).is_none());
+        assert!(promote(&block(5), &block(0), &core).is_none());
+        // Length cap: a 34-instruction head takes at most a
+        // 30-instruction tail.
+        let capped = |tail_nops: usize| {
+            let mut code = nopish(33);
+            code.push(Instr::Branch {
+                cond: BranchCond::Ne,
+                rs1: Reg::A0,
+                rs2: Reg::A1,
+                offset: 4,
+            });
+            code.extend(nopish(tail_nops));
+            code.push(Instr::Halt);
+            let head = build_block(&code, 0, &core, true, true);
+            let tail = build_block(&code, 34, &core, true, true);
+            promote(&head, &tail, &core)
+        };
+        assert_eq!(capped(29).map(|b| b.len()), Some(MAX_BLOCK_LEN));
+        assert!(capped(30).is_none());
+        // Cover span: the last word a block may reach is
+        // `MAX_COVER_SPAN - 1` words from its start.
+        let far = |target: usize| {
+            let mut code = vec![Instr::Branch {
+                cond: BranchCond::Eq,
+                rs1: Reg::A0,
+                rs2: Reg::A0,
+                offset: 4 * target as i32,
+            }];
+            code.extend(nopish(target - 1));
+            code.push(Instr::Halt);
+            let head = build_block(&code, 0, &core, true, true);
+            let tail = build_block(&code, target, &core, true, true);
+            promote(&head, &tail, &core)
+        };
+        assert!(far(MAX_COVER_SPAN - 1).is_some());
+        assert!(far(MAX_COVER_SPAN).is_none());
+    }
+
+    #[test]
+    fn a_link_turns_hot_once_and_only_while_one_way() {
+        let mut cache = BlockCache::default();
+        let code = nopish(16);
+        let core = CoreModel::ibex();
+        cache.insert(0, Arc::new(build_block(&code, 0, &core, true, true)), 16);
+        let gen = cache.stats.generation;
+        let fp = (0x8000_0000u32, 0x8001_0000u64);
+        cache.link_insert(0, gen, 0x8000_0040, fp, 4);
+        let hot: Vec<bool> = (0..HOT + 4)
+            .map(|_| cache.link_follow(0, gen, 0x8000_0040, fp).unwrap().1)
+            .collect();
+        assert_eq!(hot.iter().filter(|&&h| h).count(), 1);
+        assert!(hot[HOT as usize - 1], "the HOT-th follow");
+        // A second live link means the block leaves both ways: never hot.
+        cache.link_insert(1, gen, 0x8000_0040, fp, 4);
+        cache.link_insert(1, gen, 0x8000_0080, fp, 8);
+        for _ in 0..2 * HOT {
+            assert!(!cache.link_follow(1, gen, 0x8000_0080, fp).unwrap().1);
+        }
+    }
+
+    #[test]
+    fn invalidation_scans_below_a_promoted_start() {
+        let code = two_block_loop();
+        let core = CoreModel::ibex();
+        let (head, tail) = (
+            build_block(&code, 0, &core, true, true),
+            build_block(&code, 3, &core, true, true),
+        );
+        let mut cache = BlockCache::default();
+        cache.insert(3, Arc::new(promote(&tail, &head, &core).unwrap()), 6);
+        assert_eq!(cache.invalidate_covering(layout::CODE_BASE + 4), 1);
+        assert_eq!(cache.resident(), 0, "word 1 lies below the start slot");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`CoreModel`].
 
 use crate::blockcache::{
-    build_block, Block, BlockCache, BlockCacheStats, PredecodedInsn, SentryIc,
+    build_block, promote, Block, BlockCache, BlockCacheStats, PredecodedInsn, SentryIc,
 };
 use crate::bus::{DeviceBus, Uart};
 use crate::cpu::Cpu;
@@ -1315,19 +1315,21 @@ impl Machine {
     }
 
     /// Dispatches one predecoded instruction through the inline fast
-    /// arms, mirroring each `exec` arm exactly. Returns whether the
-    /// instruction was handled: on `true` nothing trapped, halted or
-    /// jumped, no penalty cycles accrued beyond `base_cycles`, and
-    /// neither `mtimecmp` nor the revoker IRQ line moved — the guarantees
-    /// the chained dispatch loop's register-resident counters and its
-    /// unchecked inner loop (DESIGN.md §13) rely on. On `false` nothing
-    /// was mutated and the caller re-executes through the general `exec`
-    /// path from scratch. `interior` is true when another predecoded
-    /// instruction follows in the same block (it gates the chased-jump
-    /// arm, whose penalty was folded in at decode).
+    /// arms, mirroring each `exec` arm exactly. On [`Fast::Done`] nothing
+    /// trapped, halted or jumped, no penalty cycles accrued beyond
+    /// `base_cycles`, and neither `mtimecmp` nor the revoker IRQ line
+    /// moved — the guarantees the chained dispatch loop's
+    /// register-resident counters and its unchecked inner loop
+    /// (DESIGN.md §13) rely on. [`Fast::Guard`] gives the same guarantees
+    /// except that the caller charges the taken penalty and checks the
+    /// successor. On [`Fast::Bail`] nothing was mutated and the caller
+    /// re-executes through the general `exec` path from scratch.
+    /// `interior` is true when another predecoded instruction follows in
+    /// the same block (it gates the interior-jump arm, whose penalty was
+    /// folded in at decode or promotion, and the guard arm).
     #[inline(always)]
-    fn exec_fast(&mut self, d: &PredecodedInsn, interior: bool) -> bool {
-        match d.instr {
+    fn exec_fast(&mut self, d: &PredecodedInsn, interior: bool) -> Fast {
+        let done = match d.instr {
             Instr::Lui { rd, imm } => {
                 self.cpu.write_int(rd, imm << 12);
                 true
@@ -1549,15 +1551,41 @@ impl Machine {
                 self.cpu.write(rd, c);
                 true
             }
-            // An *interior* `j` is a chased superblock edge: rd is
-            // x0 (no state change), the jump penalty was folded
-            // into `base_cycles` at decode, and the next
-            // predecoded instruction's `pc` is the target. A `j`
-            // in last position was *not* chased and takes the
-            // inline exit arm below instead (charging the penalty
-            // here and there would double-count it).
+            // An *interior* `j` is a superblock edge (chased at
+            // decode or appended by promotion): rd is x0 (no state
+            // change), the jump penalty was folded into
+            // `base_cycles`, and the next predecoded instruction's
+            // `pc` is the target. A `j` in last position takes the
+            // inline exit arm in `exec_chain` instead (charging the
+            // penalty here and there would double-count it).
             Instr::Jal { rd, .. } if rd == Reg::ZERO && interior => true,
+            // An interior conditional branch is a promoted block's
+            // guard. It mirrors the `exec` arm (it cannot trap); the
+            // caller charges the taken penalty and leaves the block
+            // when `npc` is not the next instruction.
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset,
+            } if interior => {
+                let a = self.cpu.read_int(rs1);
+                let b = self.cpu.read_int(rs2);
+                let taken = branch_taken(cond, a, b);
+                let npc = if taken {
+                    self.stats.taken_branches += 1;
+                    d.pc.wrapping_add(offset as u32)
+                } else {
+                    d.pc.wrapping_add(4)
+                };
+                return Fast::Guard { npc, taken };
+            }
             _ => false,
+        };
+        if done {
+            Fast::Done
+        } else {
+            Fast::Bail
         }
     }
 
@@ -1598,11 +1626,12 @@ impl Machine {
 
         let chain = self.cfg.block_chain;
         // Successor links and inline caches embed the generation they
-        // were recorded under. It cannot move mid-chain — invalidation
-        // only happens through external `Machine` APIs (`patch_code`,
-        // program loads, `flush_block_cache`), never from `exec` — so one
-        // load covers the whole chain.
-        let gen = self.blocks.stats.generation;
+        // were recorded under. Code cannot change mid-chain —
+        // invalidation only happens through external `Machine` APIs
+        // (`patch_code`, program loads, `flush_block_cache`), never from
+        // `exec` — so the only mid-chain bump is this loop's own
+        // promotion, which reloads it.
+        let mut gen = self.blocks.stats.generation;
         // The PCC address is materialised lazily: the loop reads each
         // instruction's predecoded `pc` and writes the PCC only at stop
         // boundaries and real jumps (every path below that leaves the
@@ -1668,7 +1697,10 @@ impl Machine {
                 // twice: `ins`/`cyc` are charged only after `exec_fast`
                 // succeeds, and a hazard stall consumed here stays consumed
                 // (`pending_use.take()`), matching the stepwise order of
-                // charge-then-execute.
+                // charge-then-execute. A guard that resolves away from the
+                // next instruction charges its real cycles, retires, and
+                // leaves through the ordinary fall-through boundary; the
+                // bound covered its taken penalty.
                 let mut skip = 0usize;
                 if plain_cycles
                     && !has_tracer
@@ -1687,9 +1719,25 @@ impl Machine {
                                 }
                             }
                         }
-                        if !self.exec_fast(&f.d, true) {
-                            skip = f.resume as usize;
-                            break;
+                        match self.exec_fast(&f.d, true) {
+                            Fast::Done => {}
+                            Fast::Bail => {
+                                skip = f.resume as usize;
+                                break;
+                            }
+                            Fast::Guard { npc, taken } => {
+                                ins += u64::from(f.retires);
+                                cyc += f.cycles;
+                                if taken {
+                                    cyc += self.cfg.core.branch_taken_penalty;
+                                }
+                                let next = (f.resume + f.retires) as usize;
+                                if npc != block.insns[next].pc {
+                                    self.blocks.stats.side_exits += 1;
+                                    break 'body BodyExit::Fall(npc);
+                                }
+                                continue;
+                            }
                         }
                         ins += u64::from(f.retires);
                         cyc += f.cycles;
@@ -1730,15 +1778,29 @@ impl Machine {
                         self.trace_emit(EventKind::InstrRetired { pc });
                     }
                     let fast = self.exec_fast(d, i + 1 < n);
-                    if fast {
+                    if fast != Fast::Bail {
+                        let cycles = match fast {
+                            Fast::Guard { taken: true, .. } => {
+                                d.base_cycles + self.cfg.core.branch_taken_penalty
+                            }
+                            _ => d.base_cycles,
+                        };
                         if plain_cycles {
-                            cyc += d.base_cycles;
+                            cyc += cycles;
                         } else {
                             self.cycles = cyc;
-                            self.advance(d.base_cycles, d.mem_beats);
+                            self.advance(cycles, d.mem_beats);
                             cyc = self.cycles;
                             irq_pend = self.irq_lines_pending();
                             plain_cycles = self.cycles_plain();
+                        }
+                        // A guard is always interior: it either continues
+                        // at the next instruction or side-exits here.
+                        if let Fast::Guard { npc, .. } = fast {
+                            if npc != block.insns[i + 1].pc {
+                                self.blocks.stats.side_exits += 1;
+                                break 'body BodyExit::Fall(npc);
+                            }
                         }
                         // Fast arms cannot halt, so only the interrupt-arrival
                         // check applies before the next instruction. (A fast
@@ -2001,10 +2063,27 @@ impl Machine {
                     }
                 }
             }
-            if let Some(slot) = self.blocks.link_lookup(idx, gen, next_pc, fp) {
+            if let Some((slot, hot)) = self.blocks.link_follow(idx, gen, next_pc, fp) {
                 // Link hit: the target block was verified for fetch under
                 // this exact fingerprint when the link was recorded, so
                 // the per-dispatch `verify_block_fetch` is elided.
+                if hot && slot != idx {
+                    // Promotion (DESIGN.md §13): the held block has left
+                    // through this one link `HOT` times, so its slot gets
+                    // the block followed by its successor. Only this
+                    // machine's slot changes: the `Arc` a fork may share
+                    // is replaced, never mutated. The successor still runs
+                    // next as a separate block; the superblock serves the
+                    // next entry into this slot.
+                    let promoted = self
+                        .blocks
+                        .lookup(slot)
+                        .and_then(|tail| promote(&block, &tail, &self.cfg.core));
+                    if let Some(sb) = promoted.filter(|sb| self.verify_block_fetch(sb)) {
+                        block = Arc::new(sb);
+                        gen = self.blocks.note_promotion();
+                    }
+                }
                 if slot == idx {
                     // Self-loop (a one-block spin): the held block is its
                     // own successor.
@@ -2651,6 +2730,20 @@ enum PcOutcome {
 enum BlockExit {
     Stop,
     Continue,
+}
+
+/// What `Machine::exec_fast` did with one predecoded instruction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Fast {
+    /// Executed: nothing beyond `base_cycles` accrued and control falls
+    /// through to the next predecoded instruction.
+    Done,
+    /// Refused with nothing mutated: re-execute through `exec`.
+    Bail,
+    /// A guard (interior conditional branch of a promoted block) resolved
+    /// to `npc`; `taken` says whether it pays the taken-branch penalty.
+    /// The block continues only if `npc` is the next instruction's `pc`.
+    Guard { npc: u32, taken: bool },
 }
 
 /// The interrupt-posture effect of jumping to `target` via `cjalr`,

@@ -6,7 +6,7 @@
 //! revoker sweep takes idle cycles from the chained loop's fast arms.
 
 use cheriot_cap::Capability;
-use cheriot_core::insn::{AluOp, CapField, CsrId, CsrOp, Instr, MemWidth, Reg, ScrId};
+use cheriot_core::insn::{AluOp, BranchCond, CapField, CsrId, CsrOp, Instr, MemWidth, Reg, ScrId};
 use cheriot_core::revocation::revoker_reg;
 use cheriot_core::{layout, CoreModel, ExitReason, Machine, MachineConfig};
 
@@ -459,7 +459,16 @@ const IRQ_LOG: u32 = layout::SRAM_BASE + 0x6000;
 /// and counts deliveries in `a1`. Each sweep starts inside a chained
 /// stretch that began with the revoker idle, so the loop's fast arms run
 /// both with and without a sweep in flight.
-fn live_sweep_machine(core: CoreModel, (block_cache, block_chain): (bool, bool)) -> Machine {
+///
+/// With `guard`, a branch before the kick skips an `s0` increment while
+/// `a0 < GUARD_FLIP` and runs it afterwards: the loop is then two blocks
+/// that chained dispatch promotes into one superblock, and the branch,
+/// now a guard, side-exits on every iteration past the flip.
+fn live_sweep_machine(
+    core: CoreModel,
+    (block_cache, block_chain): (bool, bool),
+    guard: bool,
+) -> Machine {
     let mut m = Machine::new(MachineConfig::new(core));
     m.cfg.block_cache = block_cache;
     m.cfg.block_chain = block_chain;
@@ -504,7 +513,7 @@ fn live_sweep_machine(core: CoreModel, (block_cache, block_chain): (bool, bool))
         Instr::Mret,
     ];
     let h = m.load_program(&handler);
-    let main = vec![
+    let mut main = vec![
         // START = SWEEP_BASE (s0), END = s0 + SWEEP_LEN (t0).
         Instr::Store {
             width: MemWidth::W,
@@ -518,6 +527,20 @@ fn live_sweep_machine(core: CoreModel, (block_cache, block_chain): (bool, bool))
             rs1: Reg::A2,
             offset: revoker_reg::END as i32,
         },
+    ];
+    if guard {
+        // End the setup block here, so the loop head is its own block and
+        // its edge is the first to turn hot: the head absorbs the kick
+        // block and the guard stays interior.
+        main.push(Instr::Branch {
+            cond: BranchCond::Eq,
+            rs1: Reg::ZERO,
+            rs2: Reg::ZERO,
+            offset: 4,
+        });
+    }
+    let top = main.len();
+    main.extend([
         // loop:
         op_imm(AluOp::Add, Reg::A0, Reg::A0, 1),
         op_imm(AluOp::Sll, Reg::T2, Reg::A0, 3),
@@ -548,17 +571,29 @@ fn live_sweep_machine(core: CoreModel, (block_cache, block_chain): (bool, bool))
             rs1: Reg::A5,
             offset: 0x400,
         },
-        Instr::Store {
-            width: MemWidth::W,
-            rs2: Reg::A3,
-            rs1: Reg::A2,
-            offset: revoker_reg::KICK as i32,
-        },
-        Instr::Jal {
-            rd: Reg::ZERO,
-            offset: -36,
-        },
-    ];
+    ]);
+    if guard {
+        main.extend([
+            op_imm(AluOp::Sltu, Reg::T1, Reg::A0, GUARD_FLIP),
+            Instr::Branch {
+                cond: BranchCond::Ne,
+                rs1: Reg::T1,
+                rs2: Reg::ZERO,
+                offset: 8,
+            },
+            op_imm(AluOp::Add, Reg::S0, Reg::S0, 1),
+        ]);
+    }
+    main.push(Instr::Store {
+        width: MemWidth::W,
+        rs2: Reg::A3,
+        rs1: Reg::A2,
+        offset: revoker_reg::KICK as i32,
+    });
+    main.push(Instr::Jal {
+        rd: Reg::ZERO,
+        offset: -4 * (main.len() - top) as i32,
+    });
     let e = m.load_program(&main);
     m.set_entry(e);
     m.cpu.mtcc = m.boot_pcc(h);
@@ -581,6 +616,9 @@ fn live_sweep_machine(core: CoreModel, (block_cache, block_chain): (bool, bool))
     m
 }
 
+/// Iteration at which [`live_sweep_machine`]'s guard flips.
+const GUARD_FLIP: i32 = 2000;
+
 #[test]
 fn three_way_dispatch_equivalence_under_a_live_revoker_sweep() {
     // The chained loop keeps cycles register-resident and runs the
@@ -588,11 +626,34 @@ fn three_way_dispatch_equivalence_under_a_live_revoker_sweep() {
     // that a loop instruction starts must take its idle cycles from every
     // following instruction, in every tier, so its completion IRQ lands
     // at the same boundary.
+    assert_live_sweep_equivalence(false);
+}
+
+#[test]
+fn three_way_dispatch_equivalence_under_a_live_revoker_sweep_over_a_promoted_block() {
+    // The same sweep over a loop that chained dispatch has promoted into
+    // one superblock: its guard runs with and without a sweep in flight,
+    // continues before the flip and side-exits after it, and the
+    // completion IRQs still land at the same boundaries in every tier.
+    let chained = assert_live_sweep_equivalence(true);
+    for (kind, stats) in chained {
+        assert!(stats.promotions > 0, "{kind:?}: loop promoted");
+        assert!(stats.side_exits > 0, "{kind:?}: guard side-exits");
+    }
+}
+
+/// Runs [`live_sweep_machine`] in all three dispatch modes on both cores,
+/// asserts they agree on everything observable, and returns the chained
+/// machines' block-cache counters.
+fn assert_live_sweep_equivalence(
+    guard: bool,
+) -> Vec<(cheriot_core::CoreKind, cheriot_core::BlockCacheStats)> {
     let modes = [(false, false), (true, false), (true, true)];
+    let mut chained = Vec::new();
     for core in [CoreModel::ibex(), CoreModel::flute()] {
         let mut machines: Vec<Machine> = modes
             .iter()
-            .map(|&mode| live_sweep_machine(core, mode))
+            .map(|&mode| live_sweep_machine(core, mode, guard))
             .collect();
         let exits: Vec<ExitReason> = machines.iter_mut().map(|m| m.run(200_000)).collect();
         let (s, rest) = machines.split_first().unwrap();
@@ -637,5 +698,13 @@ fn three_way_dispatch_equivalence_under_a_live_revoker_sweep() {
             }
             assert!(m.sram.content_eq(&s.sram), "{at}: SRAM bytes and tags");
         }
+        if guard {
+            assert!(
+                s.cpu.read_int(Reg::S0) > 0,
+                "{kind:?}: loop must run past the guard's flip"
+            );
+        }
+        chained.push((kind, machines[2].block_stats()));
     }
+    chained
 }

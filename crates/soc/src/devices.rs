@@ -351,6 +351,14 @@ impl NetLoopback {
         NetLoopback::default()
     }
 
+    /// Address of descriptor `slot` in the ring at `base`. Both are guest
+    /// programmed and the guest may move the base after the head has
+    /// advanced, so the sum wraps like the bus address it is; a wrapped
+    /// address lands outside SRAM and the descriptor read fails.
+    fn desc_addr(base: u32, slot: u32) -> u32 {
+        base.wrapping_add(slot.wrapping_mul(NET_DESC_SIZE))
+    }
+
     fn read_desc(m: &mut Machine, addr: u32) -> Result<Desc, BusError> {
         let mut raw = [0u8; NET_DESC_SIZE as usize];
         m.dma_read(addr, &mut raw).map_err(|_| BusError)?;
@@ -384,7 +392,7 @@ impl NetLoopback {
     fn deliver(&mut self, m: &mut Machine, frame: &[u8]) -> Result<bool, BusError> {
         for _ in 0..self.rx_count {
             let slot = self.rx_head % self.rx_count;
-            let addr = self.rx_base + slot * NET_DESC_SIZE;
+            let addr = NetLoopback::desc_addr(self.rx_base, slot);
             let d = NetLoopback::read_desc(m, addr)?;
             if d.flags & 1 == 0 {
                 return Ok(false);
@@ -406,7 +414,7 @@ impl NetLoopback {
         }
         for _ in 0..self.tx_count {
             let slot = self.tx_head % self.tx_count;
-            let addr = self.tx_base + slot * NET_DESC_SIZE;
+            let addr = NetLoopback::desc_addr(self.tx_base, slot);
             let Ok(d) = NetLoopback::read_desc(m, addr) else {
                 return;
             };
