@@ -156,8 +156,6 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignArgs, String> {
                 }
                 cfg.classes = classes;
             }
-            "--no-snapshot" => cfg.use_snapshot = false,
-            "--no-cow" => cfg.cow = false,
             "--json" => json_out = Some(PathBuf::from(value(f, &mut it)?)),
             "--out" => text_out = Some(PathBuf::from(value(f, &mut it)?)),
             other => return Err(format!("unknown flag `{other}` for `fault-campaign`")),
@@ -384,13 +382,6 @@ mod tests {
         assert_eq!(a.cfg.threads, 4);
         assert_eq!(a.cfg.classes.len(), 3);
         assert_eq!(a.json_out, Some(PathBuf::from("out.json")));
-        assert!(a.cfg.use_snapshot, "snapshot engine is the default");
-    }
-
-    #[test]
-    fn no_snapshot_selects_the_reboot_path() {
-        let a = parse_campaign_args(&v(&["--count", "2", "--no-snapshot"])).unwrap();
-        assert!(!a.cfg.use_snapshot);
     }
 
     #[test]
@@ -399,11 +390,6 @@ mod tests {
         assert!(a.opts.cow, "run: CoW page store is the default");
         let a = parse_run_args(&v(&["p.s", "--no-cow"])).unwrap();
         assert!(!a.opts.cow);
-        let a = parse_campaign_args(&v(&["--count", "2"])).unwrap();
-        assert!(a.cfg.cow, "fault-campaign: CoW is the default");
-        let a = parse_campaign_args(&v(&["--count", "2", "--no-cow"])).unwrap();
-        assert!(!a.cfg.cow);
-        assert!(a.cfg.use_snapshot, "--no-cow keeps the snapshot engine");
         let a = parse_farm_args(&v(&["--devices", "4"])).unwrap();
         assert!(a.cfg.cow, "farm: CoW is the default");
         let a = parse_farm_args(&v(&["--devices", "4", "--no-cow"])).unwrap();
@@ -527,5 +513,10 @@ mod tests {
         assert!(e.contains("--threads"), "{e}");
         let e = parse_campaign_args(&v(&["--seed-base", "x"])).unwrap_err();
         assert!(e.contains("--seed-base") && e.contains("`x`"), "{e}");
+        // The per-seed-reboot engine and its no-CoW variant are gone.
+        for flag in ["--no-snapshot", "--no-cow"] {
+            let e = parse_campaign_args(&v(&["--count", "2", flag])).unwrap_err();
+            assert!(e.contains(flag) && e.contains("fault-campaign"), "{e}");
+        }
     }
 }

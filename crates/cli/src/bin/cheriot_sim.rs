@@ -12,8 +12,8 @@
 //! cheriot-sim disasm prog.bin
 //! cheriot-sim fault-campaign [--seed-base N] [--count K] [--threads T]
 //!                            [--kinds tag,bounds,bitmap,...] [--faults N]
-//!                            [--cadence N] [--max-cycles N] [--no-snapshot]
-//!                            [--no-cow] [--json out.json] [--out out.txt]
+//!                            [--cadence N] [--max-cycles N]
+//!                            [--json out.json] [--out out.txt]
 //! cheriot-sim diff-fuzz [--seed-base N] [--count K] [--threads T]
 //!                       [--profile full|binary] [--budget-cycles N]
 //!                       [--json out.json] [--repro-dir results]
@@ -42,7 +42,7 @@ const USAGE: &str = "usage:
   cheriot-sim disasm <prog.bin>
   cheriot-sim fault-campaign [--seed-base N] [--count K] [--threads T] \
 [--kinds <k1,k2,...>] [--faults N] [--cadence N] [--max-cycles N] \
-[--no-snapshot] [--no-cow] [--json <out.json>] [--out <out.txt>]
+[--json <out.json>] [--out <out.txt>]
   cheriot-sim diff-fuzz [--seed-base N] [--count K] [--threads T] \
 [--profile full|binary] [--budget-cycles N] [--json <out.json>] \
 [--repro-dir <dir>]

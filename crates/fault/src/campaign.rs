@@ -23,11 +23,12 @@
 //!
 //! Campaigns run in parallel on a work-stealing pool
 //! ([`cheriot_core::sched::work_steal_with`]), each seed wrapped in
-//! `catch_unwind` so one panicking seed is reported, not fatal. By default
-//! each worker keeps one reusable machine and forks every run from an
-//! O(dirty) snapshot restore ([`SeedWorker`]); `use_snapshot = false`
-//! selects the legacy per-seed-reboot path, which produces byte-identical
-//! results (asserted by `snapshot_and_reboot_paths_agree_exactly`).
+//! `catch_unwind` so one panicking seed is reported, not fatal. Each
+//! worker keeps one reusable machine and forks every run from an O(dirty)
+//! snapshot restore ([`SeedWorker`]). The per-seed-reboot path is not a
+//! selectable engine: it survives only as the test module's fresh-boot
+//! oracle, which `snapshot_and_reboot_paths_agree_exactly` holds the
+//! engine to, byte for byte.
 
 use crate::inject::Injector;
 use crate::invariant::{InvariantChecker, InvariantViolation};
@@ -46,11 +47,13 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Directory of guest-held capabilities: base offset from SRAM start and
-/// slot count. It sits in the globals area below the heap and is watched
-/// strictly by the invariant checker (it only ever holds heap pointers).
-const DIR_OFFSET: u32 = 0x100;
+/// Directory of guest-held capabilities: first address, slot count and
+/// byte length. It sits in the globals area below the heap, reaches the
+/// guest as the capability in `gp`, and is watched strictly by the
+/// invariant checker (it only ever holds heap pointers).
+const DIR_LO: u32 = SRAM_BASE + 0x100;
 const DIR_SLOTS: u32 = 24;
+const DIR_LEN: u32 = DIR_SLOTS * 8;
 
 /// Classified result of one campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -116,17 +119,6 @@ pub struct CampaignConfig {
     pub cadence: u64,
     /// Per-run cycle budget.
     pub max_cycles: u64,
-    /// Run seeds through the snapshot/fork engine (the default): each
-    /// worker keeps one machine and forks every run from an O(dirty)
-    /// restore instead of booting per seed. `false` is the legacy
-    /// per-seed-reboot path (`fault-campaign --no-snapshot`), kept as a
-    /// cross-check — both paths produce byte-identical results.
-    pub use_snapshot: bool,
-    /// Copy-on-write page store for every campaign machine (the
-    /// default). `false` is the `--no-cow` escape hatch: snapshot
-    /// captures/restores deep-copy pages — byte-identical outcomes,
-    /// pre-CoW restore cost.
-    pub cow: bool,
 }
 
 impl Default for CampaignConfig {
@@ -139,8 +131,6 @@ impl Default for CampaignConfig {
             faults_per_run: 3,
             cadence: 2_000,
             max_cycles: 30_000_000,
-            use_snapshot: true,
-            cow: true,
         }
     }
 }
@@ -171,16 +161,15 @@ pub struct CampaignReport {
     /// Any entry here means the checker itself (or the simulator) is
     /// broken: a clean run must be invariant-silent.
     pub control_violations: Vec<InvariantViolation>,
-    /// Snapshot restores performed by the fork engine (0 on the legacy
-    /// per-seed-reboot path).
+    /// Snapshot restores performed by the fork engine.
     pub snapshot_restores: u64,
     /// SRAM pages moved across those restores: the pages whose CoW
     /// handles differed from the snapshot's. A rising pages-per-restore
     /// ratio flags a write path unsharing pages it did not need to.
     pub dirty_pages_copied: u64,
-    /// Host bytes those restores actually moved (honest accounting:
-    /// handle adoptions under CoW, data + tag bytes on deep copies, plus
-    /// the console backlog and code-handle adoptions).
+    /// Host bytes those restores actually moved (honest accounting: page
+    /// handle adoptions, plus the console backlog and code-handle
+    /// adoptions).
     pub snapshot_bytes_copied: u64,
 }
 
@@ -220,12 +209,10 @@ impl CampaignReport {
             "  control run violations: {}\n",
             self.control_violations.len()
         ));
-        if self.config.use_snapshot {
-            s.push_str(&format!(
-                "  snapshot engine: {} restores, {} dirty pages copied, {} bytes moved\n",
-                self.snapshot_restores, self.dirty_pages_copied, self.snapshot_bytes_copied
-            ));
-        }
+        s.push_str(&format!(
+            "  snapshot engine: {} restores, {} dirty pages copied, {} bytes moved\n",
+            self.snapshot_restores, self.dirty_pages_copied, self.snapshot_bytes_copied
+        ));
         for r in &self.results {
             if matches!(
                 r.outcome,
@@ -264,7 +251,6 @@ impl CampaignReport {
         );
         doc.push("faults_per_run", u64::from(self.config.faults_per_run));
         doc.push("cadence", self.config.cadence);
-        doc.push("use_snapshot", self.config.use_snapshot);
         doc.push("snapshot_restores", self.snapshot_restores);
         doc.push("dirty_pages_copied", self.dirty_pages_copied);
         doc.push("snapshot_bytes_copied", self.snapshot_bytes_copied);
@@ -320,44 +306,30 @@ impl Fingerprint {
     }
 }
 
-/// A freshly booted machine + heap with the seeded workload loaded, or a
-/// structured error string if loading failed (never a panic).
-/// Dispatch modes for [`fresh_run`]: `(block_cache, block_chain)`.
+/// Dispatch modes as `(block_cache, block_chain)`. The engine runs
+/// every seed chained; the test oracle runs its reference stepwise, and
+/// only the cross-mode equivalence tests exercise the cached middle mode.
+#[cfg(test)]
 const STEPWISE: (bool, bool) = (false, false);
-/// Block cache on, chaining off. Only the cross-mode equivalence tests
-/// exercise this middle mode; the campaign proper uses the two extremes.
 #[cfg(test)]
 const CACHED: (bool, bool) = (true, false);
 /// Block cache + chaining + sentry inline caches — the default path.
 const CHAINED: (bool, bool) = (true, true);
 
-/// `dispatch` is `(block_cache, block_chain)` and selects the execution
-/// path: the campaign runs its reference stepwise ([`STEPWISE`]) and its
-/// faulted run through the fully chained dispatch loop ([`CHAINED`]), so
-/// every campaign is also a cross-check that the predecoded-block cache,
-/// block chaining and the sentry inline caches are architecturally
-/// invisible (any cycle or behaviour drift shows up as a divergence).
-fn fresh_run(
-    seed: u64,
-    dispatch: (bool, bool),
-    cow: bool,
-) -> Result<(Machine, HeapAllocator, u32, u32), String> {
+/// Boots a campaign machine under `dispatch`: ibex core, a heap with
+/// hardware-revoker quarantine, and the directory capability in `gp`.
+/// No program is loaded yet. Returns a structured error, never a panic.
+fn boot(dispatch: (bool, bool)) -> Result<(Machine, HeapAllocator), String> {
     let mut mc = MachineConfig::new(CoreModel::ibex());
     (mc.block_cache, mc.block_chain) = dispatch;
-    mc.cow = cow;
     let mut m = Machine::new(mc);
     let heap = HeapAllocator::new(&mut m, TemporalPolicy::Quarantine(RevokerKind::Hardware));
-    let program = build_workload(seed);
-    let entry = m.try_load_program(&program).map_err(|e| e.to_string())?;
-    m.set_entry(entry);
-    let dir_lo = SRAM_BASE + DIR_OFFSET;
-    let dir_len = DIR_SLOTS * 8;
     let dir_cap = Capability::root_mem_rw()
-        .with_address(dir_lo)
-        .set_bounds(u64::from(dir_len))
+        .with_address(DIR_LO)
+        .set_bounds(u64::from(DIR_LEN))
         .ok_or_else(|| "directory capability is unrepresentable".to_string())?;
     m.cpu.write(Reg::GP, dir_cap);
-    Ok((m, heap, dir_lo, dir_len))
+    Ok((m, heap))
 }
 
 /// Builds the seed-parameterised guest: an unrolled malloc/store/load/free
@@ -447,64 +419,33 @@ fn pick_live(
     }
 }
 
-/// Runs one seeded campaign: reference run, then faulted run, then
-/// classification. Never panics on simulator errors — panics that do slip
-/// through are caught by the suite driver and classified [`Outcome::Panicked`].
-pub fn run_one(seed: u64, cfg: &CampaignConfig) -> CampaignResult {
-    let fail = |detail: String| CampaignResult {
+/// A [`Outcome::SimError`] result: the simulator refused the seed.
+fn sim_error(seed: u64, detail: String) -> CampaignResult {
+    CampaignResult {
         seed,
         outcome: Outcome::SimError,
         faults_applied: 0,
         cycles: 0,
         detail,
-    };
-
-    // Reference (fault-free) run, executed cache-off: its fingerprint and
-    // cycle count anchor both the fault classification and the block
-    // cache's exactness (the faulted run below executes cache-on).
-    let (mut m, mut heap, dir_lo, dir_len) = match fresh_run(seed, STEPWISE, cfg.cow) {
-        Ok(v) => v,
-        Err(e) => return fail(format!("reference setup: {e}")),
-    };
-    let r_ref = run_with_heap_service(&mut m, &mut heap, cfg.max_cycles);
-    if !matches!(r_ref, ExitReason::Halted(_)) {
-        return fail(format!("reference run did not exit cleanly: {r_ref:?}"));
     }
-    let reference = Fingerprint::take(r_ref, &mut m);
-    let ref_cycles = m.cycles.max(1);
-    let ref_instructions = m.stats.instructions;
-
-    // Faulted run (cache-on).
-    let (mut m, mut heap, _, _) = match fresh_run(seed, CHAINED, cfg.cow) {
-        Ok(v) => v,
-        Err(e) => return fail(format!("faulted setup: {e}")),
-    };
-    run_faulted_phase(
-        &mut m,
-        &mut heap,
-        seed,
-        cfg,
-        dir_lo,
-        dir_len,
-        &reference,
-        ref_cycles,
-        ref_instructions,
-    )
 }
 
 /// The faulted half of a campaign, starting from a machine in post-load
 /// state (however it got there — fresh boot or snapshot fork): arm the
 /// watchdog, generate and inject the plan, run the cadence checker, and
 /// classify against the reference fingerprint. Shared verbatim by the
-/// per-seed-reboot and snapshot/fork paths so the two cannot drift.
-#[allow(clippy::too_many_arguments)]
+/// snapshot/fork engine and the test module's fresh-boot oracle so the
+/// two cannot drift.
+///
+/// Kept out of line: inlined into its one production caller
+/// (`SeedWorker::run_seed`), the campaign benchmark ran about 3% fewer
+/// seeds per second on a 2-vCPU x86-64 VM.
+#[inline(never)]
 fn run_faulted_phase(
     m: &mut Machine,
     heap: &mut HeapAllocator,
     seed: u64,
     cfg: &CampaignConfig,
-    dir_lo: u32,
-    dir_len: u32,
     reference: &Fingerprint,
     ref_cycles: u64,
     ref_instructions: u64,
@@ -523,14 +464,14 @@ fn run_faulted_phase(
             classes: cfg.classes.clone(),
             count: cfg.faults_per_run,
             window: (ref_cycles / 10, ref_cycles.saturating_mul(9) / 10),
-            region: (dir_lo, used_he),
+            region: (DIR_LO, used_he),
             heap: (hb, used_he),
             code: (CODE_BASE, m.code_end()),
         },
     );
     let mut injector = Injector::new(plan);
     let mut checker = InvariantChecker::new(cfg.cadence.max(1));
-    checker.watch_region(dir_lo, dir_lo + dir_len);
+    checker.watch_region(DIR_LO, DIR_LO + DIR_LEN);
     let mut violations: Vec<InvariantViolation> = Vec::new();
     let deadline = cfg.max_cycles;
 
@@ -620,39 +561,26 @@ fn run_faulted_phase(
 /// the post-boot snapshot every seed starts from, a reusable post-load
 /// snapshot buffer, and the boot-state allocator to clone per run.
 ///
-/// The per-seed flow replaces two `Machine::new` boots (≈3.5 MB of
-/// allocation + zeroing each) and a duplicate workload build with two
-/// O(dirty) restores and one `HeapAllocator` clone per run. The reference
-/// runs cache-on (legacy runs it cache-off): the block cache is
-/// architecturally invisible — cycles, fingerprints and trap PCs are
-/// identical either way, which `faulted_runs_identical_cache_on_vs_off`
-/// and the cross-path smoke test assert — and the faulted fork then
-/// inherits the reference run's decoded blocks through the snapshot.
+/// A seed costs two O(dirty) restores, one workload build and one
+/// `HeapAllocator` clone per run, and no boot. The reference runs chained
+/// (the test oracle runs it stepwise): dispatch is architecturally
+/// invisible — cycles, fingerprints and trap PCs are identical in every
+/// mode, which
+/// `faulted_runs_identical_across_dispatch_modes` and the oracle test
+/// assert — and the faulted fork then inherits the reference run's
+/// decoded blocks through the snapshot.
 struct SeedWorker {
     m: Machine,
     boot_heap: HeapAllocator,
     boot_snap: Snapshot,
     seed_snap: Snapshot,
-    dir_lo: u32,
-    dir_len: u32,
     /// Snapshot counters already harvested into the suite totals.
     harvested: SnapshotStats,
 }
 
 impl SeedWorker {
-    fn new(cow: bool) -> Result<SeedWorker, String> {
-        let mut mc = MachineConfig::new(CoreModel::ibex());
-        mc.cow = cow;
-        let mut m = Machine::new(mc);
-        let boot_heap =
-            HeapAllocator::new(&mut m, TemporalPolicy::Quarantine(RevokerKind::Hardware));
-        let dir_lo = SRAM_BASE + DIR_OFFSET;
-        let dir_len = DIR_SLOTS * 8;
-        let dir_cap = Capability::root_mem_rw()
-            .with_address(dir_lo)
-            .set_bounds(u64::from(dir_len))
-            .ok_or_else(|| "directory capability is unrepresentable".to_string())?;
-        m.cpu.write(Reg::GP, dir_cap);
+    fn new() -> Result<SeedWorker, String> {
+        let (mut m, boot_heap) = boot(CHAINED)?;
         let boot_snap = m.snapshot();
         let seed_snap = boot_snap.clone();
         Ok(SeedWorker {
@@ -660,41 +588,42 @@ impl SeedWorker {
             boot_heap,
             boot_snap,
             seed_snap,
-            dir_lo,
-            dir_len,
             harvested: SnapshotStats::default(),
         })
     }
 
-    /// One campaign through the fork engine. State-identical to the
-    /// legacy path at every phase boundary: the restored machine is
+    /// Back to the (program-free) boot state — O(dirty from last run) —
+    /// then loads `seed`'s workload. Returns the boot-state allocator the
+    /// run starts from.
+    fn load(&mut self, seed: u64) -> Result<HeapAllocator, String> {
+        self.m.restore_from(&self.boot_snap);
+        let entry = self
+            .m
+            .try_load_program(&build_workload(seed))
+            .map_err(|e| e.to_string())?;
+        self.m.set_entry(entry);
+        Ok(self.boot_heap.clone())
+    }
+
+    /// One campaign through the fork engine. The restored machine is
     /// byte-identical to a fresh boot (asserted by the core snapshot
     /// tests), so reference cycles, plan windows, and classifications
-    /// match the per-seed-reboot path exactly.
+    /// match the fresh-boot oracle exactly.
     fn run_seed(&mut self, seed: u64, cfg: &CampaignConfig) -> CampaignResult {
-        let fail = |detail: String| CampaignResult {
-            seed,
-            outcome: Outcome::SimError,
-            faults_applied: 0,
-            cycles: 0,
-            detail,
+        let mut heap = match self.load(seed) {
+            Ok(heap) => heap,
+            Err(e) => return sim_error(seed, format!("reference setup: {e}")),
         };
-        // Back to the (program-free) boot state: O(dirty from last run).
-        self.m.restore_from(&self.boot_snap);
-        let program = build_workload(seed);
-        let entry = match self.m.try_load_program(&program) {
-            Ok(e) => e,
-            Err(e) => return fail(format!("reference setup: {e}")),
-        };
-        self.m.set_entry(entry);
         // Capture the post-load fork point. Loading touches only the code
         // region, so the SRAM side of this capture copies zero pages.
         self.m.snapshot_into(&mut self.seed_snap);
         // Reference run.
-        let mut heap = self.boot_heap.clone();
         let r_ref = run_with_heap_service(&mut self.m, &mut heap, cfg.max_cycles);
         if !matches!(r_ref, ExitReason::Halted(_)) {
-            return fail(format!("reference run did not exit cleanly: {r_ref:?}"));
+            return sim_error(
+                seed,
+                format!("reference run did not exit cleanly: {r_ref:?}"),
+            );
         }
         let reference = Fingerprint::take(r_ref, &mut self.m);
         let ref_cycles = self.m.cycles.max(1);
@@ -708,8 +637,6 @@ impl SeedWorker {
             &mut heap,
             seed,
             cfg,
-            self.dir_lo,
-            self.dir_len,
             &reference,
             ref_cycles,
             ref_instructions,
@@ -729,12 +656,13 @@ impl SeedWorker {
     }
 }
 
-/// A fault-free control run of `seed` under the cadence checker: returns
-/// any violations the checker reports. A clean simulator must return none;
-/// anything here is a checker false positive or a simulator bug, and fails
-/// the suite.
+/// A fault-free control run of `seed`, forked from a fresh
+/// [`SeedWorker`], under the cadence checker: returns any violations the
+/// checker reports. A clean simulator must return none; anything here is
+/// a checker false positive or a simulator bug, and fails the suite.
 fn run_control(seed: u64, cfg: &CampaignConfig) -> Vec<InvariantViolation> {
-    let Ok((mut m, mut heap, dir_lo, dir_len)) = fresh_run(seed, CHAINED, cfg.cow) else {
+    let loaded = SeedWorker::new().and_then(|mut w| Ok((w.load(seed)?, w)));
+    let Ok((mut heap, mut w)) = loaded else {
         return vec![InvariantViolation {
             kind: crate::invariant::InvariantKind::TagProvenance,
             cycle: 0,
@@ -742,14 +670,24 @@ fn run_control(seed: u64, cfg: &CampaignConfig) -> Vec<InvariantViolation> {
             detail: "control run failed to load".into(),
         }];
     };
+    check_clean_run(&mut w.m, &mut heap, cfg)
+}
+
+/// Runs a loaded machine to exit with no faults injected, checking
+/// invariants at every cadence point; returns what the checker flagged.
+fn check_clean_run(
+    m: &mut Machine,
+    heap: &mut HeapAllocator,
+    cfg: &CampaignConfig,
+) -> Vec<InvariantViolation> {
     let mut checker = InvariantChecker::new(cfg.cadence.max(1));
-    checker.watch_region(dir_lo, dir_lo + dir_len);
+    checker.watch_region(DIR_LO, DIR_LO + DIR_LEN);
     let mut violations = Vec::new();
     loop {
         let next_stop = checker.next_due().min(cfg.max_cycles).max(m.cycles + 1);
         let budget = next_stop - m.cycles;
-        let r = run_with_heap_service(&mut m, &mut heap, budget);
-        violations.extend(checker.check(&m, &heap));
+        let r = run_with_heap_service(m, heap, budget);
+        violations.extend(checker.check(m, heap));
         match r {
             ExitReason::CycleLimit if m.cycles < cfg.max_cycles => continue,
             _ => break,
@@ -762,11 +700,10 @@ fn run_control(seed: u64, cfg: &CampaignConfig) -> Vec<InvariantViolation> {
 /// fanned out over a work-stealing pool of `threads` workers, each campaign
 /// wrapped in `catch_unwind`.
 ///
-/// With `cfg.use_snapshot` (the default) each worker carries a
-/// [`SeedWorker`] — one reusable machine forked per seed from an O(dirty)
-/// snapshot restore — otherwise every seed reboots from scratch through
-/// [`run_one`]. Workers claim seeds from a shared cursor, so one slow seed
-/// never idles the rest of the pool the way the old fixed stride did.
+/// Each worker carries a [`SeedWorker`] — one reusable machine forked per
+/// seed from an O(dirty) snapshot restore. Workers claim seeds from a
+/// shared cursor, so one slow seed never idles the rest of the pool the
+/// way the old fixed stride did.
 pub fn run_campaigns(cfg: &CampaignConfig) -> CampaignReport {
     let control_violations = run_control(cfg.seed_base, cfg);
     let threads = cfg.threads.clamp(1, cfg.count.max(1)) as usize;
@@ -774,45 +711,30 @@ pub fn run_campaigns(cfg: &CampaignConfig) -> CampaignReport {
     let restores = AtomicU64::new(0);
     let pages_copied = AtomicU64::new(0);
     let bytes_copied = AtomicU64::new(0);
-    let results = work_steal_with(
-        count,
-        threads,
-        // `None` state = legacy per-seed-reboot path.
-        || cfg.use_snapshot.then(|| SeedWorker::new(cfg.cow)),
-        |state, i| {
-            let seed = cfg.seed_base + i as u64;
-            let r = match state {
-                Some(Ok(worker)) => {
-                    let r = catch_unwind(AssertUnwindSafe(|| worker.run_seed(seed, cfg)));
-                    let (dr, dp, db) = worker.harvest();
-                    restores.fetch_add(dr, Ordering::Relaxed);
-                    pages_copied.fetch_add(dp, Ordering::Relaxed);
-                    bytes_copied.fetch_add(db, Ordering::Relaxed);
-                    if r.is_err() {
-                        // The worker machine may be wedged mid-run; rebuild
-                        // it so subsequent seeds start from a clean boot.
-                        *state = Some(SeedWorker::new(cfg.cow));
-                    }
-                    r
-                }
-                Some(Err(e)) => Ok(CampaignResult {
-                    seed,
-                    outcome: Outcome::SimError,
-                    faults_applied: 0,
-                    cycles: 0,
-                    detail: format!("snapshot worker setup: {e}"),
-                }),
-                None => catch_unwind(AssertUnwindSafe(|| run_one(seed, cfg))),
-            };
-            r.unwrap_or_else(|p| CampaignResult {
+    let results = work_steal_with(count, threads, SeedWorker::new, |state, i| {
+        let seed = cfg.seed_base + i as u64;
+        let worker = match state {
+            Ok(worker) => worker,
+            Err(e) => return sim_error(seed, format!("snapshot worker setup: {e}")),
+        };
+        let r = catch_unwind(AssertUnwindSafe(|| worker.run_seed(seed, cfg)));
+        let (dr, dp, db) = worker.harvest();
+        restores.fetch_add(dr, Ordering::Relaxed);
+        pages_copied.fetch_add(dp, Ordering::Relaxed);
+        bytes_copied.fetch_add(db, Ordering::Relaxed);
+        r.unwrap_or_else(|p| {
+            // The worker machine may be wedged mid-run; rebuild it so
+            // subsequent seeds start from a clean boot.
+            *state = SeedWorker::new();
+            CampaignResult {
                 seed,
                 outcome: Outcome::Panicked,
                 faults_applied: 0,
                 cycles: 0,
                 detail: panic_message(&p),
-            })
-        },
-    );
+            }
+        })
+    });
     CampaignReport {
         config: cfg.clone(),
         results,
@@ -837,18 +759,75 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    /// A fresh boot with `seed`'s workload loaded: the per-seed-reboot
+    /// starting state every engine restore must reproduce.
+    fn fresh_run(seed: u64, dispatch: (bool, bool)) -> Result<(Machine, HeapAllocator), String> {
+        let (mut m, heap) = boot(dispatch)?;
+        let entry = m
+            .try_load_program(&build_workload(seed))
+            .map_err(|e| e.to_string())?;
+        m.set_entry(entry);
+        Ok((m, heap))
+    }
+
+    /// The fresh-boot oracle for one seed: the per-seed-reboot campaign
+    /// the engine must match exactly. The reference runs stepwise on one
+    /// boot; the faulted run boots again, chained, and goes through the
+    /// engine's own [`run_faulted_phase`]. Any cycle or behaviour drift
+    /// between the dispatch tiers therefore shows up as a divergence.
+    fn oracle_seed(seed: u64, cfg: &CampaignConfig) -> CampaignResult {
+        let (mut m, mut heap) = match fresh_run(seed, STEPWISE) {
+            Ok(v) => v,
+            Err(e) => return sim_error(seed, format!("reference setup: {e}")),
+        };
+        let r_ref = run_with_heap_service(&mut m, &mut heap, cfg.max_cycles);
+        if !matches!(r_ref, ExitReason::Halted(_)) {
+            return sim_error(
+                seed,
+                format!("reference run did not exit cleanly: {r_ref:?}"),
+            );
+        }
+        let reference = Fingerprint::take(r_ref, &mut m);
+        let ref_cycles = m.cycles.max(1);
+        let ref_instructions = m.stats.instructions;
+        let (mut m, mut heap) = match fresh_run(seed, CHAINED) {
+            Ok(v) => v,
+            Err(e) => return sim_error(seed, format!("faulted setup: {e}")),
+        };
+        run_faulted_phase(
+            &mut m,
+            &mut heap,
+            seed,
+            cfg,
+            &reference,
+            ref_cycles,
+            ref_instructions,
+        )
+    }
+
+    /// The oracle's whole suite, serially: per-seed results and the
+    /// control run's violations, from fresh boots only.
+    fn oracle_campaigns(cfg: &CampaignConfig) -> (Vec<CampaignResult>, Vec<InvariantViolation>) {
+        let (mut m, mut heap) = fresh_run(cfg.seed_base, CHAINED).unwrap();
+        let control = check_clean_run(&mut m, &mut heap, cfg);
+        let results = (0..u64::from(cfg.count))
+            .map(|i| oracle_seed(cfg.seed_base + i, cfg))
+            .collect();
+        (results, control)
+    }
+
     #[test]
     fn workload_reference_run_is_clean_and_deterministic() {
         // The second run executes cache-on: determinism across the two
         // execution paths, not just across repetitions, is the contract.
         for seed in [1u64, 2, 3, 99] {
-            let (mut m, mut heap, _, _) = fresh_run(seed, STEPWISE, true).unwrap();
+            let (mut m, mut heap) = fresh_run(seed, STEPWISE).unwrap();
             let r1 = run_with_heap_service(&mut m, &mut heap, 30_000_000);
             let ExitReason::Halted(c1) = r1 else {
                 panic!("seed {seed}: reference must halt, got {r1:?}");
             };
             heap.check_consistency(&m).unwrap();
-            let (mut m2, mut heap2, _, _) = fresh_run(seed, CHAINED, true).unwrap();
+            let (mut m2, mut heap2) = fresh_run(seed, CHAINED).unwrap();
             let r2 = run_with_heap_service(&mut m2, &mut heap2, 30_000_000);
             assert_eq!(
                 r2,
@@ -888,14 +867,12 @@ mod tests {
             count: 4,
             ..CampaignConfig::default()
         };
-        let a = run_one(cfg.seed_base + 2, &cfg);
-        let b = run_one(cfg.seed_base + 2, &cfg);
-        assert_eq!(a.outcome, b.outcome);
-        assert_eq!(a.faults_applied, b.faults_applied);
-        assert_eq!(a.cycles, b.cycles);
+        let a = oracle_seed(cfg.seed_base + 2, &cfg);
+        let b = oracle_seed(cfg.seed_base + 2, &cfg);
+        assert_eq!(a, b);
     }
 
-    /// Mirrors `run_one`'s faulted loop with the block cache forced to the
+    /// Mirrors the oracle's faulted loop with the block cache forced to the
     /// given mode, returning the full behavioural fingerprint plus cycle and
     /// instruction counts.
     fn faulted_run(
@@ -904,13 +881,13 @@ mod tests {
         dispatch: (bool, bool),
     ) -> (Fingerprint, u64, u64) {
         let deadline = 30_000_000u64;
-        let (mut m, mut heap, dir_lo, _) = fresh_run(seed, STEPWISE, true).unwrap();
+        let (mut m, mut heap) = fresh_run(seed, STEPWISE).unwrap();
         let r = run_with_heap_service(&mut m, &mut heap, deadline);
         assert!(matches!(r, ExitReason::Halted(_)), "seed {seed}: {r:?}");
         let ref_cycles = m.cycles.max(1);
         let wd = m.stats.instructions.saturating_mul(4) + 100_000;
 
-        let (mut m, mut heap, _, _) = fresh_run(seed, dispatch, true).unwrap();
+        let (mut m, mut heap) = fresh_run(seed, dispatch).unwrap();
         m.set_watchdog(Some(wd));
         let (hb, he) = heap.heap_range();
         let used_he = he.min(hb + 32 * 1024);
@@ -920,7 +897,7 @@ mod tests {
                 classes: classes.to_vec(),
                 count: 6,
                 window: (ref_cycles / 10, ref_cycles.saturating_mul(9) / 10),
-                region: (dir_lo, used_he),
+                region: (DIR_LO, used_he),
                 heap: (hb, used_he),
                 code: (CODE_BASE, m.code_end()),
             },
@@ -988,10 +965,10 @@ mod tests {
 
     #[test]
     fn block_cache_smoke_64_seeds_zero_silent_divergence() {
-        // Satellite check: a 64-seed headline campaign where every faulted
-        // run executes through the block cache while the reference
-        // fingerprint comes from a cache-off run (see `fresh_run`). Any
-        // cache-induced drift would surface as SilentDivergence.
+        // A 64-seed headline campaign where every run executes through
+        // the chained block cache. Any cache-induced drift between the
+        // reference and the faulted fork would surface as
+        // SilentDivergence.
         let cfg = CampaignConfig {
             seed_base: 1,
             count: 64,
@@ -1012,47 +989,48 @@ mod tests {
 
     #[test]
     fn snapshot_and_reboot_paths_agree_exactly() {
-        // The acceptance gate for the fork engine: the snapshot path must be
-        // bit-for-bit equivalent to the per-seed-reboot path — identical
+        // The acceptance gate for the fork engine: `run_campaigns` must be
+        // bit-for-bit equivalent to the fresh-boot oracle — identical
         // outcomes, fault counts, cycle counts, and detail strings (which
-        // embed trap causes and divergence fingerprint summaries).
-        let base = CampaignConfig {
-            seed_base: 40,
-            count: 20,
-            threads: 3,
-            classes: vec![
-                FaultClass::Tag,
-                FaultClass::Bounds,
-                FaultClass::Bitmap,
-                FaultClass::Code,
-            ],
-            ..CampaignConfig::default()
-        };
-        let snap = run_campaigns(&CampaignConfig {
-            use_snapshot: true,
-            ..base.clone()
-        });
-        let reboot = run_campaigns(&CampaignConfig {
-            use_snapshot: false,
-            ..base
-        });
-        assert_eq!(
-            snap.results,
-            reboot.results,
-            "snapshot path diverged from per-seed reboot:\n{}\nvs\n{}",
-            snap.to_text(),
-            reboot.to_text()
-        );
-        assert_eq!(
-            snap.control_violations.len(),
-            reboot.control_violations.len()
-        );
-        assert!(
-            snap.snapshot_restores >= 2 * u64::from(snap.config.count),
-            "snapshot path should restore at least twice per seed, saw {}",
-            snap.snapshot_restores
-        );
-        assert_eq!(reboot.snapshot_restores, 0, "legacy path never restores");
+        // embed trap causes and divergence fingerprint summaries), and an
+        // identical control run. Two blocks: seeds 40-59 with code faults
+        // on 3 threads, and seeds 1-64 of the headline classes on 2
+        // threads (the seed block of CI's fault-campaign smoke).
+        let blocks = [
+            CampaignConfig {
+                seed_base: 40,
+                count: 20,
+                threads: 3,
+                classes: vec![
+                    FaultClass::Tag,
+                    FaultClass::Bounds,
+                    FaultClass::Bitmap,
+                    FaultClass::Code,
+                ],
+                ..CampaignConfig::default()
+            },
+            CampaignConfig {
+                seed_base: 1,
+                count: 64,
+                threads: 2,
+                classes: vec![FaultClass::Tag, FaultClass::Bounds, FaultClass::Bitmap],
+                ..CampaignConfig::default()
+            },
+        ];
+        for cfg in blocks {
+            let engine = run_campaigns(&cfg);
+            let (oracle, oracle_control) = oracle_campaigns(&cfg);
+            assert_eq!(engine.results.len(), oracle.len());
+            for (e, o) in engine.results.iter().zip(&oracle) {
+                assert_eq!(e, o, "seed {}: engine diverged from the oracle", o.seed);
+            }
+            assert_eq!(engine.control_violations, oracle_control);
+            assert!(
+                engine.snapshot_restores >= 2 * u64::from(cfg.count),
+                "the engine should restore at least twice per seed, saw {}",
+                engine.snapshot_restores
+            );
+        }
     }
 
     #[test]

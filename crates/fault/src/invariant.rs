@@ -78,7 +78,7 @@ impl fmt::Display for InvariantKind {
 }
 
 /// One detected violation: structured, never a panic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantViolation {
     /// Which invariant broke.
     pub kind: InvariantKind,

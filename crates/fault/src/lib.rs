@@ -40,9 +40,7 @@ pub mod json;
 pub mod plan;
 pub mod rng;
 
-pub use campaign::{
-    run_campaigns, run_one, CampaignConfig, CampaignReport, CampaignResult, Outcome,
-};
+pub use campaign::{run_campaigns, CampaignConfig, CampaignReport, CampaignResult, Outcome};
 pub use inject::{Applied, InjectEffect, Injector};
 pub use invariant::{InvariantChecker, InvariantKind, InvariantViolation};
 pub use plan::{CapField, FaultClass, FaultEntry, FaultKind, FaultPlan, PlanConfig};
