@@ -6,7 +6,7 @@
 //! testable without spawning the binary.
 
 use crate::runner::RunOptions;
-use cheriot_core::{CoreKind, CoreModel};
+use cheriot_core::CoreModel;
 use cheriot_diff::{DiffConfig, Profile};
 use cheriot_farm::FarmConfig;
 use cheriot_fault::{CampaignConfig, FaultClass};
@@ -56,6 +56,29 @@ pub struct DiffArgs {
     pub repro_dir: PathBuf,
 }
 
+/// Applies `flag` (taking its value from `it`) to `opts` if it is one of
+/// the engine flags `run` and `farm` share: the core model and the
+/// architecturally invisible dispatch and page-store switches. `Ok(false)`
+/// leaves the flag to the subcommand.
+fn engine_flag(
+    opts: &mut RunOptions,
+    flag: &str,
+    it: &mut std::slice::Iter<String>,
+) -> Result<bool, String> {
+    match flag {
+        "--core" => {
+            opts.core = value(flag, it)?
+                .parse()
+                .map_err(|e| format!("flag `--core`: {e}"))?;
+        }
+        "--no-block-cache" => opts.block_cache = false,
+        "--no-block-chain" => opts.block_chain = false,
+        "--no-cow" => opts.cow = false,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 fn value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a str, String> {
     it.next()
         .map(String::as_str)
@@ -80,23 +103,11 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut binary = false;
     let mut it = flags.iter();
     while let Some(f) = it.next() {
+        if engine_flag(&mut opts, f, &mut it)? {
+            continue;
+        }
         match f.as_str() {
-            "--core" => {
-                let v = value(f, &mut it)?;
-                opts.core = match v {
-                    "ibex" => CoreKind::Ibex,
-                    "flute" => CoreKind::Flute,
-                    _ => {
-                        return Err(format!(
-                            "flag `--core`: expected `ibex` or `flute`, got `{v}`"
-                        ))
-                    }
-                };
-            }
             "--no-load-filter" => opts.load_filter = false,
-            "--no-block-cache" => opts.block_cache = false,
-            "--no-block-chain" => opts.block_chain = false,
-            "--no-cow" => opts.cow = false,
             "--trace" => opts.trace_depth = uint(f, value(f, &mut it)?)?,
             "--max-cycles" => opts.max_cycles = uint(f, value(f, &mut it)?)?,
             "--watchdog" => opts.watchdog = Some(uint(f, value(f, &mut it)?)?),
@@ -178,10 +189,14 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignArgs, String> {
 /// A message naming the offending flag or value.
 pub fn parse_farm_args(args: &[String]) -> Result<FarmArgs, String> {
     let mut cfg = FarmConfig::default();
+    let mut engine = RunOptions::default();
     let mut json_out = None;
     let mut metrics = false;
     let mut it = args.iter();
     while let Some(f) = it.next() {
+        if engine_flag(&mut engine, f, &mut it)? {
+            continue;
+        }
         match f.as_str() {
             "--devices" => {
                 cfg.devices = uint(f, value(f, &mut it)?)?;
@@ -207,21 +222,6 @@ pub fn parse_farm_args(args: &[String]) -> Result<FarmArgs, String> {
             "--topics" => cfg.topics = uint(f, value(f, &mut it)?)?,
             "--host-rate" => cfg.host_rate = uint(f, value(f, &mut it)?)?,
             "--sram" => cfg.sram_size = uint(f, value(f, &mut it)?)?,
-            "--core" => {
-                let v = value(f, &mut it)?;
-                cfg.core = match v {
-                    "ibex" => CoreModel::ibex(),
-                    "flute" => CoreModel::flute(),
-                    _ => {
-                        return Err(format!(
-                            "flag `--core`: expected `ibex` or `flute`, got `{v}`"
-                        ))
-                    }
-                };
-            }
-            "--no-block-cache" => cfg.dispatch = (false, false),
-            "--no-block-chain" => cfg.dispatch.1 = false,
-            "--no-cow" => cfg.cow = false,
             "--json" => json_out = Some(PathBuf::from(value(f, &mut it)?)),
             "--metrics" => metrics = true,
             other => return Err(format!("unknown flag `{other}` for `farm`")),
@@ -230,6 +230,9 @@ pub fn parse_farm_args(args: &[String]) -> Result<FarmArgs, String> {
     if cfg.rounds == 0 {
         return Err("flag `--rounds`: must be at least 1".into());
     }
+    cfg.core = CoreModel::of(engine.core);
+    cfg.dispatch = (engine.block_cache, engine.block_cache && engine.block_chain);
+    cfg.cow = engine.cow;
     Ok(FarmArgs {
         cfg,
         json_out,

@@ -165,13 +165,7 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
                 .and_then(|spec| spec.build())
                 .map_err(RunError::Manifest)?
         }
-        None => {
-            let core = match opts.core {
-                CoreKind::Ibex => CoreModel::ibex(),
-                CoreKind::Flute => CoreModel::flute(),
-            };
-            Machine::new(MachineConfig::new(core))
-        }
+        None => Machine::new(MachineConfig::new(CoreModel::of(opts.core))),
     };
     m.cfg.load_filter = opts.load_filter;
     m.cfg.block_cache = opts.block_cache;

@@ -34,6 +34,19 @@ impl std::fmt::Display for CoreKind {
     }
 }
 
+impl std::str::FromStr for CoreKind {
+    type Err = String;
+
+    /// Parses the lower-case name manifests and `--core` use.
+    fn from_str(s: &str) -> Result<CoreKind, String> {
+        match s {
+            "ibex" => Ok(CoreKind::Ibex),
+            "flute" => Ok(CoreKind::Flute),
+            other => Err(format!("unknown core `{other}` (expected ibex or flute)")),
+        }
+    }
+}
+
 /// Cycle-cost parameters for a core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoreModel {
@@ -65,6 +78,14 @@ pub struct CoreModel {
 }
 
 impl CoreModel {
+    /// The model of `kind`.
+    pub const fn of(kind: CoreKind) -> CoreModel {
+        match kind {
+            CoreKind::Ibex => CoreModel::ibex(),
+            CoreKind::Flute => CoreModel::flute(),
+        }
+    }
+
     /// The CHERIoT-Ibex model (3-stage, 33-bit bus).
     pub const fn ibex() -> CoreModel {
         CoreModel {

@@ -17,8 +17,8 @@
 //!   configuration in lockstep, comparing *full* architectural state at
 //!   every trap, at a mid-run snapshot/restore round-trip, and at exit,
 //!   with instruction-granular first-divergence triage.
-//! - [`report`] — typed text/JSON campaign reports over the shared
-//!   [`cheriot_fault::json`] writer.
+//! - [`report`] — typed text/JSON campaign reports over the workspace's
+//!   JSON codec, [`cheriot_trace::json`].
 //!
 //! [`run_fuzz`] fans seeds out over the work-stealing pool and compares
 //! every program against all three dispatch modes × both core models.

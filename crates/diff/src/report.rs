@@ -1,11 +1,11 @@
 //! Typed fuzz-campaign reporting: one [`FuzzReport`] renders both the
-//! human text summary and the machine-readable JSON (via the shared
-//! [`cheriot_fault::json`] writer, the same one the fault-injection
+//! human text summary and the machine-readable JSON (via the workspace's
+//! JSON codec, [`cheriot_trace::json`], the same one the fault-injection
 //! campaign reports use — no ad-hoc string formatting).
 
 use crate::golden::{Coverage, OPCODE_NAMES};
 use crate::lockstep::{Divergence, FirstDivergence, Mismatch};
-use cheriot_fault::json::Json;
+use cheriot_trace::json::Json;
 
 /// Aggregated outcome of a differential fuzz campaign.
 #[derive(Clone, Debug)]

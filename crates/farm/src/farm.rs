@@ -37,6 +37,7 @@ use crate::registry::{boot_node_image, SnapshotRegistry};
 use cheriot_core::sched::work_steal_with;
 use cheriot_core::{CoreModel, ExitReason, Machine};
 use cheriot_soc::{net_flush_rx, net_push_rx, net_rx_dropped, net_take_tx};
+use cheriot_trace::json::Json;
 use cheriot_trace::metrics::MetricsRegistry;
 use std::sync::Mutex;
 
@@ -270,43 +271,30 @@ impl FarmReport {
     /// Single-line JSON for dashboards / CI artifacts.
     pub fn to_json(&self) -> String {
         let f = &self.fabric;
-        format!(
-            concat!(
-                "{{\"devices\": {}, \"workers\": {}, \"rounds\": {}, ",
-                "\"settle_rounds\": {}, \"total_cycles\": {}, ",
-                "\"device_seconds\": {:.6}, \"published_guest\": {}, ",
-                "\"published_host\": {}, \"deliveries\": {}, \"acks\": {}, ",
-                "\"cross_instance_frames\": {}, \"messages_lost\": {}, ",
-                "\"net_rx_dropped\": {}, \"snapshot_bytes\": {}, ",
-                "\"snapshot_bytes_copied\": {}, \"fork_bytes_per_device\": {:.1}, ",
-                "\"cow_breaks\": {}, \"cow_shared_pages\": {}, ",
-                "\"fleet_unique_bytes\": {}, \"host_rss_bytes\": {}, ",
-                "\"dead_devices\": {}, ",
-                "\"passed\": {}}}\n"
-            ),
-            self.devices,
-            self.workers,
-            self.rounds,
-            self.settle_rounds,
-            self.total_cycles,
-            self.device_seconds,
-            f.published_guest,
-            f.published_host,
-            f.deliveries,
-            f.acks,
-            f.cross_instance_frames,
-            self.messages_lost,
-            self.net_rx_dropped,
-            self.snapshot_bytes,
-            self.snapshot_bytes_copied,
-            self.fork_bytes_per_device(),
-            self.cow_breaks,
-            self.cow_shared_pages,
-            self.fleet_unique_bytes,
-            self.host_rss_bytes,
-            self.dead_devices,
-            self.passed()
-        )
+        let mut doc = Json::obj();
+        doc.push("devices", self.devices)
+            .push("workers", self.workers)
+            .push("rounds", self.rounds)
+            .push("settle_rounds", self.settle_rounds)
+            .push("total_cycles", self.total_cycles)
+            .push("device_seconds", self.device_seconds)
+            .push("published_guest", f.published_guest)
+            .push("published_host", f.published_host)
+            .push("deliveries", f.deliveries)
+            .push("acks", f.acks)
+            .push("cross_instance_frames", f.cross_instance_frames)
+            .push("messages_lost", self.messages_lost)
+            .push("net_rx_dropped", self.net_rx_dropped)
+            .push("snapshot_bytes", self.snapshot_bytes)
+            .push("snapshot_bytes_copied", self.snapshot_bytes_copied)
+            .push("fork_bytes_per_device", self.fork_bytes_per_device())
+            .push("cow_breaks", self.cow_breaks)
+            .push("cow_shared_pages", self.cow_shared_pages)
+            .push("fleet_unique_bytes", self.fleet_unique_bytes)
+            .push("host_rss_bytes", self.host_rss_bytes)
+            .push("dead_devices", self.dead_devices)
+            .push("passed", self.passed());
+        doc.render_line() + "\n"
     }
 }
 

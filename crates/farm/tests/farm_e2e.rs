@@ -7,6 +7,7 @@
 
 use cheriot_core::CoreModel;
 use cheriot_farm::{boot_node_image, run_farm, FarmConfig};
+use cheriot_trace::json::Json;
 
 fn small_cfg() -> FarmConfig {
     FarmConfig {
@@ -48,6 +49,15 @@ fn small_fleet_delivers_everything() {
     assert!(report.passed(), "report:\n{}", report.to_text());
     // Every delivered PUBLISH is eventually acknowledged.
     assert_eq!(report.fabric.deliveries, report.fabric.acks);
+
+    // The JSON report reads back field for field.
+    let doc = Json::parse(&report.to_json()).expect("farm JSON parses");
+    let uint = |key: &str| doc.get(key).and_then(Json::as_u64);
+    assert_eq!(uint("devices"), Some(report.devices as u64));
+    assert_eq!(uint("messages_lost"), Some(report.messages_lost));
+    assert_eq!(uint("cow_breaks"), Some(report.cow_breaks));
+    assert_eq!(uint("dead_devices"), Some(report.dead_devices as u64));
+    assert_eq!(doc.get("passed"), Some(&Json::Bool(report.passed())));
 }
 
 #[test]

@@ -32,7 +32,6 @@
 
 use crate::inject::Injector;
 use crate::invariant::{InvariantChecker, InvariantViolation};
-use crate::json::Json;
 use crate::plan::{FaultClass, FaultPlan, PlanConfig};
 use crate::rng::XorShift64;
 use cheriot_alloc::{HeapAllocator, RevokerKind, TemporalPolicy};
@@ -43,6 +42,7 @@ use cheriot_core::layout::{CODE_BASE, SRAM_BASE};
 use cheriot_core::sched::work_steal_with;
 use cheriot_core::{CoreModel, ExitReason, Machine, MachineConfig, Snapshot, SnapshotStats};
 use cheriot_rtos::run_with_heap_service;
+use cheriot_trace::json::Json;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,8 +232,8 @@ impl CampaignReport {
         s
     }
 
-    /// JSON report, built through the shared typed writer
-    /// ([`crate::json::Json`]) rather than string concatenation.
+    /// JSON report, built through the workspace's JSON codec
+    /// ([`cheriot_trace::json::Json`]) rather than string concatenation.
     pub fn to_json(&self) -> String {
         let mut doc = Json::obj();
         doc.push("seed_base", self.config.seed_base);

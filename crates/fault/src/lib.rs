@@ -36,11 +36,11 @@
 pub mod campaign;
 pub mod inject;
 pub mod invariant;
-pub mod json;
 pub mod plan;
 pub mod rng;
 
 pub use campaign::{run_campaigns, CampaignConfig, CampaignReport, CampaignResult, Outcome};
+pub use cheriot_trace::json; // for `cheriot-benchmark`, which imports `cheriot_fault::json::Json`
 pub use inject::{Applied, InjectEffect, Injector};
 pub use invariant::{InvariantChecker, InvariantKind, InvariantViolation};
 pub use plan::{CapField, FaultClass, FaultEntry, FaultKind, FaultPlan, PlanConfig};

@@ -2,10 +2,12 @@
 //! document declaring the core, SRAM size, and device placements, and
 //! build a [`Machine`] with exactly those devices on its bus.
 //!
-//! The build environment is offline, so both formats are hand-rolled
-//! subsets (the same policy as the in-tree `rand`/`proptest` compat
-//! crates): enough TOML for `[machine]` + repeated `[[device]]` tables
-//! of scalar keys, and enough JSON for the equivalent object shape.
+//! The build environment is offline, so TOML is a hand-rolled subset
+//! (the same policy as the in-tree `rand`/`proptest` compat crates):
+//! enough for `[machine]` + repeated `[[device]]` tables of scalar keys.
+//! JSON manifests go through the workspace's one JSON codec,
+//! [`cheriot_trace::json`], which reads full JSON (escapes, UTF-8, a
+//! bounded nesting depth); this module walks the parsed value.
 //!
 //! # TOML manifest
 //!
@@ -36,6 +38,7 @@ use cheriot_core::bus::{DeviceBus, MmioDevice, Uart};
 use cheriot_core::machine::{layout, Machine, MachineConfig};
 use cheriot_core::pipeline::CoreModel;
 use cheriot_core::CoreKind;
+use cheriot_trace::json::Json;
 use std::fmt;
 
 /// A manifest error: what went wrong and (for parse errors) on which
@@ -76,7 +79,7 @@ impl fmt::Display for ManifestError {
 impl std::error::Error for ManifestError {}
 
 /// One declared device.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeviceSpec {
     /// Device kind: `uart`, `timer`, `dma`, or `net`.
     pub kind: String,
@@ -127,11 +130,13 @@ impl MachineSpec {
     /// sections, non-scalar values, and an `sram` size that is not a
     /// non-zero multiple of 16 or would run into the MMIO windows.
     pub fn parse(text: &str) -> Result<MachineSpec, ManifestError> {
-        if text.trim_start().starts_with('{') {
-            MachineSpec::parse_json(text)
+        let spec = if text.trim_start().starts_with('{') {
+            MachineSpec::parse_json(text).map_err(ManifestError::new)?
         } else {
-            MachineSpec::parse_toml(text)
-        }
+            MachineSpec::parse_toml(text)?
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 
     /// Builds the machine: core config, SRAM sizing (heap in the upper
@@ -146,11 +151,7 @@ impl MachineSpec {
     /// spec built in code never reaches a panicking `Machine::new`.
     pub fn build(&self) -> Result<Machine, ManifestError> {
         self.validate()?;
-        let core = match self.core {
-            CoreKind::Ibex => CoreModel::ibex(),
-            CoreKind::Flute => CoreModel::flute(),
-        };
-        let mut cfg = MachineConfig::new(core);
+        let mut cfg = MachineConfig::new(CoreModel::of(self.core));
         if let Some(sram) = self.sram_size {
             cfg.sram_size = sram;
             cfg.heap_offset = sram / 2;
@@ -181,17 +182,14 @@ impl MachineSpec {
     // --- TOML ---------------------------------------------------------------
 
     fn parse_toml(text: &str) -> Result<MachineSpec, ManifestError> {
-        #[derive(PartialEq)]
         enum Section {
             Top,
             Machine,
             Device,
         }
         let mut spec = MachineSpec {
-            core: CoreKind::Ibex,
-            sram_size: None,
-            intc_base: None,
             devices: Vec::new(),
+            ..MachineSpec::default()
         };
         let mut section = Section::Top;
         for (i, raw) in text.lines().enumerate() {
@@ -210,11 +208,7 @@ impl MachineSpec {
                 match name.trim() {
                     "device" => {
                         section = Section::Device;
-                        spec.devices.push(DeviceSpec {
-                            kind: String::new(),
-                            base: 0,
-                            irq: None,
-                        });
+                        spec.devices.push(DeviceSpec::default());
                     }
                     other => return Err(ManifestError::at(n, format!("unknown table `{other}`"))),
                 }
@@ -233,114 +227,59 @@ impl MachineSpec {
                 .split_once('=')
                 .ok_or_else(|| ManifestError::at(n, format!("expected `key = value`: `{line}`")))?;
             let (key, value) = (key.trim(), value.trim());
-            match section {
-                Section::Top => {
-                    return Err(ManifestError::at(
-                        n,
-                        format!("key `{key}` outside a [machine] or [[device]] section"),
-                    ))
-                }
-                Section::Machine => match key {
-                    "core" => {
-                        spec.core = parse_core(&parse_toml_string(value, n)?)
-                            .map_err(|e| ManifestError::at(n, e))?;
-                    }
-                    "sram" => {
-                        spec.sram_size =
-                            Some(parse_int(value).map_err(|e| ManifestError::at(n, e))?)
-                    }
-                    "intc" => {
-                        spec.intc_base =
-                            Some(parse_int(value).map_err(|e| ManifestError::at(n, e))?)
-                    }
-                    other => {
-                        return Err(ManifestError::at(
-                            n,
-                            format!("unknown machine key `{other}`"),
-                        ))
-                    }
-                },
+            let set = match section {
+                Section::Top => Err(format!(
+                    "key `{key}` outside a [machine] or [[device]] section"
+                )),
+                Section::Machine => toml_value(value).and_then(|v| spec.set_machine_key(key, &v)),
                 Section::Device => {
                     let dev = spec.devices.last_mut().expect("section implies a device");
-                    match key {
-                        "kind" => dev.kind = parse_toml_string(value, n)?,
-                        "base" => {
-                            dev.base = parse_int(value).map_err(|e| ManifestError::at(n, e))?
-                        }
-                        "irq" => {
-                            dev.irq = Some(parse_int(value).map_err(|e| ManifestError::at(n, e))?)
-                        }
-                        other => {
-                            return Err(ManifestError::at(
-                                n,
-                                format!("unknown device key `{other}`"),
-                            ))
-                        }
-                    }
+                    toml_value(value).and_then(|v| dev.set_key(key, &v))
                 }
-            }
+            };
+            set.map_err(|e| ManifestError::at(n, e))?;
         }
-        spec.validate()?;
         Ok(spec)
     }
 
     // --- JSON ---------------------------------------------------------------
 
-    fn parse_json(text: &str) -> Result<MachineSpec, ManifestError> {
-        let value = json::parse(text).map_err(ManifestError::new)?;
-        let obj = value.as_object("manifest")?;
+    fn parse_json(text: &str) -> Result<MachineSpec, String> {
         let mut spec = MachineSpec {
-            core: CoreKind::Ibex,
-            sram_size: None,
-            intc_base: None,
             devices: Vec::new(),
+            ..MachineSpec::default()
         };
-        for (key, v) in obj {
+        for (key, v) in object(&Json::parse(text)?, "manifest")? {
             match key.as_str() {
                 "machine" => {
-                    for (mk, mv) in v.as_object("machine")? {
-                        match mk.as_str() {
-                            "core" => {
-                                spec.core = parse_core(mv.as_str("machine.core")?)
-                                    .map_err(ManifestError::new)?
-                            }
-                            "sram" => spec.sram_size = Some(mv.as_u32("machine.sram")?),
-                            "intc" => spec.intc_base = Some(mv.as_u32("machine.intc")?),
-                            other => {
-                                return Err(ManifestError::new(format!(
-                                    "unknown machine key `{other}`"
-                                )))
-                            }
-                        }
+                    for (k, v) in object(v, "machine")? {
+                        spec.set_machine_key(k, v)?;
                     }
                 }
                 "devices" => {
-                    for dv in v.as_array("devices")? {
-                        let mut dev = DeviceSpec {
-                            kind: String::new(),
-                            base: 0,
-                            irq: None,
-                        };
-                        for (dk, dvv) in dv.as_object("device")? {
-                            match dk.as_str() {
-                                "kind" => dev.kind = dvv.as_str("device.kind")?.to_string(),
-                                "base" => dev.base = dvv.as_u32("device.base")?,
-                                "irq" => dev.irq = Some(dvv.as_u32("device.irq")?),
-                                other => {
-                                    return Err(ManifestError::new(format!(
-                                        "unknown device key `{other}`"
-                                    )))
-                                }
-                            }
+                    for d in v.as_array().ok_or("devices: expected an array")? {
+                        let mut dev = DeviceSpec::default();
+                        for (k, v) in object(d, "device")? {
+                            dev.set_key(k, v)?;
                         }
                         spec.devices.push(dev);
                     }
                 }
-                other => return Err(ManifestError::new(format!("unknown key `{other}`"))),
+                other => return Err(format!("unknown key `{other}`")),
             }
         }
-        spec.validate()?;
         Ok(spec)
+    }
+
+    /// Sets one `[machine]` key, from either format.
+    fn set_machine_key(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        match key {
+            "core" => self.core = string(v, "machine.core")?.parse()?,
+            "sram" => self.sram_size = Some(int(v, "machine.sram")?),
+            "intc" => self.intc_base = Some(int(v, "machine.intc")?),
+            other => return Err(format!("unknown machine key `{other}`")),
+        }
+        Ok(())
     }
 
     fn validate(&self) -> Result<(), ManifestError> {
@@ -375,14 +314,6 @@ impl MachineSpec {
     }
 }
 
-fn parse_core(s: &str) -> Result<CoreKind, String> {
-    match s {
-        "ibex" => Ok(CoreKind::Ibex),
-        "flute" => Ok(CoreKind::Flute),
-        other => Err(format!("unknown core `{other}` (expected ibex or flute)")),
-    }
-}
-
 /// Parses a decimal or `0x`-prefixed integer (with optional `_`
 /// separators, as TOML allows).
 fn parse_int(s: &str) -> Result<u32, String> {
@@ -397,189 +328,48 @@ fn parse_int(s: &str) -> Result<u32, String> {
     parsed.map_err(|_| format!("expected an integer, got `{s}`"))
 }
 
-fn parse_toml_string(value: &str, line: usize) -> Result<String, ManifestError> {
-    value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| ManifestError::at(line, format!("expected a quoted string, got `{value}`")))
+/// A TOML scalar as the JSON value it stands for: a quoted string or an
+/// integer.
+fn toml_value(value: &str) -> Result<Json, String> {
+    match value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+        Some(s) => Ok(Json::Str(s.to_string())),
+        None => parse_int(value)
+            .map(|n| Json::UInt(n.into()))
+            .map_err(|_| format!("expected a quoted string or an integer, got `{value}`")),
+    }
 }
 
-/// A minimal JSON reader: objects, arrays, strings (no escapes beyond
-/// `\"` and `\\`), unsigned integers, booleans, null. Exactly the shape
-/// space manifests need.
-mod json {
-    use super::ManifestError;
-
-    /// A parsed JSON value.
-    pub enum Value {
-        /// Object, in source order.
-        Object(Vec<(String, Value)>),
-        /// Array.
-        Array(Vec<Value>),
-        /// String.
-        Str(String),
-        /// Unsigned integer.
-        Int(u64),
-        /// true/false/null (unused by manifests, accepted for
-        /// completeness).
-        Other,
+impl DeviceSpec {
+    /// Sets one device key, from either format.
+    fn set_key(&mut self, key: &str, v: &Json) -> Result<(), String> {
+        match key {
+            "kind" => self.kind = string(v, "device.kind")?.to_string(),
+            "base" => self.base = int(v, "device.base")?,
+            "irq" => self.irq = Some(int(v, "device.irq")?),
+            other => return Err(format!("unknown device key `{other}`")),
+        }
+        Ok(())
     }
+}
 
-    impl Value {
-        pub fn as_object(&self, what: &str) -> Result<&[(String, Value)], ManifestError> {
-            match self {
-                Value::Object(o) => Ok(o),
-                _ => Err(ManifestError::new(format!("{what}: expected an object"))),
-            }
-        }
+/// The fields of a JSON object, or an error naming `what`.
+fn object<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    v.as_object()
+        .ok_or_else(|| format!("{what}: expected an object"))
+}
 
-        pub fn as_array(&self, what: &str) -> Result<&[Value], ManifestError> {
-            match self {
-                Value::Array(a) => Ok(a),
-                _ => Err(ManifestError::new(format!("{what}: expected an array"))),
-            }
-        }
+/// A JSON string, or an error naming `what`.
+fn string<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
+    v.as_str()
+        .ok_or_else(|| format!("{what}: expected a string"))
+}
 
-        pub fn as_str(&self, what: &str) -> Result<&str, ManifestError> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(ManifestError::new(format!("{what}: expected a string"))),
-            }
-        }
-
-        /// An integer, from a number or a `"0x"`-string.
-        pub fn as_u32(&self, what: &str) -> Result<u32, ManifestError> {
-            match self {
-                Value::Int(n) => u32::try_from(*n)
-                    .map_err(|_| ManifestError::new(format!("{what}: {n} out of u32 range"))),
-                Value::Str(s) => {
-                    super::parse_int(s).map_err(|e| ManifestError::new(format!("{what}: {e}")))
-                }
-                _ => Err(ManifestError::new(format!("{what}: expected an integer"))),
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {pos}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while *pos < b.len() && b[*pos].is_ascii_digit() {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .expect("ascii digits")
-                    .parse()
-                    .map(Value::Int)
-                    .map_err(|_| format!("bad number at byte {start}"))
-            }
-            _ => {
-                for lit in ["true", "false", "null"] {
-                    if b[*pos..].starts_with(lit.as_bytes()) {
-                        *pos += lit.len();
-                        return Ok(Value::Other);
-                    }
-                }
-                Err(format!("unexpected input at byte {pos}"))
-            }
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected a string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => match b.get(*pos) {
-                    Some(&e @ (b'"' | b'\\')) => {
-                        out.push(e as char);
-                        *pos += 1;
-                    }
-                    _ => return Err(format!("unsupported escape at byte {pos}")),
-                },
-                c => out.push(c as char),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
+/// An integer, from a JSON number or a `"0x"`-string.
+fn int(v: &Json, what: &str) -> Result<u32, String> {
+    let n = match (v.as_u64(), v.as_str()) {
+        (Some(n), _) => u32::try_from(n).map_err(|_| format!("{n} out of u32 range")),
+        (None, Some(s)) => parse_int(s),
+        (None, None) => Err("expected an integer".to_string()),
+    };
+    n.map_err(|e| format!("{what}: {e}"))
 }

@@ -81,6 +81,17 @@ fn json_manifest_parses_numbers_and_hex_strings() {
     assert_eq!(spec.devices.len(), 1);
     assert_eq!(spec.devices[0].base, 0x8800_0000);
     assert_eq!(spec.devices[0].irq, Some(3));
+
+    // Hostile manifests: nesting far past the codec's depth cap is an
+    // error, not a stack overflow; `\u` escapes and UTF-8 decode exactly.
+    let deep = format!(r#"{{"devices": {}"#, "[".repeat(200_000));
+    let err = MachineSpec::parse(&deep).unwrap_err();
+    assert!(err.msg.contains("nesting"), "{err}");
+    let spec = MachineSpec::parse(r#"{"devices": [{"kind": "u\u0061rt", "base": "0x82000000"}]}"#)
+        .unwrap();
+    assert_eq!(spec.devices[0].kind, "uart");
+    let err = MachineSpec::parse(r#"{"machine": {"core": "ibéx"}}"#).unwrap_err();
+    assert!(err.msg.contains("`ibéx`"), "{err}");
 }
 
 #[test]

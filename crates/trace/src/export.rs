@@ -8,6 +8,7 @@
 //! microseconds 1:1, so "1 ms" in the viewer is 1000 simulated cycles.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::json::Json;
 use crate::metrics::MetricsRegistry;
 
 /// Synthetic track for machine-level point events (traps, interrupts,
@@ -22,33 +23,27 @@ pub const TRACK_REVOKER: u32 = 0xfffd;
 /// registered display name (`uart: mmio_write`).
 pub const TRACK_DEVICE: u32 = 0xfffc;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Renders one Chrome event as a one-line JSON object. Metadata events
+/// (`ph: "M"`) carry no `ts`, and the process-name event no `tid`.
+fn record(name: &str, ph: &str, ts: Option<u64>, tid: Option<u32>, args: Json) -> String {
+    let mut ev = Json::obj();
+    ev.push("name", name).push("ph", ph);
+    if let Some(ts) = ts {
+        ev.push("ts", ts);
     }
-    out
+    ev.push("pid", 0u64);
+    if let Some(tid) = tid {
+        ev.push("tid", tid);
+    }
+    ev.push("args", args);
+    ev.render_line()
 }
 
-fn args_json(kind: &EventKind) -> String {
-    let fields: Vec<String> = kind
-        .fields()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
-    format!("{{{}}}", fields.join(","))
-}
-
-fn record(out: &mut Vec<String>, name: &str, ph: &str, ts: u64, tid: u32, args: String) {
-    out.push(format!(
-        "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":0,\"tid\":{tid},\"args\":{args}}}",
-        json_escape(name)
-    ));
+/// A metadata event naming the process or one track.
+fn metadata(what: &str, tid: Option<u32>, name: &str) -> String {
+    let mut args = Json::obj();
+    args.push("name", name);
+    record(what, "M", None, tid, args)
 }
 
 /// Render events as a Chrome `trace_event` JSON document
@@ -71,61 +66,49 @@ pub fn chrome_trace_json(events: &[TraceEvent], metrics: &MetricsRegistry) -> St
         .collect();
     tids.sort_unstable();
     tids.dedup();
-    out.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"cheriot-sim\"}}"
-            .to_string(),
-    );
-    for tid in &tids {
-        out.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&metrics.thread_name(*tid))
-        ));
-    }
-    for (tid, name) in [
+    out.push(metadata("process_name", None, "cheriot-sim"));
+    let named = tids.iter().map(|&tid| (tid, metrics.thread_name(tid)));
+    let synthetic = [
         (TRACK_MACHINE, "machine"),
         (TRACK_HEAP, "heap"),
         (TRACK_REVOKER, "revoker"),
         (TRACK_DEVICE, "devices"),
-    ] {
-        out.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}}}"
-        ));
+    ];
+    for (tid, name) in named.chain(synthetic.map(|(tid, name)| (tid, name.to_string()))) {
+        out.push(metadata("thread_name", Some(tid), &name));
     }
 
     for ev in events {
-        let ts = ev.cycles;
-        let args = args_json(&ev.kind);
-        match ev.kind {
-            EventKind::CompartmentEnter { thread, to, .. } => {
-                record(&mut out, &metrics.comp_name(to), "B", ts, thread, args);
-            }
-            EventKind::CompartmentExit { thread, to, .. } => {
-                record(&mut out, &metrics.comp_name(to), "E", ts, thread, args);
-            }
-            EventKind::ThreadSwitch { thread, .. } => {
-                record(&mut out, "thread_switch", "i", ts, thread, args);
-            }
+        let (name, ph, tid) = match ev.kind {
+            EventKind::CompartmentEnter { thread, to, .. } => (metrics.comp_name(to), "B", thread),
+            EventKind::CompartmentExit { thread, to, .. } => (metrics.comp_name(to), "E", thread),
+            EventKind::ThreadSwitch { thread, .. } => ("thread_switch".to_string(), "i", thread),
             EventKind::Malloc { .. }
             | EventKind::Claim { .. }
             | EventKind::Free { .. }
             | EventKind::QuarantinePush { .. }
-            | EventKind::QuarantineRelease { .. } => {
-                record(&mut out, ev.kind.name(), "i", ts, TRACK_HEAP, args);
-            }
+            | EventKind::QuarantineRelease { .. } => (ev.kind.name().to_string(), "i", TRACK_HEAP),
             EventKind::RevokerStart { .. } | EventKind::RevokerFinish { .. } => {
-                record(&mut out, ev.kind.name(), "i", ts, TRACK_REVOKER, args);
+                (ev.kind.name().to_string(), "i", TRACK_REVOKER)
             }
             EventKind::MmioRead { dev, .. }
             | EventKind::MmioWrite { dev, .. }
             | EventKind::DmaTransfer { dev, .. }
-            | EventKind::DeviceIrq { dev, .. } => {
-                let name = format!("{}: {}", metrics.device_name(dev), ev.kind.name());
-                record(&mut out, &name, "i", ts, TRACK_DEVICE, args);
-            }
-            _ => {
-                record(&mut out, ev.kind.name(), "i", ts, TRACK_MACHINE, args);
-            }
-        }
+            | EventKind::DeviceIrq { dev, .. } => (
+                format!("{}: {}", metrics.device_name(dev), ev.kind.name()),
+                "i",
+                TRACK_DEVICE,
+            ),
+            _ => (ev.kind.name().to_string(), "i", TRACK_MACHINE),
+        };
+        let args = Json::Obj(
+            ev.kind
+                .fields()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), Json::UInt(v)))
+                .collect(),
+        );
+        out.push(record(&name, ph, Some(ev.cycles), Some(tid), args));
     }
 
     format!("{{\"traceEvents\":[\n{}\n]}}\n", out.join(",\n"))

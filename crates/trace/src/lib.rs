@@ -16,6 +16,8 @@
 //!   per-thread cycle attribution derived from switch spans.
 //! * [`export`] — Chrome `trace_event` JSON (for `chrome://tracing` /
 //!   Perfetto), flat CSV, and a text summary table.
+//! * [`json`] — the workspace's one JSON codec: a typed [`json::Json`]
+//!   value, indented and one-line renderers, and a bounded parser.
 //!
 //! The [`Tracer`] ties these together: it forwards each emitted event to
 //! the metrics registry, then to the sink according to its recording
@@ -26,6 +28,7 @@
 
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 
