@@ -4,8 +4,8 @@
 //! Runs the capability+filter CoreMark kernel for a fixed
 //! *simulated-cycle* budget on both core models — through all three
 //! dispatch modes: the stepwise decode loop, the predecoded basic-block
-//! cache, and the chained cache (block chaining + superblocks + sentry
-//! inline caches, DESIGN.md §13) — and reports host-side MIPS (simulated
+//! cache, and the chained cache (block chaining + superblocks + the
+//! unchecked fast-stream loop, DESIGN.md §13) — and reports host-side MIPS (simulated
 //! instructions / host CPU second), then measures fault-campaign
 //! throughput (seeds per CPU second through the snapshot/fork engine),
 //! then times a full `all_results` regeneration. Writes

@@ -65,8 +65,8 @@ pub struct RunOptions {
     /// (architecturally invisible; `--no-block-cache` forces the
     /// per-instruction stepwise loop).
     pub block_cache: bool,
-    /// Chain predecoded blocks directly: successor links, superblocks,
-    /// and sentry inline caches (architecturally invisible;
+    /// Chain predecoded blocks directly: successor links, superblocks
+    /// and the unchecked fast-stream loop (architecturally invisible;
     /// `--no-block-chain` returns to the dispatcher between blocks).
     pub block_chain: bool,
     /// Keep the last N retired instructions for the post-run trace.
@@ -243,8 +243,6 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
             tracer.metrics.add("block_chain_links", bs.chain_links);
             tracer.metrics.add("block_promotions", bs.promotions);
             tracer.metrics.add("block_side_exits", bs.side_exits);
-            tracer.metrics.add("sentry_ic_hits", bs.sentry_ic_hits);
-            tracer.metrics.add("sentry_ic_misses", bs.sentry_ic_misses);
             let ss = m.snapshot_stats();
             tracer.metrics.add("snapshot_restores", ss.restores);
             tracer.metrics.add("dirty_pages_copied", ss.pages_copied);
@@ -406,8 +404,6 @@ mod tests {
             assert!(out.report.contains("block_chain_links"), "{}", out.report);
             assert!(out.report.contains("block_promotions"), "{}", out.report);
             assert!(out.report.contains("block_side_exits"), "{}", out.report);
-            assert!(out.report.contains("sentry_ic_hits"), "{}", out.report);
-            assert!(out.report.contains("sentry_ic_misses"), "{}", out.report);
         }
     }
 

@@ -11,8 +11,8 @@
 //! run of [`PredecodedInsn`]s; subsequent visits dispatch straight down the
 //! block.
 //!
-//! Three dispatch accelerators layer on top (DESIGN.md §13), all per-slot
-//! sidecar state invalidated wholesale by the generation counter:
+//! Two dispatch accelerators layer on top (DESIGN.md §13), both
+//! invalidated wholesale by the generation counter:
 //!
 //! * **Superblocks**: decode chases unconditional forward jumps
 //!   (`jal x0, +off`) instead of ending the block, so straight-line-plus-
@@ -25,11 +25,8 @@
 //!   `(generation, next_pc, PCC fingerprint) → successor slot` recorded by
 //!   the chained dispatch loop; a matching link lets the loop jump block to
 //!   block without re-running the PCC fetch check or touching the slot
-//!   table's lookup path.
-//! * **Sentry inline caches**: a slot whose block ends in `cjalr` caches
-//!   the last observed `(target capability word) → (target PCC, posture
-//!   effect, successor slot)` so repeat sentry calls — the RTOS cross-call
-//!   shape — skip the whole capability validation re-run.
+//!   table's lookup path. A block ending in `cjalr` runs the jump through
+//!   the general `exec` path and chains through the same links.
 //!
 //! Coherence is exact and conservative:
 //!
@@ -42,23 +39,22 @@
 //! * Every invalidation bumps a generation counter
 //!   ([`BlockCacheStats::generation`]) that external layers (fault
 //!   campaigns, tests) can watch to confirm their mutations took effect.
-//!   Links and inline caches embed the generation they were recorded
-//!   under and die on any mismatch, so a single counter bump retires every
-//!   link in the machine at once — no per-link invalidation walk.
+//!   Links embed the generation they were recorded under and die on any
+//!   mismatch, so a single counter bump retires every link in the machine
+//!   at once — no per-link invalidation walk.
 //!
 //! The cache stores `Arc<Block>` so a [`crate::machine::Machine`] stays
 //! `Send` (fault campaigns fan machines out across `thread::scope`) and so
 //! the run loop can hold a block while mutating the machine through
-//! `&mut self`. Links and inline caches live in the per-machine slot
-//! sidecar, *never* inside the shared `Arc<Block>`: forked machines execute
-//! the same `Arc<Block>`s concurrently across threads, so mutable dispatch
+//! `&mut self`. Links live in the per-machine slot sidecar, *never* inside
+//! the shared `Arc<Block>`: forked machines execute the same
+//! `Arc<Block>`s concurrently across threads, so mutable dispatch
 //! state inside a block would be a data race (and would leak one fork's
 //! control-flow history into another).
 
-use crate::insn::{Instr, Reg};
+use crate::insn::{pure_register, Instr, Reg};
 use crate::machine::layout;
 use crate::pipeline::CoreModel;
-use cheriot_cap::Capability;
 use std::sync::Arc;
 
 /// Maximum instructions per cached block (superblocks included).
@@ -208,19 +204,21 @@ pub struct BlockCacheStats {
     pub invalidated: u64,
     /// Bumped on every invalidation event (patch, append, flush), even
     /// when no cached block was affected: observers compare generations to
-    /// confirm a code mutation was seen by the cache. Successor links and
-    /// sentry inline caches record the generation they were made under
-    /// and are dead the moment it moves.
+    /// confirm a code mutation was seen by the cache. Successor links
+    /// record the generation they were made under and are dead the moment
+    /// it moves.
     pub generation: u64,
     /// Block-to-block transitions taken through a successor link (no
     /// dispatcher return, no PCC fetch re-check).
     pub chain_hits: u64,
     /// Successor links recorded.
     pub chain_links: u64,
-    /// `cjalr` dispatches served by a slot's sentry inline cache.
+    /// Retired with the sentry inline cache: always zero. Kept only
+    /// because `cheriot-benchmark` still reads it (`dispatch_layers`,
+    /// `block_delta`, `block_add`); ROADMAP item 2 deletes it.
     pub sentry_ic_hits: u64,
-    /// `cjalr` dispatches that missed the inline cache (including the
-    /// install miss).
+    /// Retired with the sentry inline cache: always zero, kept for the
+    /// same readers as [`BlockCacheStats::sentry_ic_hits`].
     pub sentry_ic_misses: u64,
     /// Blocks replaced by a promoted superblock (hot one-way edge
     /// appended). Not counted as builds: [`BlockCacheStats::misses`] only
@@ -241,8 +239,9 @@ struct BlockLink {
     gen_plus1: u64,
     /// The successor's start address this link was recorded for.
     next_pc: u32,
-    /// PCC fetch fingerprint ([`Capability::fetch_fingerprint`]) the
-    /// successor was verified under.
+    /// PCC fetch fingerprint
+    /// ([`cheriot_cap::Capability::fetch_fingerprint`]) the successor was
+    /// verified under.
     fp_base: u32,
     fp_top: u64,
     /// Slot index of the successor block.
@@ -263,38 +262,6 @@ impl BlockLink {
     }
 }
 
-/// Monomorphic inline cache for a block ending in `cjalr`: the last
-/// successfully jumped-to target capability and everything the dispatch
-/// loop needs to replay the jump without re-validating.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SentryIc {
-    /// Memory-word encoding of the target capability (its tag was set —
-    /// untagged targets fault and are never cached). `to_word` covers the
-    /// address, bounds, otype and permissions, so a word match implies the
-    /// identical unseal/jump result.
-    pub cap_word: u64,
-    /// The PCC `cjalr` installed for this target (unsealed, offset folded).
-    pub target_pcc: Capability,
-    /// Interrupt-posture effect of the sentry: `Some(enable)` switches the
-    /// posture, `None` leaves it alone (unsealed targets, inherit
-    /// sentries).
-    pub posture: Option<bool>,
-    /// Slot of the successor block, verified for fetch under `fp`.
-    pub target_slot: u32,
-    /// Fetch fingerprint of `target_pcc`.
-    pub fp: (u32, u64),
-}
-
-/// Per-slot dispatch sidecar: two successor links (taken / fall-through of
-/// the block *starting* at this slot) and the sentry inline cache.
-#[derive(Clone, Copy, Debug, Default)]
-struct SlotLinks {
-    links: [BlockLink; 2],
-    /// Generation + 1 the inline cache was recorded under (0 = empty).
-    ic_gen_plus1: u64,
-    ic: Option<SentryIc>,
-}
-
 /// PC-indexed store of predecoded blocks (one slot per code word, keyed by
 /// the block's start address).
 ///
@@ -307,8 +274,9 @@ struct SlotLinks {
 #[derive(Clone, Debug, Default)]
 pub struct BlockCache {
     slots: Vec<Option<Arc<Block>>>,
-    /// Successor links + sentry inline caches, parallel to `slots`.
-    links: Vec<SlotLinks>,
+    /// Two successor links per slot (taken / fall-through of the block
+    /// *starting* there, most recent first), parallel to `slots`.
+    links: Vec<[BlockLink; 2]>,
     /// Counters; the machine exposes them via
     /// [`crate::machine::Machine::block_stats`].
     pub stats: BlockCacheStats,
@@ -355,7 +323,7 @@ impl BlockCache {
             self.slots.resize(code_words, None);
         }
         if self.links.len() < self.slots.len() {
-            self.links.resize(self.slots.len(), SlotLinks::default());
+            self.links.resize(self.slots.len(), Default::default());
         }
         self.stats.misses += 1;
         self.slots[idx] = Some(block);
@@ -374,8 +342,7 @@ impl BlockCache {
         next_pc: u32,
         fp: (u32, u64),
     ) -> Option<(usize, bool)> {
-        let sl = self.links.get_mut(from)?;
-        let [newest, older] = &mut sl.links;
+        let [newest, older] = self.links.get_mut(from)?;
         if newest.matches(gen, next_pc, fp) {
             let mut hot = false;
             if newest.follows < HOT && older.gen_plus1 != gen + 1 {
@@ -411,40 +378,19 @@ impl BlockCache {
             target_slot: target_slot as u32,
             follows: 0,
         };
-        if !sl.links[0].matches(gen, next_pc, fp) {
-            sl.links[1] = sl.links[0];
+        if !sl[0].matches(gen, next_pc, fp) {
+            sl[1] = sl[0];
         }
-        sl.links[0] = fresh;
+        sl[0] = fresh;
         self.stats.chain_links += 1;
-    }
-
-    /// The sentry inline cache of slot `from`, if current and keyed by the
-    /// same capability word.
-    #[inline]
-    pub(crate) fn ic_lookup(&self, from: usize, gen: u64, cap_word: u64) -> Option<SentryIc> {
-        let sl = self.links.get(from)?;
-        if sl.ic_gen_plus1 != gen + 1 {
-            return None;
-        }
-        sl.ic.filter(|ic| ic.cap_word == cap_word)
-    }
-
-    /// Installs (or replaces — the cache is monomorphic) slot `from`'s
-    /// sentry inline cache.
-    #[inline]
-    pub(crate) fn ic_insert(&mut self, from: usize, gen: u64, ic: SentryIc) {
-        if let Some(sl) = self.links.get_mut(from) {
-            sl.ic_gen_plus1 = gen + 1;
-            sl.ic = Some(ic);
-        }
     }
 
     /// Accounts for a promoted block the dispatch loop is installing in
     /// the slot of the block it holds (the loop already verified its
     /// fetch under the current PCC). Bumps the generation: a link *into*
     /// that slot recorded under another PCC fingerprint certified only
-    /// the old block's ranges, never the appended ones, so every link and
-    /// inline cache must die. Returns the new generation.
+    /// the old block's ranges, never the appended ones, so every link must
+    /// die. Returns the new generation.
     pub(crate) fn note_promotion(&mut self) -> u64 {
         self.stats.promotions += 1;
         self.stats.generation += 1;
@@ -465,7 +411,7 @@ impl BlockCache {
     /// block can cover code *below* its start). Returns the number
     /// discarded. Always bumps the generation: the *code* changed whether
     /// or not a block cached it — and the bump alone retires every
-    /// successor link and inline cache.
+    /// successor link.
     pub fn invalidate_covering(&mut self, addr: u32) -> u64 {
         self.stats.generation += 1;
         let Some(slot) = Self::slot_of(addr & !3) else {
@@ -512,7 +458,7 @@ impl BlockCache {
     }
 
     /// Discards every cached block (full flush), bumping the generation
-    /// (which also retires every link and inline cache).
+    /// (which also retires every link).
     pub fn clear(&mut self) {
         let resident = self.resident() as u64;
         for s in &mut self.slots {
@@ -743,23 +689,11 @@ fn finish(
 fn statically_fast(instr: &Instr) -> bool {
     matches!(
         instr,
-        Instr::Lui { .. }
-            | Instr::OpImm { .. }
-            | Instr::Op { .. }
-            | Instr::MulDiv { .. }
+        pure_register!()
             | Instr::Load { .. }
             | Instr::Clc { .. }
             | Instr::Store { .. }
             | Instr::Csc { .. }
-            | Instr::CGet { .. }
-            | Instr::CSetAddr { .. }
-            | Instr::CIncAddr { .. }
-            | Instr::CIncAddrImm { .. }
-            | Instr::CSetBounds { .. }
-            | Instr::CSetBoundsImm { .. }
-            | Instr::CAndPerm { .. }
-            | Instr::CClearTag { .. }
-            | Instr::CMove { .. }
     )
 }
 

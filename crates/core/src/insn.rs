@@ -326,6 +326,31 @@ pub enum Instr {
     Halt,
 }
 
+/// Pattern for the pure-register instructions: they read and write only
+/// registers, never trap (CHERIoT monotonicity failures detag instead),
+/// never jump and touch no counters or MMIO. `Machine::exec` routes this
+/// set to the one helper that implements it, and the chained dispatch
+/// loop's inline arms run it unconditionally
+/// (`blockcache::statically_fast`).
+macro_rules! pure_register {
+    () => {
+        $crate::insn::Instr::Lui { .. }
+            | $crate::insn::Instr::OpImm { .. }
+            | $crate::insn::Instr::Op { .. }
+            | $crate::insn::Instr::MulDiv { .. }
+            | $crate::insn::Instr::CGet { .. }
+            | $crate::insn::Instr::CSetAddr { .. }
+            | $crate::insn::Instr::CIncAddr { .. }
+            | $crate::insn::Instr::CIncAddrImm { .. }
+            | $crate::insn::Instr::CSetBounds { .. }
+            | $crate::insn::Instr::CSetBoundsImm { .. }
+            | $crate::insn::Instr::CAndPerm { .. }
+            | $crate::insn::Instr::CClearTag { .. }
+            | $crate::insn::Instr::CMove { .. }
+    };
+}
+pub(crate) use pure_register;
+
 impl Instr {
     /// A canonical no-op.
     pub const NOP: Instr = Instr::OpImm {

@@ -2,13 +2,11 @@
 //! timer + console, with per-instruction cycle accounting driven by a
 //! [`CoreModel`].
 
-use crate::blockcache::{
-    build_block, promote, Block, BlockCache, BlockCacheStats, PredecodedInsn, SentryIc,
-};
+use crate::blockcache::{build_block, promote, Block, BlockCache, BlockCacheStats};
 use crate::bus::{DeviceBus, Uart};
 use crate::cpu::Cpu;
 use crate::error::SimError;
-use crate::insn::{AluOp, BranchCond, CapField, CsrId, CsrOp, Instr, MulOp, Reg};
+use crate::insn::{pure_register, AluOp, BranchCond, CapField, CsrId, CsrOp, Instr, MulOp, Reg};
 use crate::mem::{Sram, GRANULE};
 use crate::pipeline::CoreModel;
 use crate::revocation::{BackgroundRevoker, RevocationBitmap, RevokerConfig};
@@ -77,10 +75,10 @@ pub struct MachineConfig {
     pub block_cache: bool,
     /// Chain predecoded blocks directly (DESIGN.md §13): successor links
     /// that skip the dispatcher and the PCC fetch re-check, superblocks
-    /// across unconditional forward jumps, and sentry inline caches for
-    /// `cjalr` call sites. Architecturally invisible — `false` keeps the
-    /// PR-4 one-block-per-dispatch loop (CLI `--no-block-chain`). Only
-    /// meaningful when `block_cache` is on.
+    /// across unconditional forward jumps and hot one-way edges, and the
+    /// unchecked fast-stream loop. Architecturally invisible — `false`
+    /// keeps the one-block-per-dispatch loop (CLI `--no-block-chain`).
+    /// Only meaningful when `block_cache` is on.
     pub block_chain: bool,
     /// Copy-on-write page store enabled ([`crate::mem::Sram`])? When
     /// false (CLI `--no-cow`) SRAM pages are kept uniquely owned and
@@ -1315,10 +1313,12 @@ impl Machine {
     }
 
     /// Dispatches one predecoded instruction through the inline fast
-    /// arms, mirroring each `exec` arm exactly. On [`Fast::Done`] nothing
-    /// trapped, halted or jumped, no penalty cycles accrued beyond
-    /// `base_cycles`, and neither `mtimecmp` nor the revoker IRQ line
-    /// moved — the guarantees the chained dispatch loop's
+    /// arms. These arms are the one implementation of the pure-register
+    /// instructions ([`pure_register!`]): [`Machine::exec`] routes that
+    /// set here, so the general path and the chained loop cannot drift.
+    /// On [`Fast::Done`] nothing trapped, halted or jumped, no penalty
+    /// cycles accrued beyond `base_cycles`, and neither `mtimecmp` nor the
+    /// revoker IRQ line moved — the guarantees the chained dispatch loop's
     /// register-resident counters and its unchecked inner loop
     /// (DESIGN.md §13) rely on. [`Fast::Guard`] gives the same guarantees
     /// except that the caller charges the taken penalty and checks the
@@ -1328,8 +1328,14 @@ impl Machine {
     /// the same block (it gates the interior-jump arm, whose penalty was
     /// folded in at decode or promotion, and the guard arm).
     #[inline(always)]
-    fn exec_fast(&mut self, d: &PredecodedInsn, interior: bool) -> Fast {
-        let done = match d.instr {
+    fn exec_fast(&mut self, instr: &Instr, pc: u32, interior: bool) -> Fast {
+        // One match over every inline arm keeps the chained loop at one
+        // dispatch per instruction.
+        let done = match *instr {
+            // The pure-register instructions never trap (CHERIoT
+            // monotonicity failures detag instead), never jump and touch
+            // no counters or MMIO. They dominate the capability CoreMark
+            // mix (pointer derivation and arithmetic).
             Instr::Lui { rd, imm } => {
                 self.cpu.write_int(rd, imm << 12);
                 true
@@ -1349,6 +1355,75 @@ impl Machine {
                 let a = self.cpu.read_int(rs1);
                 let b = self.cpu.read_int(rs2);
                 self.cpu.write_int(rd, muldiv(op, a, b));
+                true
+            }
+            Instr::CGet { field, rd, rs1 } => {
+                let c = self.cpu.read(rs1);
+                let v = match field {
+                    CapField::Perm => u32::from(c.perms().bits()),
+                    CapField::Type => u32::from(c.otype().field()),
+                    CapField::Base => c.base(),
+                    CapField::Len => c.length().min(u64::from(u32::MAX)) as u32,
+                    CapField::Tag => u32::from(c.tag()),
+                    CapField::Addr => c.address(),
+                    CapField::High => (c.to_word() >> 32) as u32,
+                };
+                self.cpu.write_int(rd, v);
+                true
+            }
+            Instr::CSetAddr { rd, rs1, rs2 } => {
+                let c = self.cpu.read(rs1);
+                let a = self.cpu.read_int(rs2);
+                self.cpu.write(rd, c.with_address(a));
+                true
+            }
+            Instr::CIncAddr { rd, rs1, rs2 } => {
+                let c = self.cpu.read(rs1);
+                let a = self.cpu.read_int(rs2);
+                self.cpu.write(rd, c.incremented(a as i32));
+                true
+            }
+            Instr::CIncAddrImm { rd, rs1, imm } => {
+                let c = self.cpu.read(rs1);
+                self.cpu.write(rd, c.incremented(imm));
+                true
+            }
+            Instr::CSetBounds {
+                rd,
+                rs1,
+                rs2,
+                exact,
+            } => {
+                let c = self.cpu.read(rs1);
+                let len = u64::from(self.cpu.read_int(rs2));
+                let out = if exact {
+                    c.set_bounds_exact(len)
+                } else {
+                    c.set_bounds(len)
+                };
+                self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
+                true
+            }
+            Instr::CSetBoundsImm { rd, rs1, imm } => {
+                let c = self.cpu.read(rs1);
+                let out = c.set_bounds(u64::from(imm));
+                self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
+                true
+            }
+            Instr::CAndPerm { rd, rs1, rs2 } => {
+                let c = self.cpu.read(rs1);
+                let mask = Permissions::from_bits(self.cpu.read_int(rs2) as u16);
+                self.cpu.write(rd, c.and_perms(mask));
+                true
+            }
+            Instr::CClearTag { rd, rs1 } => {
+                let c = self.cpu.read(rs1);
+                self.cpu.write(rd, c.cleared());
+                true
+            }
+            Instr::CMove { rd, rs1 } => {
+                let c = self.cpu.read(rs1);
+                self.cpu.write(rd, c);
                 true
             }
             // Loads dispatch inline too (a quarter of the CoreMark
@@ -1477,80 +1552,6 @@ impl Machine {
                     false
                 }
             }
-            // The pure-register capability ALU: never traps (CHERIoT
-            // monotonicity failures detag instead), never jumps,
-            // touches no counters or MMIO. Each arm mirrors its
-            // `exec` arm exactly. These dominate the capability
-            // CoreMark mix (pointer derivation and arithmetic).
-            Instr::CGet { field, rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                let v = match field {
-                    CapField::Perm => u32::from(c.perms().bits()),
-                    CapField::Type => u32::from(c.otype().field()),
-                    CapField::Base => c.base(),
-                    CapField::Len => c.length().min(u64::from(u32::MAX)) as u32,
-                    CapField::Tag => u32::from(c.tag()),
-                    CapField::Addr => c.address(),
-                    CapField::High => (c.to_word() >> 32) as u32,
-                };
-                self.cpu.write_int(rd, v);
-                true
-            }
-            Instr::CSetAddr { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let a = self.cpu.read_int(rs2);
-                self.cpu.write(rd, c.with_address(a));
-                true
-            }
-            Instr::CIncAddr { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let a = self.cpu.read_int(rs2);
-                self.cpu.write(rd, c.incremented(a as i32));
-                true
-            }
-            Instr::CIncAddrImm { rd, rs1, imm } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c.incremented(imm));
-                true
-            }
-            Instr::CSetBounds {
-                rd,
-                rs1,
-                rs2,
-                exact,
-            } => {
-                let c = self.cpu.read(rs1);
-                let len = u64::from(self.cpu.read_int(rs2));
-                let out = if exact {
-                    c.set_bounds_exact(len)
-                } else {
-                    c.set_bounds(len)
-                };
-                self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
-                true
-            }
-            Instr::CSetBoundsImm { rd, rs1, imm } => {
-                let c = self.cpu.read(rs1);
-                let out = c.set_bounds(u64::from(imm));
-                self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
-                true
-            }
-            Instr::CAndPerm { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let mask = Permissions::from_bits(self.cpu.read_int(rs2) as u16);
-                self.cpu.write(rd, c.and_perms(mask));
-                true
-            }
-            Instr::CClearTag { rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c.cleared());
-                true
-            }
-            Instr::CMove { rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c);
-                true
-            }
             // An *interior* `j` is a superblock edge (chased at
             // decode or appended by promotion): rd is x0 (no state
             // change), the jump penalty was folded into
@@ -1560,24 +1561,15 @@ impl Machine {
             // penalty here and there would double-count it).
             Instr::Jal { rd, .. } if rd == Reg::ZERO && interior => true,
             // An interior conditional branch is a promoted block's
-            // guard. It mirrors the `exec` arm (it cannot trap); the
-            // caller charges the taken penalty and leaves the block
-            // when `npc` is not the next instruction.
+            // guard. It cannot trap; the caller charges the taken penalty
+            // and leaves the block when `npc` is not the next instruction.
             Instr::Branch {
                 cond,
                 rs1,
                 rs2,
                 offset,
             } if interior => {
-                let a = self.cpu.read_int(rs1);
-                let b = self.cpu.read_int(rs2);
-                let taken = branch_taken(cond, a, b);
-                let npc = if taken {
-                    self.stats.taken_branches += 1;
-                    d.pc.wrapping_add(offset as u32)
-                } else {
-                    d.pc.wrapping_add(4)
-                };
+                let (npc, taken) = self.resolve_branch(cond, rs1, rs2, offset, pc);
                 return Fast::Guard { npc, taken };
             }
             _ => false,
@@ -1591,12 +1583,11 @@ impl Machine {
 
     /// Executes the predecoded block at slot `idx` (taken by the caller
     /// via [`Machine::block_take`]) and — with chaining enabled — keeps
-    /// dispatching successor blocks through the successor-link and
-    /// sentry-inline-cache fast paths until a stop boundary, never
-    /// returning to the dispatcher in between (DESIGN.md §13). The block
-    /// in hand is always returned to its slot before this function
-    /// returns. Returns whether the outer run loop should stop (budget,
-    /// halt, interrupt boundary) or re-dispatch.
+    /// dispatching successor blocks through the successor links until a
+    /// stop boundary, never returning to the dispatcher in between
+    /// (DESIGN.md §13). The block in hand is always returned to its slot
+    /// before this function returns. Returns whether the outer run loop
+    /// should stop (budget, halt, interrupt boundary) or re-dispatch.
     fn exec_chain(
         &mut self,
         mut idx: usize,
@@ -1619,18 +1610,14 @@ impl Machine {
             /// The general `exec` path jumped or trapped: the PCC is
             /// fully installed and `self`'s counters are authoritative.
             Jumped,
-            /// The sentry inline cache jumped: the successor slot and the
-            /// fingerprint it was fetch-verified under are already known.
-            JumpedIc { slot: usize, fp: (u32, u64) },
         }
 
         let chain = self.cfg.block_chain;
-        // Successor links and inline caches embed the generation they
-        // were recorded under. Code cannot change mid-chain —
-        // invalidation only happens through external `Machine` APIs
-        // (`patch_code`, program loads, `flush_block_cache`), never from
-        // `exec` — so the only mid-chain bump is this loop's own
-        // promotion, which reloads it.
+        // Successor links embed the generation they were recorded under.
+        // Code cannot change mid-chain — invalidation only happens through
+        // external `Machine` APIs (`patch_code`, program loads,
+        // `flush_block_cache`), never from `exec` — so the only mid-chain
+        // bump is this loop's own promotion, which reloads it.
         let mut gen = self.blocks.stats.generation;
         // The PCC address is materialised lazily: the loop reads each
         // instruction's predecoded `pc` and writes the PCC only at stop
@@ -1642,27 +1629,53 @@ impl Machine {
         // out-of-bounds move decodes identically (see
         // `Capability::with_address`).
         let has_tracer = self.tracer.is_some();
-        // While no revoker sweep is in flight, `advance` is a bare cycle
-        // bump, so the hot arms skip the call and keep `cyc` in a
-        // register. A sweep can only start through the general `exec`
-        // path (an MMIO store to `KICK`), which always calls `advance`
-        // and re-reads this flag with `irq_pend`; fast arms cannot start
-        // one.
-        let mut plain_cycles = self.cycles_plain();
-        // Register-resident loop state. `cyc`/`ins` are the
-        // authoritative cycle/instruction counters inside the loop;
-        // they are written back to `self` before every operation that
-        // could observe them (tracing, `advance`, the general `exec`
-        // path, every exit) and re-read after every operation that
-        // could move them. `mtimecmp`/`irq_pend`/`plain_cycles` can only
-        // change through general-path instructions (MMIO stores, revoker
-        // stepping under `advance`), so they are re-read exactly
-        // there; across inline ALU stretches the cached values are
-        // exact.
+        // Register-resident loop state. `cyc`/`ins` are the authoritative
+        // cycle/instruction counters inside the loop: `sync!` writes them
+        // back before every operation that could observe them (the
+        // general `exec` path, every exit; tracing writes `cyc` alone).
+        // `mtimecmp`/`irq_pend`/`plain_cycles` can only change through
+        // general-path instructions (MMIO stores, revoker stepping under
+        // `advance`), so `reload!` re-reads them exactly there; across
+        // inline stretches the cached values are exact. While no revoker
+        // sweep is in flight (`plain_cycles`), `advance` is a bare cycle
+        // bump, so `charge!` keeps `cyc` in a register. A sweep can only
+        // start through the general `exec` path (an MMIO store to
+        // `KICK`), which always calls `advance` and reloads the flag;
+        // fast arms cannot start one. These three idioms are local macros
+        // rather than methods on a state struct: the struct version
+        // changed LLVM's inlining in this loop and cost CoreMark
+        // throughput.
         let mut cyc = self.cycles;
         let mut ins = self.stats.instructions;
         let mut mtimecmp = self.mtimecmp;
         let mut irq_pend = self.irq_lines_pending();
+        let mut plain_cycles = self.cycles_plain();
+        macro_rules! sync {
+            () => {
+                self.cycles = cyc;
+                self.stats.instructions = ins;
+            };
+        }
+        macro_rules! reload {
+            () => {
+                cyc = self.cycles;
+                mtimecmp = self.mtimecmp;
+                irq_pend = self.irq_lines_pending();
+                plain_cycles = self.cycles_plain();
+            };
+        }
+        // Charges `cycles`, of which `mem_beats` used the load/store unit.
+        macro_rules! charge {
+            ($cycles:expr, $mem_beats:expr) => {
+                if plain_cycles {
+                    cyc += $cycles;
+                } else {
+                    self.cycles = cyc;
+                    self.advance($cycles, $mem_beats);
+                    reload!();
+                }
+            };
+        }
         // Fingerprint of the PCC bounds the held block was fetch-verified
         // under (`block_take` just verified it, so the fingerprint
         // exists; the `else` is defensive). Links are keyed on it: a
@@ -1674,10 +1687,6 @@ impl Machine {
             return BlockExit::Continue;
         };
         'chain: loop {
-            // Pending sentry-inline-cache install: set when the block
-            // ends in a `cjalr` that missed the cache, consumed once its
-            // successful jump resolves a successor block.
-            let mut ic_pending: Option<(u64, Option<bool>)> = None;
             let n = block.insns.len();
             let out = 'body: {
                 // Unchecked inner loop (DESIGN.md §13): `block.worst_cycles`
@@ -1712,14 +1721,9 @@ impl Machine {
                     skip = block.fast_end as usize;
                     for f in block.fast.iter() {
                         if f.check_hazard {
-                            if let Some((r, penalty)) = self.pending_use.take() {
-                                if f.srcs.iter().flatten().any(|&s| s == r) {
-                                    self.stats.stall_cycles += penalty;
-                                    cyc += penalty;
-                                }
-                            }
+                            cyc += self.take_stall(&f.srcs);
                         }
-                        match self.exec_fast(&f.d, true) {
+                        match self.exec_fast(&f.d.instr, f.d.pc, true) {
                             Fast::Done => {}
                             Fast::Bail => {
                                 skip = f.resume as usize;
@@ -1748,8 +1752,7 @@ impl Machine {
                     if i != 0 && (cyc >= limit || ins >= wd) {
                         // Budget boundary mid-block: stop exactly where the
                         // stepwise loop would, PC on the next instruction.
-                        self.cycles = cyc;
-                        self.stats.instructions = ins;
+                        sync!();
                         self.finish_jump(pc);
                         break 'body BodyExit::Stop;
                     }
@@ -1757,19 +1760,9 @@ impl Machine {
                     // loads set it, so predecode marks the instructions that
                     // could observe one.
                     if d.check_hazard {
-                        if let Some((r, penalty)) = self.pending_use.take() {
-                            if d.srcs.iter().flatten().any(|&s| s == r) {
-                                self.stats.stall_cycles += penalty;
-                                if plain_cycles {
-                                    cyc += penalty;
-                                } else {
-                                    self.cycles = cyc;
-                                    self.advance(penalty, 0);
-                                    cyc = self.cycles;
-                                    irq_pend = self.irq_lines_pending();
-                                    plain_cycles = self.cycles_plain();
-                                }
-                            }
+                        let stall = self.take_stall(&d.srcs);
+                        if stall != 0 {
+                            charge!(stall, 0);
                         }
                     }
                     ins += 1;
@@ -1777,7 +1770,7 @@ impl Machine {
                         self.cycles = cyc; // event timestamp
                         self.trace_emit(EventKind::InstrRetired { pc });
                     }
-                    let fast = self.exec_fast(d, i + 1 < n);
+                    let fast = self.exec_fast(&d.instr, pc, i + 1 < n);
                     if fast != Fast::Bail {
                         let cycles = match fast {
                             Fast::Guard { taken: true, .. } => {
@@ -1785,15 +1778,7 @@ impl Machine {
                             }
                             _ => d.base_cycles,
                         };
-                        if plain_cycles {
-                            cyc += cycles;
-                        } else {
-                            self.cycles = cyc;
-                            self.advance(cycles, d.mem_beats);
-                            cyc = self.cycles;
-                            irq_pend = self.irq_lines_pending();
-                            plain_cycles = self.cycles_plain();
-                        }
+                        charge!(cycles, d.mem_beats);
                         // A guard is always interior: it either continues
                         // at the next instruction or side-exits here.
                         if let Fast::Guard { npc, .. } = fast {
@@ -1808,17 +1793,16 @@ impl Machine {
                         // truncated at the length cap, hence the `get`.)
                         if enabled && (cyc >= mtimecmp || irq_pend) {
                             let npc = block.insns.get(i + 1).map_or(pc.wrapping_add(4), |x| x.pc);
-                            self.cycles = cyc;
-                            self.stats.instructions = ins;
+                            sync!();
                             self.finish_jump(npc);
                             break 'body BodyExit::Stop;
                         }
                         continue;
                     }
-                    // Inline block-ender arms: the dominant control-flow exits
-                    // dispatch without the general `exec` round trip. Each
-                    // replicates its `exec` arm exactly but defers the PCC
-                    // address write to the chain boundary.
+                    // Inline block-ender arms: a conditional branch or `j`
+                    // ends most blocks, and neither can trap, so both leave
+                    // without the general `exec` round trip and defer the
+                    // PCC address write to the chain boundary.
                     match d.instr {
                         Instr::Branch {
                             cond,
@@ -1826,131 +1810,33 @@ impl Machine {
                             rs2,
                             offset,
                         } => {
-                            let a = self.cpu.read_int(rs1);
-                            let b = self.cpu.read_int(rs2);
-                            let (npc, extra) = if branch_taken(cond, a, b) {
-                                self.stats.taken_branches += 1;
-                                (
-                                    pc.wrapping_add(offset as u32),
-                                    self.cfg.core.branch_taken_penalty,
-                                )
+                            let (npc, taken) = self.resolve_branch(cond, rs1, rs2, offset, pc);
+                            let penalty = if taken {
+                                self.cfg.core.branch_taken_penalty
                             } else {
-                                (pc.wrapping_add(4), 0)
+                                0
                             };
-                            if plain_cycles {
-                                cyc += d.base_cycles + extra;
-                            } else {
-                                self.cycles = cyc;
-                                self.advance(d.base_cycles + extra, d.mem_beats);
-                                cyc = self.cycles;
-                                irq_pend = self.irq_lines_pending();
-                                plain_cycles = self.cycles_plain();
-                            }
+                            charge!(d.base_cycles + penalty, d.mem_beats);
                             break 'body BodyExit::Fall(npc);
                         }
                         Instr::Jal { rd, offset } if rd == Reg::ZERO => {
                             // A last-position `j` (interior ones were chased
                             // at decode and took the fast arm): the x0 link is
                             // a no-op and nothing can trap.
-                            if plain_cycles {
-                                cyc += d.base_cycles + self.cfg.core.jump_penalty;
-                            } else {
-                                self.cycles = cyc;
-                                self.advance(
-                                    d.base_cycles + self.cfg.core.jump_penalty,
-                                    d.mem_beats,
-                                );
-                                cyc = self.cycles;
-                                irq_pend = self.irq_lines_pending();
-                                plain_cycles = self.cycles_plain();
-                            }
+                            let cycles = d.base_cycles + self.cfg.core.jump_penalty;
+                            charge!(cycles, d.mem_beats);
                             break 'body BodyExit::Fall(pc.wrapping_add(offset as u32));
-                        }
-                        Instr::Jalr { rd, rs1, .. } if chain && self.cfg.cheri_enabled => {
-                            // Sentry inline cache (DESIGN.md §13): a call
-                            // site's `cjalr` keeps seeing the same sentry on
-                            // the RTOS cross-call path, and the target's
-                            // memory word + tag fully determine the
-                            // validation outcome. A word match on a tagged
-                            // target replays the jump — link, posture effect,
-                            // installed PCC — without re-running it.
-                            let target = self.cpu.read(rs1);
-                            if target.tag() {
-                                if let Some(ic) = self.blocks.ic_lookup(idx, gen, target.to_word())
-                                {
-                                    self.blocks.stats.sentry_ic_hits += 1;
-                                    // Same order as `exec`: the return-sentry
-                                    // link can trap, and then nothing else
-                                    // must have happened yet.
-                                    if let Err(t) = self.link(rd, pc.wrapping_add(4)) {
-                                        self.cycles = cyc;
-                                        self.stats.instructions = ins;
-                                        self.advance(d.base_cycles, 0);
-                                        self.finish_jump(pc);
-                                        self.enter_trap(t, pc);
-                                        cyc = self.cycles;
-                                        mtimecmp = self.mtimecmp;
-                                        irq_pend = self.irq_lines_pending();
-                                        plain_cycles = self.cycles_plain();
-                                        break 'body BodyExit::Jumped;
-                                    }
-                                    if let Some(en) = ic.posture {
-                                        if self.cpu.interrupts_enabled != en {
-                                            self.cpu.interrupts_enabled = en;
-                                            self.cycles = cyc;
-                                            self.trace_emit(EventKind::InterruptPosture {
-                                                enabled: en,
-                                            });
-                                        }
-                                    }
-                                    if self.block_trace {
-                                        self.cycles = cyc;
-                                        self.trace_emit(EventKind::SentryIcHit {
-                                            pc,
-                                            target: ic.target_pcc.address(),
-                                        });
-                                    }
-                                    self.cpu.pcc = ic.target_pcc;
-                                    if plain_cycles {
-                                        cyc += d.base_cycles + self.cfg.core.jump_penalty;
-                                    } else {
-                                        self.cycles = cyc;
-                                        self.advance(
-                                            d.base_cycles + self.cfg.core.jump_penalty,
-                                            d.mem_beats,
-                                        );
-                                        cyc = self.cycles;
-                                        irq_pend = self.irq_lines_pending();
-                                        plain_cycles = self.cycles_plain();
-                                    }
-                                    break 'body BodyExit::JumpedIc {
-                                        slot: ic.target_slot as usize,
-                                        fp: ic.fp,
-                                    };
-                                }
-                                // Miss: remember the key; the general path
-                                // below validates the jump, and its success
-                                // installs the cache entry at the chain
-                                // boundary.
-                                self.blocks.stats.sentry_ic_misses += 1;
-                                ic_pending =
-                                    Some((target.to_word(), sentry_posture_effect(&target)));
-                            }
                         }
                         _ => {}
                     }
-                    self.cycles = cyc;
-                    self.stats.instructions = ins;
+                    sync!();
                     match self.exec(d.instr, pc) {
                         Ok((extra, out)) => {
                             // Always `advance`: this instruction may have
                             // just kicked a sweep, which then takes its
                             // idle cycles exactly as in `step_instr`.
                             self.advance(d.base_cycles + extra, d.mem_beats);
-                            cyc = self.cycles;
-                            mtimecmp = self.mtimecmp;
-                            irq_pend = self.irq_lines_pending();
-                            plain_cycles = self.cycles_plain();
+                            reload!();
                             match out {
                                 PcOutcome::Advance => {}
                                 PcOutcome::Jumped => break 'body BodyExit::Jumped,
@@ -1969,11 +1855,7 @@ impl Machine {
                             self.advance(d.base_cycles, 0);
                             self.finish_jump(pc);
                             self.enter_trap(t, pc);
-                            cyc = self.cycles;
-                            mtimecmp = self.mtimecmp;
-                            irq_pend = self.irq_lines_pending();
-                            plain_cycles = self.cycles_plain();
-                            ic_pending = None;
+                            reload!();
                             break 'body BodyExit::Jumped;
                         }
                     }
@@ -2000,7 +1882,7 @@ impl Machine {
                     return BlockExit::Stop;
                 }
                 BodyExit::Fall(npc) => (npc, false),
-                BodyExit::Jumped | BodyExit::JumpedIc { .. } => (self.cpu.pc(), true),
+                BodyExit::Jumped => (self.cpu.pc(), true),
             };
             // Locals are current on every non-`Stop` exit (jumped/trapped
             // paths reloaded them), so the interrupt-boundary test the
@@ -2008,8 +1890,7 @@ impl Machine {
             let irq_stop = self.cpu.interrupts_enabled != enabled
                 || (enabled && (cyc >= mtimecmp || irq_pend));
             if !chain || irq_stop || self.halted.is_some() || cyc >= limit || ins >= wd {
-                self.cycles = cyc;
-                self.stats.instructions = ins;
+                sync!();
                 if !pcc_synced {
                     self.finish_jump(next_pc);
                 }
@@ -2020,35 +1901,7 @@ impl Machine {
                     BlockExit::Continue
                 };
             }
-            // Resolve the successor without returning to the dispatcher:
-            // inline-cache target, then the successor links, then the full
-            // verified lookup (which also records the missing link).
-            if let BodyExit::JumpedIc { slot, fp: nfp } = out {
-                // The cache recorded the slot and the fingerprint its
-                // block was verified under; the PCC just installed is the
-                // capability that fingerprint came from.
-                fp = nfp;
-                if slot == idx {
-                    // Self-call: the held block is its own successor.
-                    self.blocks.stats.chain_hits += 1;
-                    continue 'chain;
-                }
-                if let Some(nb) = self.blocks.take(slot) {
-                    self.blocks.stats.chain_hits += 1;
-                    if self.block_trace {
-                        self.cycles = cyc;
-                        let (from, to) = (block.start, nb.start);
-                        self.trace_emit(EventKind::BlockChained { from, to });
-                    }
-                    self.blocks.restore(idx, block);
-                    idx = slot;
-                    block = nb;
-                    continue 'chain;
-                }
-                // Defensive only — under an unmoved generation the slot
-                // cannot have been emptied; fall through to the verified
-                // lookup.
-            } else if matches!(out, BodyExit::Jumped) {
+            if pcc_synced {
                 // The jump installed a fresh PCC whose bounds may differ
                 // (cjalr, mret, trap vector). Re-fingerprint; a PCC that
                 // cannot fetch at all goes back to the dispatcher for
@@ -2056,13 +1909,15 @@ impl Machine {
                 match self.cpu.pcc.fetch_fingerprint() {
                     Some(nfp) => fp = nfp,
                     None => {
-                        self.cycles = cyc;
-                        self.stats.instructions = ins;
+                        sync!();
                         self.blocks.restore(idx, block);
                         return BlockExit::Continue;
                     }
                 }
             }
+            // Resolve the successor without returning to the dispatcher:
+            // the successor links, then the full verified lookup (which
+            // also records the missing link).
             if let Some((slot, hot)) = self.blocks.link_follow(idx, gen, next_pc, fp) {
                 // Link hit: the target block was verified for fetch under
                 // this exact fingerprint when the link was recorded, so
@@ -2105,9 +1960,8 @@ impl Machine {
             }
             // Link miss: sync the PCC, return the held block, and take
             // the successor through the verified lookup; record the edge
-            // (and any pending sentry inline-cache entry) for next time.
-            self.cycles = cyc;
-            self.stats.instructions = ins;
+            // for next time.
+            sync!();
             if !pcc_synced {
                 self.finish_jump(next_pc);
             }
@@ -2117,19 +1971,6 @@ impl Machine {
                 return BlockExit::Continue;
             };
             self.blocks.link_insert(idx, gen, next_pc, fp, nidx);
-            if let Some((word, posture)) = ic_pending {
-                self.blocks.ic_insert(
-                    idx,
-                    gen,
-                    SentryIc {
-                        cap_word: word,
-                        target_pcc: self.cpu.pcc,
-                        posture,
-                        target_slot: nidx as u32,
-                        fp,
-                    },
-                );
-            }
             if self.block_trace {
                 self.trace_emit(EventKind::BlockLinked {
                     from: from_start,
@@ -2225,11 +2066,9 @@ impl Machine {
             }
         };
         // Load-to-use hazard from the previous instruction.
-        if let Some((r, penalty)) = self.pending_use.take() {
-            if instr.sources().iter().flatten().any(|&s| s == r) {
-                self.stats.stall_cycles += penalty;
-                self.advance(penalty, 0);
-            }
+        let stall = self.take_stall(&instr.sources());
+        if stall != 0 {
+            self.advance(stall, 0);
         }
         self.stats.instructions += 1;
         if let Some(t) = self.tracer.as_deref_mut() {
@@ -2285,7 +2124,10 @@ impl Machine {
         let mut extra = 0;
         let mut next_pc = next;
         match instr {
-            Instr::Lui { rd, imm } => self.cpu.write_int(rd, imm << 12),
+            pure_register!() => {
+                let done = self.exec_fast(&instr, pc, false) == Fast::Done;
+                debug_assert!(done);
+            }
             Instr::Auipcc { rd, imm } => {
                 let c = self.cpu.pcc.with_address(pc.wrapping_add(imm as u32));
                 self.cpu.write(rd, c);
@@ -2295,32 +2137,16 @@ impl Machine {
                 let c = gp.with_address(gp.address().wrapping_add(imm as u32));
                 self.cpu.write(rd, c);
             }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                let a = self.cpu.read_int(rs1);
-                self.cpu.write_int(rd, alu(op, a, imm as u32));
-            }
-            Instr::Op { op, rd, rs1, rs2 } => {
-                let a = self.cpu.read_int(rs1);
-                let b = self.cpu.read_int(rs2);
-                self.cpu.write_int(rd, alu(op, a, b));
-            }
-            Instr::MulDiv { op, rd, rs1, rs2 } => {
-                let a = self.cpu.read_int(rs1);
-                let b = self.cpu.read_int(rs2);
-                self.cpu.write_int(rd, muldiv(op, a, b));
-            }
             Instr::Branch {
                 cond,
                 rs1,
                 rs2,
                 offset,
             } => {
-                let a = self.cpu.read_int(rs1);
-                let b = self.cpu.read_int(rs2);
-                if branch_taken(cond, a, b) {
-                    next_pc = pc.wrapping_add(offset as u32);
+                let taken;
+                (next_pc, taken) = self.resolve_branch(cond, rs1, rs2, offset, pc);
+                if taken {
                     extra += self.cfg.core.branch_taken_penalty;
-                    self.stats.taken_branches += 1;
                 }
             }
             Instr::Jal { rd, offset } => {
@@ -2452,66 +2278,6 @@ impl Machine {
                 }
                 self.bus_write_cap(addr, c)?;
                 self.stats.cap_stores += 1;
-            }
-            Instr::CGet { field, rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                let v = match field {
-                    CapField::Perm => u32::from(c.perms().bits()),
-                    CapField::Type => u32::from(c.otype().field()),
-                    CapField::Base => c.base(),
-                    CapField::Len => c.length().min(u64::from(u32::MAX)) as u32,
-                    CapField::Tag => u32::from(c.tag()),
-                    CapField::Addr => c.address(),
-                    CapField::High => (c.to_word() >> 32) as u32,
-                };
-                self.cpu.write_int(rd, v);
-            }
-            Instr::CSetAddr { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let a = self.cpu.read_int(rs2);
-                self.cpu.write(rd, c.with_address(a));
-            }
-            Instr::CIncAddr { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let a = self.cpu.read_int(rs2);
-                self.cpu.write(rd, c.incremented(a as i32));
-            }
-            Instr::CIncAddrImm { rd, rs1, imm } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c.incremented(imm));
-            }
-            Instr::CSetBounds {
-                rd,
-                rs1,
-                rs2,
-                exact,
-            } => {
-                let c = self.cpu.read(rs1);
-                let len = u64::from(self.cpu.read_int(rs2));
-                let out = if exact {
-                    c.set_bounds_exact(len)
-                } else {
-                    c.set_bounds(len)
-                };
-                self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
-            }
-            Instr::CSetBoundsImm { rd, rs1, imm } => {
-                let c = self.cpu.read(rs1);
-                let out = c.set_bounds(u64::from(imm));
-                self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
-            }
-            Instr::CAndPerm { rd, rs1, rs2 } => {
-                let c = self.cpu.read(rs1);
-                let mask = Permissions::from_bits(self.cpu.read_int(rs2) as u16);
-                self.cpu.write(rd, c.and_perms(mask));
-            }
-            Instr::CClearTag { rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c.cleared());
-            }
-            Instr::CMove { rd, rs1 } => {
-                let c = self.cpu.read(rs1);
-                self.cpu.write(rd, c);
             }
             Instr::CSeal { rd, rs1, rs2 } => {
                 let c = self.cpu.read(rs1);
@@ -2650,6 +2416,44 @@ impl Machine {
         }
     }
 
+    /// Resolves the conditional branch at `pc` (it cannot trap): reads the
+    /// operands and counts a taken branch. Returns the next PC and whether
+    /// the branch was taken; the caller charges the taken penalty.
+    #[inline(always)]
+    fn resolve_branch(
+        &mut self,
+        cond: BranchCond,
+        rs1: Reg,
+        rs2: Reg,
+        offset: i32,
+        pc: u32,
+    ) -> (u32, bool) {
+        let a = self.cpu.read_int(rs1);
+        let b = self.cpu.read_int(rs2);
+        if branch_taken(cond, a, b) {
+            self.stats.taken_branches += 1;
+            (pc.wrapping_add(offset as u32), true)
+        } else {
+            (pc.wrapping_add(4), false)
+        }
+    }
+
+    /// Consumes the pending load-to-use hazard and returns the stall it
+    /// costs an instruction reading `srcs` (0 when it reads no loaded
+    /// register), counted in [`Stats::stall_cycles`]; the caller charges
+    /// it. Either way the hazard is gone: it only reaches the very next
+    /// instruction.
+    #[inline(always)]
+    fn take_stall(&mut self, srcs: &[Option<Reg>; 2]) -> u64 {
+        match self.pending_use.take() {
+            Some((r, penalty)) if srcs.iter().flatten().any(|&s| s == r) => {
+                self.stats.stall_cycles += penalty;
+                penalty
+            }
+            _ => 0,
+        }
+    }
+
     fn finish_jump(&mut self, next_pc: u32) {
         self.cpu.pcc = self.cpu.pcc.with_address(next_pc);
     }
@@ -2744,25 +2548,6 @@ enum Fast {
     /// to `npc`; `taken` says whether it pays the taken-branch penalty.
     /// The block continues only if `npc` is the next instruction's `pc`.
     Guard { npc: u32, taken: bool },
-}
-
-/// The interrupt-posture effect of jumping to `target` via `cjalr`,
-/// mirroring the sentry decoding in `exec`'s `Jalr` arm: `Some(enable)`
-/// switches the posture, `None` leaves it alone (unsealed targets and
-/// inherit sentries). Only consulted for targets whose jump succeeded —
-/// the sentry inline cache never caches faulting jumps.
-fn sentry_posture_effect(target: &Capability) -> Option<bool> {
-    if !target.is_sealed() {
-        return None;
-    }
-    match target.otype().sentry_kind() {
-        Some(SentryKind::Forward(InterruptPosture::Enabled))
-        | Some(SentryKind::Return(InterruptPosture::Enabled)) => Some(true),
-        Some(SentryKind::Forward(InterruptPosture::Disabled)) | Some(SentryKind::Return(_)) => {
-            Some(false)
-        }
-        Some(SentryKind::Forward(InterruptPosture::Inherit)) | None => None,
-    }
 }
 
 fn cheri(reg: impl Into<RegIndex>, fault: cheriot_cap::CapFault) -> TrapCause {

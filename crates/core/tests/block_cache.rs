@@ -444,11 +444,12 @@ fn mid_superblock_trap_reports_pc_in_chased_segment() {
 }
 
 #[test]
-fn sentry_inline_cache_invalidated_by_target_patch() {
-    // A hot `cjalr` call site installs a sentry inline cache; patching the
-    // callee's code bumps the generation, so the next call must miss the
-    // cache, re-validate, and execute the patched callee — in lockstep
-    // with the stepwise interpreter.
+fn sentry_call_site_chains_and_sees_target_patch() {
+    // A hot `cjalr` call site runs its jump through the general `exec`
+    // path and chains to the callee through the ordinary successor links.
+    // Patching the callee's code bumps the generation, which retires those
+    // links, so the next call re-validates and executes the patched callee
+    // — in lockstep with the stepwise interpreter.
     use cheriot_cap::OType;
     let callee = vec![
         addi(Reg::A1, Reg::A1, 7), // h+0 (patched below)
@@ -479,24 +480,22 @@ fn sentry_inline_cache_invalidated_by_target_patch() {
             .seal_as_sentry(OType::Executable(1)) // forward, inherit posture
             .unwrap();
         m.cpu.write(Reg::A5, sentry);
+        let hits_before = m.block_stats().chain_hits;
         assert_eq!(m.run(2_000), ExitReason::CycleLimit);
         if mode == (true, true) {
-            let st = m.block_stats();
+            let hits = m.block_stats().chain_hits - hits_before;
             assert!(
-                st.sentry_ic_hits > 10,
-                "call site must be served by the inline cache (hits={})",
-                st.sentry_ic_hits
+                hits > 10,
+                "call and return must chain through the successor links (hits={hits})"
             );
         }
-        let misses_before = m.block_stats().sentry_ic_misses;
+        let gen_before = m.code_generation();
         m.patch_code(h, addi(Reg::A1, Reg::A1, 1000)).unwrap();
+        assert!(
+            m.code_generation() > gen_before,
+            "mode {mode:?}: the patch must bump the code generation"
+        );
         assert_eq!(m.run(2_000), ExitReason::CycleLimit);
-        if mode == (true, true) {
-            assert!(
-                m.block_stats().sentry_ic_misses > misses_before,
-                "the patch must force an inline-cache re-install"
-            );
-        }
         m
     };
     let a1 = run_with_patch(MODES[0]).cpu.read_int(Reg::A1);

@@ -8,7 +8,7 @@
 //! - **Straight decode-and-execute.** One `match` over [`Instr`], one
 //!   instruction at a time, with the interrupt poll before every
 //!   instruction — no predecoded blocks, no chained dispatch, no batched
-//!   event loop, no sentry inline caches.
+//!   event loop, no superblocks.
 //! - **Naive memory.** 4 KiB byte pages, each allocated on its first
 //!   write (an unwritten page reads as zero), plus one tag bit per 8-byte
 //!   granule, packed 64 to a word. Accesses go byte by byte.

@@ -1,7 +1,7 @@
 //! # cheriot-diff — differential ISA fuzzing with a golden reference model
 //!
 //! The engine crate (`cheriot-core`) is fast because it is clever:
-//! predecoded basic blocks, block chaining, sentry inline caches, batched
+//! predecoded basic blocks, block chaining, superblock promotion, batched
 //! event loops, a decoded-capability side cache. Every one of those
 //! optimizations is a place where the architectural semantics could
 //! silently drift. This crate is the counterweight:

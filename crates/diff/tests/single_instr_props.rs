@@ -1,19 +1,23 @@
 //! Property: for *any* capability operand encoding — any 64-bit pattern,
-//! tagged or not — a single capability instruction executes identically
-//! on the golden interpreter and the stepwise engine, on both core
-//! models. This drills the exact surface the engine's decoded-capability
-//! caching could get wrong: weird otypes, denormal bounds, reserved
-//! permission bits.
+//! tagged or not — and any 12-bit immediate, a single capability or
+//! pure-register instruction executes identically on the golden
+//! interpreter and the stepwise engine, on both core models. This drills
+//! the exact surface the engine's decoded-capability caching could get
+//! wrong: weird otypes, denormal bounds, reserved permission bits. The
+//! engine has one implementation of the pure-register instructions,
+//! shared by all its dispatch tiers, so the golden model is the only
+//! independent check on them.
 
 use cheriot_cap::Capability;
-use cheriot_core::insn::{CapField, Instr, Reg};
+use cheriot_core::insn::{AluOp, CapField, Instr, MulOp, Reg};
 use cheriot_core::machine::layout;
 use cheriot_diff::{build_engine, compare, generate, Golden, Profile};
 use proptest::prelude::*;
 
-const OPS: usize = 19;
+const OPS: usize = 25;
 
-fn pick_instr(ix: usize) -> Instr {
+/// Instruction `ix`; `imm` is a 12-bit signed immediate.
+fn pick_instr(ix: usize, imm: i32) -> Instr {
     let (rd, rs1, rs2) = (Reg::A0, Reg::A1, Reg::A2);
     match ix {
         0 => Instr::CGet {
@@ -53,11 +57,7 @@ fn pick_instr(ix: usize) -> Instr {
         },
         7 => Instr::CSetAddr { rd, rs1, rs2 },
         8 => Instr::CIncAddr { rd, rs1, rs2 },
-        9 => Instr::CIncAddrImm {
-            rd,
-            rs1,
-            imm: -1033,
-        },
+        9 => Instr::CIncAddrImm { rd, rs1, imm },
         10 => Instr::CSetBounds {
             rd,
             rs1,
@@ -70,13 +70,46 @@ fn pick_instr(ix: usize) -> Instr {
             rs2,
             exact: true,
         },
-        12 => Instr::CSetBoundsImm { rd, rs1, imm: 511 },
+        12 => Instr::CSetBoundsImm {
+            rd,
+            rs1,
+            imm: imm as u32 & 0xfff,
+        },
         13 => Instr::CAndPerm { rd, rs1, rs2 },
         14 => Instr::CClearTag { rd, rs1 },
         15 => Instr::CSeal { rd, rs1, rs2 },
         16 => Instr::CUnseal { rd, rs1, rs2 },
         17 => Instr::CTestSubset { rd, rs1, rs2 },
         18 => Instr::CSetEqualExact { rd, rs1, rs2 },
+        19 => Instr::Lui {
+            rd,
+            imm: imm as u32 & 0xfffff,
+        },
+        20 => Instr::OpImm {
+            op: AluOp::Add,
+            rd,
+            rs1,
+            imm,
+        },
+        21 => Instr::OpImm {
+            op: AluOp::Sra,
+            rd,
+            rs1,
+            imm: imm & 31,
+        },
+        22 => Instr::Op {
+            op: AluOp::Sltu,
+            rd,
+            rs1,
+            rs2,
+        },
+        23 => Instr::MulDiv {
+            op: MulOp::Rem,
+            rd,
+            rs1,
+            rs2,
+        },
+        24 => Instr::CMove { rd, rs1 },
         _ => unreachable!(),
     }
 }
@@ -91,8 +124,9 @@ proptest! {
         tag1 in any::<bool>(),
         word2 in any::<u64>(),
         tag2 in any::<bool>(),
+        imm in -2048i32..2048,
     ) {
-        let instr = pick_instr(ix);
+        let instr = pick_instr(ix, imm);
         let prog = [instr, Instr::Halt];
         let a = Capability::from_word(word1, tag1);
         let b = Capability::from_word(word2, tag2);

@@ -9,9 +9,11 @@
 //!
 //! * tracks CONNECT/SUBSCRIBE state per device,
 //! * fans each PUBLISH out to the topic's subscribers (minus the
-//!   publisher itself) and records the expected PUBACK count,
-//! * routes PUBACKs back to the original publisher and retires the
-//!   in-flight entry,
+//!   publisher itself) and records which of them owe a PUBACK,
+//! * routes each PUBACK back to the original publisher and retires the
+//!   acking device's in-flight entry — only a delivery that device still
+//!   owes, so a stray or duplicate PUBACK is counted as malformed and
+//!   can neither hide a lost delivery nor inflate the ack count,
 //! * injects its own host PUBLISHes (src [`HOST_SRC`]) from a seeded
 //!   xorshift generator, closing the loop end to end: a message is only
 //!   "done" when every subscriber's guest firmware acked it.
@@ -39,11 +41,12 @@ pub struct FabricStats {
     pub published_host: u64,
     /// PUBLISH deliveries fanned out to subscriber queues.
     pub deliveries: u64,
-    /// PUBACK frames processed.
+    /// PUBACK frames that retired a delivery their sender owed.
     pub acks: u64,
     /// Frames that crossed from one instance to a *different* one.
     pub cross_instance_frames: u64,
-    /// Frames the fabric could not interpret.
+    /// Frames the fabric could not interpret, including PUBACKs for no
+    /// delivery the sender owed.
     pub malformed: u64,
     /// PUBLISHes that had no subscriber at routing time.
     pub no_subscriber: u64,
@@ -56,8 +59,8 @@ pub struct NetFabric {
     /// topic → subscriber device ids.
     subs: Vec<Vec<usize>>,
     connected: Vec<bool>,
-    /// (publisher src, msg_id) → PUBACKs still outstanding.
-    in_flight: BTreeMap<(u32, u32), u32>,
+    /// (publisher src, msg_id) → devices that still owe a PUBACK.
+    in_flight: BTreeMap<(u32, u32), Vec<usize>>,
     /// xorshift64 state for the host traffic generator.
     rng: u64,
     next_host_msg: u32,
@@ -98,9 +101,7 @@ impl NetFabric {
     /// the `(destination, frame)` deliveries it fans out to.
     pub fn route(&mut self, src_dev: usize, frame: &[u8]) -> Vec<(usize, [u8; FRAME_LEN])> {
         let Some(f) = Frame::parse(frame) else {
-            self.stats.malformed += 1;
-            self.metrics.add("fabric_malformed", 1);
-            return Vec::new();
+            return self.malformed();
         };
         match f.kind {
             KIND_CONNECT => {
@@ -142,15 +143,19 @@ impl NetFabric {
                 self.fan_out(f, Some(src_dev))
             }
             KIND_PUBACK => {
+                let key = (f.src, f.msg_id);
+                let Some(owed) = self.in_flight.get_mut(&key) else {
+                    return self.malformed();
+                };
+                let Some(pos) = owed.iter().position(|&d| d == src_dev) else {
+                    return self.malformed();
+                };
+                owed.swap_remove(pos);
+                if owed.is_empty() {
+                    self.in_flight.remove(&key);
+                }
                 self.stats.acks += 1;
                 self.metrics.add("fabric_acks", 1);
-                let key = (f.src, f.msg_id);
-                if let Some(left) = self.in_flight.get_mut(&key) {
-                    *left -= 1;
-                    if *left == 0 {
-                        self.in_flight.remove(&key);
-                    }
-                }
                 if f.src == HOST_SRC {
                     // Host messages terminate at the broker.
                     Vec::new()
@@ -167,12 +172,15 @@ impl NetFabric {
                     }
                 }
             }
-            _ => {
-                self.stats.malformed += 1;
-                self.metrics.add("fabric_malformed", 1);
-                Vec::new()
-            }
+            _ => self.malformed(),
         }
+    }
+
+    /// Counts a frame the fabric drops as uninterpretable.
+    fn malformed(&mut self) -> Vec<(usize, [u8; FRAME_LEN])> {
+        self.stats.malformed += 1;
+        self.metrics.add("fabric_malformed", 1);
+        Vec::new()
     }
 
     /// Injects one host-generated PUBLISH on a pseudo-random topic,
@@ -192,7 +200,7 @@ impl NetFabric {
     }
 
     /// Fans a PUBLISH out to the topic's subscribers (minus the
-    /// publisher) and records the expected acks.
+    /// publisher) and records them as owing a PUBACK.
     fn fan_out(&mut self, f: Frame, publisher: Option<usize>) -> Vec<(usize, [u8; FRAME_LEN])> {
         let topic = (f.topic % self.topics) as usize;
         let dsts: Vec<usize> = self.subs[topic]
@@ -204,18 +212,18 @@ impl NetFabric {
             self.stats.no_subscriber += 1;
             return Vec::new();
         }
-        let expected = dsts.len() as u32;
-        self.in_flight.insert((f.src, f.msg_id), expected);
-        self.stats.deliveries += u64::from(expected);
+        self.stats.deliveries += dsts.len() as u64;
         if let Some(p) = publisher {
             self.stats.cross_instance_frames += dsts.iter().filter(|&&d| d != p).count() as u64;
         }
-        dsts.into_iter().map(|d| (d, f.to_bytes())).collect()
+        let out = dsts.iter().map(|&d| (d, f.to_bytes())).collect();
+        self.in_flight.insert((f.src, f.msg_id), dsts);
+        out
     }
 
-    /// Messages whose PUBACKs have not all arrived yet.
+    /// Deliveries whose PUBACK has not arrived yet.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight.values().map(|&v| u64::from(v)).sum()
+        self.in_flight.values().map(|v| v.len() as u64).sum()
     }
 
     /// Aggregate counters.
@@ -297,6 +305,31 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
+    }
+
+    #[test]
+    fn only_an_owed_puback_retires_a_delivery() {
+        let mut fab = NetFabric::new(4, 1, 0);
+        fab.route(1, &frame(KIND_SUBSCRIBE, 0, 0, 1));
+        fab.route(2, &frame(KIND_SUBSCRIBE, 0, 0, 2));
+        assert_eq!(fab.route(0, &frame(KIND_PUBLISH, 0, 5, 0)).len(), 2);
+        assert_eq!(fab.in_flight(), 2);
+        // Device 3 was never sent the message: its PUBACK must not retire
+        // a subscriber's outstanding delivery, nor reach the publisher.
+        assert!(fab.route(3, &frame(KIND_PUBACK, 0, 5, 0)).is_empty());
+        assert_eq!(fab.in_flight(), 2);
+        // Device 1 acks once for real, then again: the duplicate changes
+        // nothing.
+        assert_eq!(fab.route(1, &frame(KIND_PUBACK, 0, 5, 0)).len(), 1);
+        assert_eq!(fab.in_flight(), 1);
+        assert!(fab.route(1, &frame(KIND_PUBACK, 0, 5, 0)).is_empty());
+        assert_eq!(fab.in_flight(), 1);
+        let s = fab.stats();
+        assert_eq!((s.acks, s.malformed), (1, 2));
+        // The real subscriber's ack still retires the last delivery.
+        fab.route(2, &frame(KIND_PUBACK, 0, 5, 0));
+        assert_eq!(fab.in_flight(), 0);
+        assert_eq!(fab.stats().acks, s.deliveries);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use crate::fabric::{FabricStats, NetFabric};
 use crate::guest::{self, Mailbox};
-use crate::registry::{boot_node_image, SnapshotRegistry};
+use crate::registry::boot_node_image;
 use cheriot_core::sched::work_steal_with;
 use cheriot_core::{CoreModel, ExitReason, Machine};
 use cheriot_soc::{net_flush_rx, net_push_rx, net_rx_dropped, net_take_tx};
@@ -310,13 +310,8 @@ pub fn run_farm(cfg: &FarmConfig) -> Result<FarmReport, String> {
         0 => (cfg.devices as u32 / 4).max(1),
         t => t,
     };
-    // One warm image in the registry; every instance forks from it.
-    let mut registry = SnapshotRegistry::new();
-    registry.insert(
-        "mqtt-node",
-        boot_node_image(cfg.core, topics, cfg.dispatch, cfg.sram_size, cfg.cow)?,
-    );
-    let snap = registry.get("mqtt-node").expect("just inserted");
+    // One warm image; every instance forks from it.
+    let snap = boot_node_image(cfg.core, topics, cfg.dispatch, cfg.sram_size, cfg.cow)?;
     let snapshot_bytes = snap.bytes();
 
     // Fork the fleet and assign ids through the mailbox. The guest

@@ -18,9 +18,9 @@
 //! any worker count.
 //!
 //! Entry points: [`run_farm`] drives a whole fleet and returns a
-//! [`FarmReport`]; [`boot_node_image`] + [`SnapshotRegistry`] manage
-//! warm images; [`NetFabric`] is the routing hub; [`farm_node_program`]
-//! is the guest firmware.
+//! [`FarmReport`]; [`boot_node_image`] builds the warm image every
+//! instance forks from; [`NetFabric`] is the routing hub;
+//! [`farm_node_program`] is the guest firmware.
 
 #![warn(missing_docs)]
 
@@ -34,4 +34,4 @@ pub use fabric::{FabricStats, NetFabric};
 pub use farm::{run_farm, FarmConfig, FarmReport, NOMINAL_HZ};
 pub use guest::farm_node_program;
 pub use protocol::{Frame, FRAME_LEN, HOST_SRC};
-pub use registry::{boot_node_image, SnapshotRegistry};
+pub use registry::boot_node_image;

@@ -1,5 +1,5 @@
-//! The warm-snapshot registry: one post-boot [`Snapshot`] per machine
-//! image, forked into instances in O(dirty pages).
+//! The warm node image: one post-boot [`Snapshot`], forked into
+//! instances in O(dirty pages).
 //!
 //! Booting the node firmware costs a few hundred instructions plus the
 //! ring setup; doing that once and forking thousands of instances off
@@ -11,46 +11,10 @@
 use crate::guest;
 use cheriot_core::{CoreModel, ExitReason, Machine, MachineConfig, Snapshot};
 use cheriot_soc::{net_set_peer, NetLoopback};
-use std::collections::BTreeMap;
 
 /// Cycle budget for the one-time image boot (ring setup is a few
 /// hundred instructions; the rest is spent parked on the mailbox).
 const BOOT_BUDGET: u64 = 50_000;
-
-/// A named collection of warm boot snapshots.
-#[derive(Default)]
-pub struct SnapshotRegistry {
-    images: BTreeMap<String, Snapshot>,
-}
-
-impl SnapshotRegistry {
-    /// An empty registry.
-    pub fn new() -> SnapshotRegistry {
-        SnapshotRegistry::default()
-    }
-
-    /// Registers a warm snapshot under `name`, replacing any previous
-    /// image of that name.
-    pub fn insert(&mut self, name: &str, snap: Snapshot) {
-        self.images.insert(name.to_string(), snap);
-    }
-
-    /// The warm snapshot for `name`, if registered.
-    pub fn get(&self, name: &str) -> Option<&Snapshot> {
-        self.images.get(name)
-    }
-
-    /// Forks an independent machine off the named image. The fork
-    /// shares the image's decoded block table but no mutable state.
-    pub fn fork(&self, name: &str) -> Option<Machine> {
-        self.images.get(name).map(Snapshot::to_machine)
-    }
-
-    /// Registered image names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.images.keys().map(String::as_str).collect()
-    }
-}
 
 /// Boots the MQTT-node firmware to its parked (id-wait) state and
 /// captures the warm snapshot: NIC attached in peer mode, rings

@@ -313,7 +313,7 @@ impl Fingerprint {
 const STEPWISE: (bool, bool) = (false, false);
 #[cfg(test)]
 const CACHED: (bool, bool) = (true, false);
-/// Block cache + chaining + sentry inline caches — the default path.
+/// Block cache + chaining + superblocks — the default path.
 const CHAINED: (bool, bool) = (true, true);
 
 /// Boots a campaign machine under `dispatch`: ibex core, a heap with
@@ -928,7 +928,7 @@ mod tests {
     fn faulted_runs_identical_across_dispatch_modes() {
         // The strongest exactness check: the faulted run (including code
         // bit-flips, which rewrite instructions mid-run and must invalidate
-        // predecoded blocks, successor links and sentry inline caches)
+        // predecoded blocks, successor links and promoted superblocks)
         // produces a byte-identical fingerprint and the same cycle and
         // instruction counts in all three dispatch modes. Injection points
         // land at the same slice boundaries only if the whole dispatch

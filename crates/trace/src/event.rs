@@ -158,22 +158,14 @@ pub enum EventKind {
         /// Start address of the successor block.
         to: u32,
     },
-    /// A block-to-block transition was taken through a successor link or
-    /// the sentry inline cache — no dispatcher return, no PCC fetch
-    /// re-check (emitted only when the machine's block-trace flag is set).
+    /// A block-to-block transition was taken through a successor link —
+    /// no dispatcher return, no PCC fetch re-check (emitted only when the
+    /// machine's block-trace flag is set).
     BlockChained {
         /// Start address of the departing block.
         from: u32,
         /// Start address of the successor block.
         to: u32,
-    },
-    /// A `cjalr` dispatch was served by its call site's sentry inline
-    /// cache (emitted only when the machine's block-trace flag is set).
-    SentryIcHit {
-        /// Address of the `cjalr`.
-        pc: u32,
-        /// Resolved target address.
-        target: u32,
     },
     /// A guest MMIO read was dispatched to a device on the device bus.
     MmioRead {
@@ -240,7 +232,6 @@ impl EventKind {
             EventKind::BlockInvalidated { .. } => "block_invalidated",
             EventKind::BlockLinked { .. } => "block_linked",
             EventKind::BlockChained { .. } => "block_chained",
-            EventKind::SentryIcHit { .. } => "sentry_ic_hit",
             EventKind::MmioRead { .. } => "mmio_read",
             EventKind::MmioWrite { .. } => "mmio_write",
             EventKind::DmaTransfer { .. } => "dma_transfer",
@@ -310,9 +301,6 @@ impl EventKind {
             }
             EventKind::BlockLinked { from, to } | EventKind::BlockChained { from, to } => {
                 vec![("from", from as u64), ("to", to as u64)]
-            }
-            EventKind::SentryIcHit { pc, target } => {
-                vec![("pc", pc as u64), ("target", target as u64)]
             }
             EventKind::MmioRead { dev, addr, value }
             | EventKind::MmioWrite { dev, addr, value } => {
