@@ -9,7 +9,7 @@
 //! attribution. `--metrics` prints the attribution table without writing
 //! a file.
 
-use cheriot_workloads::iot::{run_iot_app, run_iot_app_traced, IotConfig, CLOCK_HZ};
+use cheriot_bench::harness;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,50 +19,23 @@ fn main() {
         .position(|a| a == "--trace-out")
         .and_then(|i| args.get(i + 1))
         .map(std::path::PathBuf::from);
-
-    println!("End-to-end IoT application (paper §7.2.3)");
-    println!("SoC: CHERIoT-Ibex @ 20 MHz, hardware revoker, stack HWM\n");
-    let cfg = IotConfig {
-        duration_cycles: 3 * CLOCK_HZ, // 3 simulated seconds of steady state
-        ..IotConfig::default()
-    };
-    let (r, tracer) = if metrics || trace_out.is_some() {
-        let (r, t) = run_iot_app_traced(&cfg);
-        (r, Some(t))
-    } else {
-        (run_iot_app(&cfg), None)
-    };
-    println!(
-        "simulated time      : {:.2} s",
-        r.cycles as f64 / CLOCK_HZ as f64
-    );
-    println!("packets processed   : {}", r.packets);
-    println!("interpreter ticks   : {}", r.js_ticks);
-    println!("heap allocations    : {}", r.allocs);
-    println!("revocation passes   : {}", r.revocation_passes);
-    println!("stale caps stripped : {}", r.filter_strips);
-    println!();
-    println!(
-        "CPU load            : {:.1}%  (paper: 17.5%)",
-        r.cpu_load * 100.0
-    );
-    println!(
-        "idle                : {:.1}%  (paper: 82.5%)",
-        (1.0 - r.cpu_load) * 100.0
-    );
-
-    if let Some(tracer) = tracer {
-        if let Some(path) = trace_out {
-            match std::fs::write(&path, tracer.chrome_json()) {
-                Ok(()) => println!(
-                    "\nwrote {} ({} events) — open in chrome://tracing or ui.perfetto.dev",
-                    path.display(),
-                    tracer.recorded()
-                ),
-                Err(e) => eprintln!("\nfailed to write {}: {e}", path.display()),
-            }
-        }
-        println!();
-        print!("{}", tracer.summary());
+    if !metrics && trace_out.is_none() {
+        print!("{}", harness::e2e().write());
+        return;
     }
+
+    let (section, tracer) = harness::e2e_traced();
+    print!("{}", section.write());
+    if let Some(path) = trace_out {
+        match std::fs::write(&path, tracer.chrome_json()) {
+            Ok(()) => println!(
+                "\nwrote {} ({} events) — open in chrome://tracing or ui.perfetto.dev",
+                path.display(),
+                tracer.recorded()
+            ),
+            Err(e) => eprintln!("\nfailed to write {}: {e}", path.display()),
+        }
+    }
+    println!();
+    print!("{}", tracer.summary());
 }

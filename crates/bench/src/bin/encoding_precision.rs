@@ -2,62 +2,6 @@
 //! exact representation up to 511 bytes, sub-0.2% average fragmentation,
 //! and the 6-bit permission compression round-trip.
 
-use cheriot_bench::render_table;
-use cheriot_cap::bounds::EncodedBounds;
-use cheriot_cap::perms::CompressedPerms;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 fn main() {
-    println!("CHERIoT encoding quality (paper §3.2)\n");
-
-    // Exactness by size class.
-    let mut rng = StdRng::seed_from_u64(7);
-    let classes: [(u32, u32); 6] = [
-        (1, 511),
-        (512, 1 << 12),
-        ((1 << 12) + 1, 1 << 16),
-        ((1 << 16) + 1, 1 << 20),
-        ((1 << 20) + 1, 1 << 22),
-        ((1 << 22) + 1, (1 << 23) - (1 << 15)),
-    ];
-    let mut rows = Vec::new();
-    for (lo, hi) in classes {
-        let mut exact = 0u32;
-        let mut frag_sum = 0.0f64;
-        const N: u32 = 20_000;
-        for _ in 0..N {
-            let len = rng.gen_range(lo..=hi);
-            let base = rng.gen_range(0u32..0xc000_0000);
-            let r = EncodedBounds::encode(base, u64::from(len)).expect("representable");
-            if r.exact {
-                exact += 1;
-            }
-            frag_sum += (r.decoded.length() - u64::from(len)) as f64 / f64::from(len);
-        }
-        rows.push(vec![
-            format!("{lo}..{hi}"),
-            format!("{:.1}%", 100.0 * f64::from(exact) / f64::from(N)),
-            format!("{:.4}%", 100.0 * frag_sum / f64::from(N)),
-        ]);
-    }
-    print!(
-        "{}",
-        render_table(&["size range (B)", "exact", "avg fragmentation"], &rows)
-    );
-    println!("\npaper claim: sizes <= 511 B always exact; average fragmentation ~2^-9 = 0.195%\n");
-
-    // Permission compression: enumerate all 64 encodings.
-    println!(
-        "Permission formats (paper Figure 2): all 64 compressed encodings decode+re-encode stably"
-    );
-    let mut stable = 0;
-    for bits in 0..64u8 {
-        let c = CompressedPerms::from_bits(bits);
-        let p = c.decompress();
-        if p.compress().decompress() == p {
-            stable += 1;
-        }
-    }
-    println!("stable encodings: {stable}/64");
+    print!("{}", cheriot_bench::harness::encoding().write());
 }

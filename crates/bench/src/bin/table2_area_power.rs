@@ -1,46 +1,6 @@
-//! Regenerates **Table 2**: area and power costs for variants of Ibex.
-
-use cheriot_bench::{render_table, write_csv};
-use cheriot_hwmodel::{area_report, table2, CoreVariant};
+//! Regenerates **Table 2**: area, power and f_max of the Ibex variants,
+//! written to `results/table2_area_power.csv`.
 
 fn main() {
-    println!("Table 2: Area and power costs for variants of Ibex (300 MHz, 28nm-class model)\n");
-    let published: [(&str, u64, f64); 5] = [
-        ("RV32E", 26_988, 1.437),
-        ("RV32E + PMP16", 55_905, 2.16),
-        ("RV32E + capabilities", 58_110, 2.58),
-        ("  + load filter", 58_431, 2.58),
-        ("    + background revoker", 61_422, 2.73),
-    ];
-    let rows: Vec<Vec<String>> = table2()
-        .iter()
-        .zip(published)
-        .map(|(r, (_, pg, pp))| {
-            vec![
-                r.name.to_string(),
-                format!("{}", r.gates),
-                format!("{:.2}x", r.gate_ratio),
-                format!("{:.3}", r.power_mw),
-                format!("{:.2}x", r.power_ratio),
-                format!("{pg}"),
-                format!("{pp:.3}"),
-            ]
-        })
-        .collect();
-    let headers = [
-        "Configuration",
-        "Gates",
-        "(ratio)",
-        "Power(mW)",
-        "(ratio)",
-        "paper:Gates",
-        "paper:mW",
-    ];
-    print!("{}", render_table(&headers, &rows));
-    if let Ok(p) = write_csv("table2_area_power", &headers, &rows) {
-        println!("\nwrote {}", p.display());
-    }
-
-    println!("\nPer-block composition (CHERIoT + load filter + revoker):");
-    print!("{}", area_report(CoreVariant::CheriotRevoker));
+    print!("{}", cheriot_bench::harness::table2().write());
 }

@@ -1,107 +1,8 @@
-//! Regenerates **Table 3**: CoreMark results for the two cores
-//! (RV32E baseline, + capabilities, + load filter).
-
-use cheriot_bench::{render_table, write_csv};
-use cheriot_core::CoreModel;
-use cheriot_workloads::coremark::code_size_bytes;
-use cheriot_workloads::{run_coremark, CompilerQuirks, CoreMarkConfig};
+//! Regenerates **Table 3**: CoreMark results for the two cores (RV32E
+//! baseline, + capabilities, + load filter), written to
+//! `results/table3_coremark.csv`, plus the fixed-compiler overheads and
+//! code sizes.
 
 fn main() {
-    println!("Table 3: CoreMark-like results (score per MHz; overhead vs RV32E)\n");
-    // Published (paper): Flute 2.017 / 5.73% / 5.73%; Ibex 2.086 / 13.18% / 21.28%.
-    let published = [("Flute", 2.017, 5.73, 5.73), ("Ibex", 2.086, 13.18, 21.28)];
-    let mut rows = Vec::new();
-    // The six (core × config) runs are independent; the harness fans them
-    // out across threads and returns them in deterministic order.
-    for ((_, [base, cap, fil]), (pname, pscore, pcap, pfil)) in
-        cheriot_bench::harness::table3_runs()
-            .into_iter()
-            .zip(published)
-    {
-        assert_eq!(base.checksum, cap.checksum, "functional mismatch");
-        assert_eq!(base.checksum, fil.checksum, "functional mismatch");
-        let pct = |x: u64| (x as f64 / base.cycles as f64 - 1.0) * 100.0;
-        rows.push(vec![
-            format!("{pname} RV32E"),
-            format!("{:.3}", base.score_per_mhz),
-            "-".into(),
-            format!("{pscore:.3}"),
-            "-".into(),
-        ]);
-        rows.push(vec![
-            format!("{pname} + Capabilities"),
-            format!("{:.3}", cap.score_per_mhz),
-            format!("{:.2}%", pct(cap.cycles)),
-            "".into(),
-            format!("{pcap:.2}%"),
-        ]);
-        rows.push(vec![
-            format!("{pname} + Load filter"),
-            format!("{:.3}", fil.score_per_mhz),
-            format!("{:.2}%", pct(fil.cycles)),
-            "".into(),
-            format!("{pfil:.2}%"),
-        ]);
-    }
-    let headers = [
-        "Configuration",
-        "Score",
-        "Overhead",
-        "paper:Score",
-        "paper:Overhead",
-    ];
-    print!("{}", render_table(&headers, &rows));
-    if let Ok(p) = write_csv("table3_coremark", &headers, &rows) {
-        println!("\nwrote {}", p.display());
-    }
-
-    // The paper's prognosis: "Both of these bugs can be fixed using known
-    // techniques and we expect them to be addressed before any CHERIoT
-    // silicon is in production." With the modelled bugs fixed:
-    println!("\nWith the two compiler bugs fixed (paper's expectation):");
-    let fixed_runs: Vec<_> = std::thread::scope(|s| {
-        [CoreModel::flute(), CoreModel::ibex()]
-            .map(|core| {
-                s.spawn(move || {
-                    let base = run_coremark(core, &CoreMarkConfig::baseline());
-                    let fixed = run_coremark(
-                        core,
-                        &CoreMarkConfig {
-                            quirks: CompilerQuirks::fixed(),
-                            ..CoreMarkConfig::capabilities_with_filter()
-                        },
-                    );
-                    (core, base, fixed)
-                })
-            })
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
-    });
-    for (core, base, fixed) in fixed_runs {
-        println!(
-            "  {}: +filter overhead {:.2}% (worst-case compiler: see table)",
-            core.kind,
-            (fixed.cycles as f64 / base.cycles as f64 - 1.0) * 100.0
-        );
-    }
-
-    // Code size (the -Oz motivation of §7.2: instruction memory costs
-    // device money; the compiler bugs inflate capability code).
-    let int = code_size_bytes(&CoreMarkConfig::baseline());
-    let cap = code_size_bytes(&CoreMarkConfig::capabilities());
-    let fixed = code_size_bytes(&CoreMarkConfig {
-        quirks: CompilerQuirks::fixed(),
-        ..CoreMarkConfig::capabilities()
-    });
-    println!("\nCode size (benchmark text, bytes):");
-    println!("  RV32E                      {int}");
-    println!(
-        "  CHERIoT (buggy compiler)   {cap}  (+{:.1}%)",
-        (f64::from(cap) / f64::from(int) - 1.0) * 100.0
-    );
-    println!(
-        "  CHERIoT (fixed compiler)   {fixed}  (+{:.1}%)",
-        (f64::from(fixed) / f64::from(int) - 1.0) * 100.0
-    );
+    print!("{}", cheriot_bench::harness::table3().write());
 }

@@ -1,48 +1,10 @@
-//! Regenerates **Table 4**: the number of cycles taken to allocate 1 MiB of
-//! heap memory at different allocation sizes, for the four temporal-safety
-//! configurations with and without the stack high-water mark, on both
-//! cores.
-
-use cheriot_bench::{render_table, write_csv};
-use cheriot_core::CoreModel;
-use cheriot_workloads::{run_alloc_bench, AllocBenchParams, AllocConfig};
+//! Regenerates **Table 4** and **Figures 5/6** from one allocator sweep
+//! per core: cycles to allocate 1 MiB at each allocation size for the four
+//! temporal-safety configurations with and without the stack high-water
+//! mark (`results/table4_alloc_cycles_{flute,ibex}.csv`), and the same
+//! grid as overheads relative to Baseline (`results/fig5_alloc_flute.csv`,
+//! `results/fig6_alloc_ibex.csv`).
 
 fn main() {
-    let sizes = AllocBenchParams::paper_sizes();
-    for core in [CoreModel::flute(), CoreModel::ibex()] {
-        println!(
-            "\nTable 4 ({}): cycles to allocate 1 MiB at each allocation size\n",
-            core.kind
-        );
-        let headers = [
-            "size(B)",
-            "Baseline",
-            "Baseline(S)",
-            "Metadata",
-            "Metadata(S)",
-            "Software",
-            "Software(S)",
-            "Hardware",
-            "Hardware(S)",
-        ];
-        let mut rows = Vec::new();
-        for &size in &sizes {
-            let mut row = vec![format!("{size}")];
-            for config in AllocConfig::all() {
-                for hwm in [false, true] {
-                    let r = run_alloc_bench(&AllocBenchParams::paper(core, config, hwm, size));
-                    row.push(format!("{}", r.cycles));
-                }
-            }
-            rows.push(row);
-        }
-        print!("{}", render_table(&headers, &rows));
-        let name = format!(
-            "table4_alloc_cycles_{}",
-            core.kind.to_string().to_lowercase()
-        );
-        if let Ok(p) = write_csv(&name, &headers, &rows) {
-            println!("\nwrote {}", p.display());
-        }
-    }
+    print!("{}", cheriot_bench::harness::alloc().write());
 }

@@ -1,24 +1,27 @@
 //! # cheriot-bench — evaluation harness
 //!
-//! One binary per table and figure of the paper's evaluation (§7):
+//! Every result of the paper's evaluation (§7) is one function in
+//! [`harness`] (or [`ablations`]) that computes its rows, owns its CSVs
+//! and returns its text report. Each binary prints one section, and
+//! `all_results` runs all six in a fixed order:
 //!
-//! | binary | regenerates |
-//! |--------|-------------|
-//! | `table2_area_power` | Table 2: area and power of Ibex variants |
-//! | `table3_coremark` | Table 3: CoreMark/MHz for both cores |
-//! | `table4_alloc_cycles` | Table 4: cycles to allocate 1 MiB by size |
-//! | `fig5_alloc_flute` | Figure 5: allocator overhead series, Flute |
-//! | `fig6_alloc_ibex` | Figure 6: allocator overhead series, Ibex |
-//! | `e2e_iot_app` | §7.2.3: end-to-end IoT application CPU load |
-//! | `encoding_precision` | §3.2 encoding claims (precision, fragmentation) |
+//! | binary | section | regenerates |
+//! |--------|---------|-------------|
+//! | `table2_area_power` | [`harness::table2`] | Table 2: area, power and f_max of Ibex variants |
+//! | `table3_coremark` | [`harness::table3`] | Table 3: CoreMark/MHz for both cores, code size |
+//! | `table4_alloc_cycles` | [`harness::alloc`] | Table 4 and Figures 5/6: allocator cycles and overheads |
+//! | `e2e_iot_app` | [`harness::e2e`] | §7.2.3: end-to-end IoT application CPU load |
+//! | `encoding_precision` | [`harness::encoding`] | §3.2 encoding claims (precision, fragmentation) |
+//! | `ablations` | [`ablations::ablations`] | DESIGN.md E9: design-choice ablations in simulated counts |
 //!
-//! Criterion benches (`cargo bench`) cover the hot operations and the
-//! design-choice ablations DESIGN.md calls out.
+//! Every value is a deterministic simulated count or a model output, so
+//! the committed `results/*.csv` are exact: CI regenerates them and
+//! diffs. `sim_throughput` and `farm_throughput` time the host instead.
 
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod baseline;
-pub mod figures;
 pub mod harness;
 
 use std::fmt::Write as _;
@@ -68,6 +71,17 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// The CSV text of a table: a header line, then one line per row.
+pub fn csv_text(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut body = headers.join(",");
+    body.push('\n');
+    for row in rows {
+        body.push_str(&row.join(","));
+        body.push('\n');
+    }
+    body
+}
+
 /// Writes CSV rows to `results/<name>.csv` (creating the directory),
 /// returning the path written.
 ///
@@ -82,13 +96,7 @@ pub fn write_csv(
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
-    let mut body = headers.join(",");
-    body.push('\n');
-    for row in rows {
-        body.push_str(&row.join(","));
-        body.push('\n');
-    }
-    std::fs::write(&path, body)?;
+    std::fs::write(&path, csv_text(headers, rows))?;
     Ok(path)
 }
 
