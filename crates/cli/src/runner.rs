@@ -236,6 +236,7 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
             let bs = m.block_stats();
             tracer.metrics.add("block_cache_hits", bs.hits);
             tracer.metrics.add("block_cache_misses", bs.misses);
+            tracer.metrics.add("block_cache_shared", bs.shared);
             tracer
                 .metrics
                 .add("block_cache_invalidations", bs.invalidated);
@@ -400,6 +401,7 @@ mod tests {
             assert_eq!(out.exit, ExitReason::Halted(9));
             assert!(out.report.contains("block_cache_hits"), "{}", out.report);
             assert!(out.report.contains("block_cache_misses"), "{}", out.report);
+            assert!(out.report.contains("block_cache_shared"), "{}", out.report);
             assert!(out.report.contains("block_chain_hits"), "{}", out.report);
             assert!(out.report.contains("block_chain_links"), "{}", out.report);
             assert!(out.report.contains("block_promotions"), "{}", out.report);

@@ -11,6 +11,24 @@
 //! run of [`PredecodedInsn`]s; subsequent visits dispatch straight down the
 //! block.
 //!
+//! The cache has two layers (DESIGN.md §12):
+//!
+//! * **One block store per code image** ([`Code`]). A block is a pure
+//!   function of the code contents, its start slot and the build config
+//!   ([`BuildKey`]), and two machines holding `Arc::ptr_eq` code handles
+//!   hold the same code. So the handle carries a lock-protected,
+//!   slot-indexed store: the first machine to miss a slot builds the block
+//!   under the lock and publishes it, and every sibling fork adopts the
+//!   same `Arc<Block>` ([`BlockCacheStats::shared`]). Promoted superblocks
+//!   are memoised there too, by the identity of their head and tail. The
+//!   store is immutable history: editing the code through a shared handle
+//!   unshares it (`Arc::make_mut`) and the copy starts with an empty
+//!   store; editing through a unique handle empties the store.
+//! * **Per-machine dispatch state** ([`BlockCache`]): which blocks this
+//!   machine holds, its successor links, follow counts, generation and
+//!   promotions. It is sized by the blocks the machine holds, not by the
+//!   code: a per-word index into dense entries, one per resident block.
+//!
 //! Two dispatch accelerators layer on top (DESIGN.md §13), both
 //! invalidated wholesale by the generation counter:
 //!
@@ -18,15 +36,15 @@
 //!   (`jal x0, +off`) instead of ending the block, so straight-line-plus-
 //!   glue code predecodes as one block covering several [`Block::ranges`].
 //!   At runtime a block that keeps taking the same edge out of its final
-//!   `j` or conditional branch is *promoted* ([`promote`]): its slot gets
+//!   `j` or conditional branch is *promoted* ([`promote`]): its entry gets
 //!   the block followed by its successor, the branch kept inline as a
 //!   guard that side-exits when it resolves the other way.
-//! * **Successor links**: each slot carries up to two weak links
-//!   `(generation, next_pc, PCC fingerprint) → successor slot` recorded by
+//! * **Successor links**: each entry carries up to two weak links
+//!   `(generation, next_pc, PCC fingerprint) → successor entry` recorded by
 //!   the chained dispatch loop; a matching link lets the loop jump block to
-//!   block without re-running the PCC fetch check or touching the slot
-//!   table's lookup path. A block ending in `cjalr` runs the jump through
-//!   the general `exec` path and chains through the same links.
+//!   block without re-running the PCC fetch check or touching the index.
+//!   A block ending in `cjalr` runs the jump through the general `exec`
+//!   path and chains through the same links.
 //!
 //! Coherence is exact and conservative:
 //!
@@ -41,21 +59,23 @@
 //!   campaigns, tests) can watch to confirm their mutations took effect.
 //!   Links embed the generation they were recorded under and die on any
 //!   mismatch, so a single counter bump retires every link in the machine
-//!   at once — no per-link invalidation walk.
+//!   at once — no per-link invalidation walk. That is also what lets an
+//!   invalidated entry be reused for another block: no live link can
+//!   still point at it.
 //!
 //! The cache stores `Arc<Block>` so a [`crate::machine::Machine`] stays
 //! `Send` (fault campaigns fan machines out across `thread::scope`) and so
 //! the run loop can hold a block while mutating the machine through
-//! `&mut self`. Links live in the per-machine slot sidecar, *never* inside
+//! `&mut self`. Links live in the per-machine entries, *never* inside
 //! the shared `Arc<Block>`: forked machines execute the same
 //! `Arc<Block>`s concurrently across threads, so mutable dispatch
 //! state inside a block would be a data race (and would leak one fork's
 //! control-flow history into another).
 
 use crate::insn::{pure_register, Instr, Reg};
-use crate::machine::layout;
+use crate::machine::{layout, MachineConfig};
 use crate::pipeline::CoreModel;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Maximum instructions per cached block (superblocks included).
 pub const MAX_BLOCK_LEN: usize = 64;
@@ -64,9 +84,7 @@ pub const MAX_BLOCK_LEN: usize = 64;
 /// from the block's start slot, in either direction. Linear decode is
 /// already bounded by [`MAX_BLOCK_LEN`]; superblock chasing can skip
 /// forward and runtime promotion can append code on either side (a loop
-/// tail's backward `j`), and this bounds how far, which in turn bounds the
-/// invalidation scan window (a patch at `addr` can only be covered by
-/// blocks starting within `MAX_COVER_SPAN - 1` slots of it).
+/// tail's backward `j`), and this bounds how far.
 pub const MAX_COVER_SPAN: usize = 256;
 
 /// Successor-link follows after which a one-way edge is promoted: a block
@@ -198,8 +216,14 @@ impl Block {
 pub struct BlockCacheStats {
     /// Block dispatches served from the cache by the outer lookup path.
     pub hits: u64,
-    /// Blocks built (first execution of a start PC).
+    /// Blocks this machine built (first execution of a start PC that
+    /// neither its own table nor its code image's shared store held).
     pub misses: u64,
+    /// Blocks adopted from the code image's shared store, built by a
+    /// machine holding the same code handle (a sibling fork, or this
+    /// machine before a restore). `misses + shared` counts every first
+    /// execution of a start PC, whoever built the block.
+    pub shared: u64,
     /// Cached blocks discarded by invalidation.
     pub invalidated: u64,
     /// Bumped on every invalidation event (patch, append, flush), even
@@ -229,111 +253,203 @@ pub struct BlockCacheStats {
     pub side_exits: u64,
 }
 
-/// One weak successor link: valid only while the recorded generation is
-/// current *and* the departing PCC fingerprint matches, in which case the
-/// target block is known to sit at `target_slot` already verified for
-/// fetch under these PCC bounds.
-#[derive(Clone, Copy, Debug, Default)]
+/// One weak successor link: valid only while its entry's recorded
+/// generation is current *and* the departing PCC fingerprint matches, in
+/// which case the target block is known to sit at entry `target` already
+/// verified for fetch under these PCC bounds. Packed into 20 bytes, so an
+/// entry with two of them takes 56.
+#[derive(Clone, Copy, Debug)]
 struct BlockLink {
-    /// Recorded generation + 1 (0 = empty slot).
-    gen_plus1: u64,
     /// The successor's start address this link was recorded for.
     next_pc: u32,
-    /// PCC fetch fingerprint
+    /// Base of the PCC fetch fingerprint
     /// ([`cheriot_cap::Capability::fetch_fingerprint`]) the successor was
     /// verified under.
     fp_base: u32,
-    fp_top: u64,
-    /// Slot index of the successor block.
-    target_slot: u32,
-    /// Times the link was followed while it was the slot's only live
+    /// Low word of the fingerprint's top.
+    fp_top_lo: u32,
+    /// Entry of the successor block.
+    target: u32,
+    /// The fingerprint's top above its low word: 0 or 1, as a top is at
+    /// most 2^32. An empty link holds [`BlockLink::EMPTY`], which no top
+    /// has, so it never matches.
+    fp_top_hi: u8,
+    /// Times the link was followed while it was the entry's only live
     /// link, counting up to [`HOT`], which makes the edge a promotion
     /// candidate once.
-    follows: u32,
+    follows: u8,
 }
 
-impl BlockLink {
-    #[inline]
-    fn matches(&self, gen: u64, next_pc: u32, fp: (u32, u64)) -> bool {
-        self.gen_plus1 == gen + 1
-            && self.next_pc == next_pc
-            && self.fp_base == fp.0
-            && self.fp_top == fp.1
+impl Default for BlockLink {
+    fn default() -> BlockLink {
+        BlockLink {
+            next_pc: 0,
+            fp_base: 0,
+            fp_top_lo: 0,
+            target: 0,
+            fp_top_hi: BlockLink::EMPTY,
+            follows: 0,
+        }
     }
 }
 
-/// PC-indexed store of predecoded blocks (one slot per code word, keyed by
-/// the block's start address).
+impl BlockLink {
+    /// `fp_top_hi` of an empty link.
+    const EMPTY: u8 = u8::MAX;
+
+    fn new(next_pc: u32, fp: (u32, u64), target: usize) -> BlockLink {
+        BlockLink {
+            next_pc,
+            fp_base: fp.0,
+            fp_top_lo: fp.1 as u32,
+            target: target as u32, // an entry handle: below `MAX_ENTRIES`
+            // Truncation could only make a link miss: `matches` compares
+            // against the whole high part.
+            fp_top_hi: (fp.1 >> 32) as u8,
+            follows: 0,
+        }
+    }
+
+    /// Is this link recorded?
+    #[inline]
+    fn is_live(&self) -> bool {
+        self.fp_top_hi != BlockLink::EMPTY
+    }
+
+    #[inline]
+    fn matches(&self, next_pc: u32, fp: (u32, u64)) -> bool {
+        self.next_pc == next_pc
+            && self.fp_base == fp.0
+            && self.fp_top_lo == fp.1 as u32
+            && u64::from(self.fp_top_hi) == fp.1 >> 32
+    }
+}
+
+/// One resident block of a machine and its successor links.
+#[derive(Clone, Debug, Default)]
+struct Entry {
+    /// The block; `None` while the dispatch loop holds it (or once the
+    /// entry is freed by invalidation and awaits reuse).
+    block: Option<Arc<Block>>,
+    /// Generation + 1 the links were recorded under (0 = none): both die
+    /// when the machine's generation moves.
+    gen_plus1: u64,
+    /// Taken / fall-through links of the block, most recent first.
+    links: [BlockLink; 2],
+}
+
+/// Most entries a [`BlockCache`] holds: what its `u16` index can
+/// address. A block that finds the table full (more than 65535 distinct
+/// start addresses resident) is not cached; its PC takes the
+/// per-instruction path until invalidation frees an entry.
+pub const MAX_ENTRIES: usize = u16::MAX as usize;
+
+/// A machine's dispatch state over its code: the blocks it holds and
+/// their successor links, indexed by start slot (one slot per code word).
 ///
-/// `Clone` is cheap sharing, not duplication: the slot table holds
-/// `Arc<Block>`, so a clone bumps one refcount per resident block and the
-/// decoded instructions themselves are shared. Snapshots rely on this so
-/// forked machines inherit predecoded blocks instead of re-decoding. The
-/// links sidecar is plain `Copy` data and is cloned by value — each
-/// machine then mutates only its own copy.
+/// Sized by the blocks the machine holds: the per-word index is one `u16`,
+/// and each resident block has one dense entry (its `Arc<Block>`, its two
+/// links and their generation). `Clone` copies that sidecar by value —
+/// each fork then mutates only its own copy — and bumps one refcount per
+/// resident block: the decoded instructions themselves are shared.
 #[derive(Clone, Debug, Default)]
 pub struct BlockCache {
-    slots: Vec<Option<Arc<Block>>>,
-    /// Two successor links per slot (taken / fall-through of the block
-    /// *starting* there, most recent first), parallel to `slots`.
-    links: Vec<[BlockLink; 2]>,
+    /// Per code word: 1 + the entry of the block starting there, 0 for
+    /// none.
+    index: Vec<u16>,
+    /// Resident blocks and their links; the dispatch loop addresses them
+    /// by position, as an opaque handle.
+    entries: Vec<Entry>,
+    /// Entries freed by invalidation, reused by the next insert.
+    free: Vec<u32>,
     /// Counters; the machine exposes them via
     /// [`crate::machine::Machine::block_stats`].
     pub stats: BlockCacheStats,
 }
 
 impl BlockCache {
-    /// Slot index for a code address, if it is in the code region and
-    /// word-aligned.
-    fn slot_of(addr: u32) -> Option<usize> {
-        if addr < layout::CODE_BASE || !addr.is_multiple_of(4) {
-            return None;
-        }
-        Some(((addr - layout::CODE_BASE) / 4) as usize)
+    /// The block starting at code slot `slot`, if cached.
+    pub fn lookup(&self, slot: usize) -> Option<Arc<Block>> {
+        self.peek(self.entry_of(slot)?)
     }
 
-    /// The cached block starting at slot `idx`, if any.
+    /// The entry of the block starting at code slot `slot`, if any.
     #[inline]
-    pub fn lookup(&self, idx: usize) -> Option<Arc<Block>> {
-        self.slots.get(idx)?.clone()
+    fn entry_of(&self, slot: usize) -> Option<usize> {
+        (*self.index.get(slot)? as usize).checked_sub(1)
     }
 
-    /// Moves the cached block starting at slot `idx` out of the table.
-    /// The dispatch loop owns the block while executing it — a move in
-    /// and out instead of an atomic refcount round-trip per executed
-    /// block — and returns it with [`BlockCache::restore`]. Nothing that
-    /// runs between the two can touch the cache (invalidation only
-    /// happens through external `Machine` APIs, never mid-run).
+    /// The block of entry `entry`, shared (a refcount bump).
+    pub(crate) fn peek(&self, entry: usize) -> Option<Arc<Block>> {
+        self.entries.get(entry)?.block.clone()
+    }
+
+    /// Moves the block starting at code slot `slot` out of the table,
+    /// with its entry handle.
     #[inline]
-    pub fn take(&mut self, idx: usize) -> Option<Arc<Block>> {
-        self.slots.get_mut(idx)?.take()
+    pub(crate) fn take_at(&mut self, slot: usize) -> Option<(usize, Arc<Block>)> {
+        let entry = self.entry_of(slot)?;
+        Some((entry, self.take(entry)?))
+    }
+
+    /// Moves the block of entry `entry` out of the table. The dispatch
+    /// loop owns the block while executing it — a move in and out
+    /// instead of an atomic refcount round-trip per executed block — and
+    /// returns it with [`BlockCache::restore`]. Invalidation in between
+    /// (a device's DMA into code, mid-instruction) never frees the held
+    /// entry: it only frees entries that still hold their block.
+    #[inline]
+    pub(crate) fn take(&mut self, entry: usize) -> Option<Arc<Block>> {
+        self.entries.get_mut(entry)?.block.take()
     }
 
     /// Returns a block taken by [`BlockCache::take`] (or freshly built by
-    /// the miss path) to its slot.
+    /// the miss path) to its entry.
     #[inline]
-    pub fn restore(&mut self, idx: usize, block: Arc<Block>) {
-        self.slots[idx] = Some(block);
+    pub(crate) fn restore(&mut self, entry: usize, block: Arc<Block>) {
+        self.entries[entry].block = Some(block);
     }
 
-    /// Stores `block` at slot `idx`, growing the slot table to cover
-    /// `code_words` instruction words.
-    pub fn insert(&mut self, idx: usize, block: Arc<Block>, code_words: usize) {
-        if self.slots.len() < code_words {
-            self.slots.resize(code_words, None);
-        }
-        if self.links.len() < self.slots.len() {
-            self.links.resize(self.slots.len(), Default::default());
-        }
-        self.stats.misses += 1;
-        self.slots[idx] = Some(block);
+    /// Is there an entry for one more block ([`MAX_ENTRIES`])?
+    #[inline]
+    pub(crate) fn has_room(&self) -> bool {
+        !self.free.is_empty() || self.entries.len() < MAX_ENTRIES
     }
 
-    /// Follows a live successor link out of slot `from`: current
+    /// Stores `block` as the block starting at code slot `slot`, which
+    /// holds none, growing the index to cover `code_words` instruction
+    /// words. Returns its entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the table is full ([`BlockCache::has_room`]).
+    pub fn insert(&mut self, slot: usize, block: Arc<Block>, code_words: usize) -> usize {
+        if self.index.len() < code_words {
+            self.index.resize(code_words, 0);
+        }
+        let fresh = Entry {
+            block: Some(block),
+            ..Entry::default()
+        };
+        let entry = match self.free.pop() {
+            Some(e) => {
+                self.entries[e as usize] = fresh;
+                e as usize
+            }
+            None => {
+                self.entries.push(fresh);
+                self.entries.len() - 1
+            }
+        };
+        self.index[slot] = u16::try_from(entry + 1).expect("the block table is full");
+        entry
+    }
+
+    /// Follows a live successor link out of entry `from`: current
     /// generation, same successor address, same PCC fingerprint. Returns
-    /// the successor's slot, and whether this follow made the edge hot:
+    /// the successor's entry, and whether this follow made the edge hot:
     /// the newest link taken for the [`HOT`]-th time while the second link
-    /// slot holds no live link (the block has left one way only).
+    /// holds no live link (the block has left one way only).
     #[inline]
     pub(crate) fn link_follow(
         &mut self,
@@ -342,21 +458,25 @@ impl BlockCache {
         next_pc: u32,
         fp: (u32, u64),
     ) -> Option<(usize, bool)> {
-        let [newest, older] = self.links.get_mut(from)?;
-        if newest.matches(gen, next_pc, fp) {
+        let entry = self.entries.get_mut(from)?;
+        if entry.gen_plus1 != gen + 1 {
+            return None;
+        }
+        let [newest, older] = &mut entry.links;
+        if newest.matches(next_pc, fp) {
             let mut hot = false;
-            if newest.follows < HOT && older.gen_plus1 != gen + 1 {
+            if u32::from(newest.follows) < HOT && !older.is_live() {
                 newest.follows += 1;
-                hot = newest.follows == HOT;
+                hot = u32::from(newest.follows) == HOT;
             }
-            return Some((newest.target_slot as usize, hot));
+            return Some((newest.target as usize, hot));
         }
         older
-            .matches(gen, next_pc, fp)
-            .then_some((older.target_slot as usize, false))
+            .matches(next_pc, fp)
+            .then_some((older.target as usize, false))
     }
 
-    /// Records a successor link out of slot `from` (most-recent-first,
+    /// Records a successor link out of entry `from` (most-recent-first,
     /// two-way: a conditional branch keeps both its edges linked).
     #[inline]
     pub(crate) fn link_insert(
@@ -365,30 +485,28 @@ impl BlockCache {
         gen: u64,
         next_pc: u32,
         fp: (u32, u64),
-        target_slot: usize,
+        target: usize,
     ) {
-        let Some(sl) = self.links.get_mut(from) else {
+        let Some(entry) = self.entries.get_mut(from) else {
             return;
         };
-        let fresh = BlockLink {
-            gen_plus1: gen + 1,
-            next_pc,
-            fp_base: fp.0,
-            fp_top: fp.1,
-            target_slot: target_slot as u32,
-            follows: 0,
-        };
-        if !sl[0].matches(gen, next_pc, fp) {
+        if entry.gen_plus1 != gen + 1 {
+            // Links of an older generation are dead: start afresh.
+            entry.gen_plus1 = gen + 1;
+            entry.links = Default::default();
+        }
+        let sl = &mut entry.links;
+        if !sl[0].matches(next_pc, fp) {
             sl[1] = sl[0];
         }
-        sl[0] = fresh;
+        sl[0] = BlockLink::new(next_pc, fp, target);
         self.stats.chain_links += 1;
     }
 
     /// Accounts for a promoted block the dispatch loop is installing in
-    /// the slot of the block it holds (the loop already verified its
+    /// the entry of the block it holds (the loop already verified its
     /// fetch under the current PCC). Bumps the generation: a link *into*
-    /// that slot recorded under another PCC fingerprint certified only
+    /// that entry recorded under another PCC fingerprint certified only
     /// the old block's ranges, never the appended ones, so every link must
     /// die. Returns the new generation.
     pub(crate) fn note_promotion(&mut self) -> u64 {
@@ -397,12 +515,32 @@ impl BlockCache {
         self.stats.generation
     }
 
-    /// The slots whose blocks can cover the code word at `slot`: starts
-    /// within `MAX_COVER_SPAN - 1` slots on either side.
-    fn cover_window(&self, slot: usize) -> std::ops::Range<usize> {
-        let lo = slot.saturating_sub(MAX_COVER_SPAN - 1);
-        let hi = (slot + MAX_COVER_SPAN).min(self.slots.len());
-        lo..hi.max(lo)
+    /// Frees every entry whose block `drop` selects, returning how many,
+    /// and kills every link. Entries without a block (the one the
+    /// dispatch loop holds, and those already free) are left alone.
+    ///
+    /// The caller bumps the generation, which retires every link; the
+    /// links die here too because a device's DMA store into code runs
+    /// inside the chained dispatch loop, which keeps using the generation
+    /// it started with. A freed entry may be reused for another block
+    /// before the loop returns, and no link recorded before the store may
+    /// lead there.
+    fn free_where(&mut self, drop: impl Fn(&Block) -> bool) -> u64 {
+        let mut removed = 0;
+        for (e, entry) in self.entries.iter_mut().enumerate() {
+            entry.gen_plus1 = 0;
+            let Some(b) = entry.block.as_deref() else {
+                continue;
+            };
+            if drop(b) {
+                self.index[((b.start - layout::CODE_BASE) / 4) as usize] = 0;
+                entry.block = None;
+                self.free.push(e as u32);
+                removed += 1;
+            }
+        }
+        self.stats.invalidated += removed;
+        removed
     }
 
     /// Drops every cached block covering `addr` through any of its ranges
@@ -414,20 +552,7 @@ impl BlockCache {
     /// successor link.
     pub fn invalidate_covering(&mut self, addr: u32) -> u64 {
         self.stats.generation += 1;
-        let Some(slot) = Self::slot_of(addr & !3) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for s in self.cover_window(slot) {
-            if let Some(b) = &self.slots[s] {
-                if b.covers(addr) {
-                    self.slots[s] = None;
-                    removed += 1;
-                }
-            }
-        }
-        self.stats.invalidated += removed;
-        removed
+        self.free_where(|b| b.covers(addr))
     }
 
     /// Called after code is appended at `old_end` (the previous exclusive
@@ -441,36 +566,164 @@ impl BlockCache {
     /// superblocks of both kinds. Returns the number discarded.
     pub fn on_append(&mut self, old_end: u32) -> u64 {
         self.stats.generation += 1;
-        let Some(end_slot) = Self::slot_of(old_end) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for s in self.cover_window(end_slot.saturating_sub(1)) {
-            if let Some(b) = &self.slots[s] {
-                if b.end == old_end {
-                    self.slots[s] = None;
-                    removed += 1;
-                }
-            }
-        }
-        self.stats.invalidated += removed;
-        removed
+        self.free_where(|b| b.end == old_end)
     }
 
     /// Discards every cached block (full flush), bumping the generation
     /// (which also retires every link).
     pub fn clear(&mut self) {
-        let resident = self.resident() as u64;
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.stats.invalidated += resident;
+        self.stats.invalidated += self.resident() as u64;
         self.stats.generation += 1;
+        self.index.clear();
+        self.entries.clear();
+        self.free.clear();
     }
 
     /// Number of blocks currently cached.
     pub fn resident(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.entries.iter().filter(|e| e.block.is_some()).count()
+    }
+
+    /// Host bytes of this machine's dispatch state, excluding allocator
+    /// slack: the per-word index, one entry per resident (or freed)
+    /// block, and the free list. This is what a fork copies; the blocks
+    /// themselves are shared.
+    pub fn sidecar_bytes(&self) -> usize {
+        self.index.len() * std::mem::size_of::<u16>()
+            + self.entries.len() * std::mem::size_of::<Entry>()
+            + self.free.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The build config a block is a pure function of, besides the code
+/// contents and its start slot: the core's cost model, the load filter's
+/// CLC penalty, and superblock chasing (`cfg.block_chain`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct BuildKey {
+    core: CoreModel,
+    load_filter: bool,
+    chase: bool,
+}
+
+impl BuildKey {
+    pub(crate) fn of(cfg: &MachineConfig) -> BuildKey {
+        BuildKey {
+            core: cfg.core,
+            load_filter: cfg.load_filter,
+            chase: cfg.block_chain,
+        }
+    }
+
+    /// Builds the block starting at code slot `slot` of `code`.
+    pub(crate) fn build(&self, code: &[Instr], slot: usize) -> Block {
+        build_block(code, slot, &self.core, self.load_filter, self.chase)
+    }
+}
+
+/// A loaded code image: the decoded instructions, plus the block store
+/// every machine holding this `Arc<Code>` handle shares.
+///
+/// `Clone` (which `Arc::make_mut` uses to unshare an edited image) copies
+/// the instructions and starts an empty store.
+#[derive(Debug, Default)]
+pub(crate) struct Code {
+    instrs: Vec<Instr>,
+    store: Mutex<BlockStore>,
+}
+
+impl Clone for Code {
+    fn clone(&self) -> Code {
+        Code {
+            instrs: self.instrs.clone(),
+            store: Mutex::default(),
+        }
+    }
+}
+
+impl std::ops::Deref for Code {
+    type Target = [Instr];
+
+    fn deref(&self) -> &[Instr] {
+        &self.instrs
+    }
+}
+
+impl Code {
+    /// The instructions, for an edit through a unique handle. Empties the
+    /// store: its blocks decoded the old contents.
+    pub(crate) fn edit(&mut self) -> &mut Vec<Instr> {
+        *self.store.get_mut().unwrap_or_else(PoisonError::into_inner) = BlockStore::default();
+        &mut self.instrs
+    }
+
+    /// The store of the image behind `code`, if it serves blocks built
+    /// under `key`. `None` when the handle is unique (there is no one to
+    /// share with, so the lock is not worth taking) or the store was
+    /// claimed for another build config: the first machine to use a
+    /// store claims it, and a machine with another config
+    /// (`Machine::cfg` is public and mutable) builds privately.
+    pub(crate) fn shared_store(
+        code: &Arc<Code>,
+        key: BuildKey,
+    ) -> Option<MutexGuard<'_, BlockStore>> {
+        if Arc::strong_count(code) == 1 {
+            return None;
+        }
+        // Every update leaves the store valid (a block is published with
+        // one assignment, after it is built), so a panic elsewhere while
+        // the lock was held cannot have left it half-written.
+        let mut store = code.store.lock().unwrap_or_else(PoisonError::into_inner);
+        (*store.key.get_or_insert(key) == key).then_some(store)
+    }
+}
+
+/// The blocks of one code image under one build config, shared by every
+/// machine holding the image's handle. Slot-indexed, like the code.
+#[derive(Debug, Default)]
+pub(crate) struct BlockStore {
+    /// The config the blocks were built under, set by the first user.
+    key: Option<BuildKey>,
+    /// Per code word, the block starting there.
+    built: Vec<Option<Arc<Block>>>,
+    /// Promoted superblocks as `[head, tail, superblock]`. The store holds
+    /// the head and tail, so their addresses identify them for as long as
+    /// the memo lives.
+    promoted: Vec<[Arc<Block>; 3]>,
+}
+
+impl BlockStore {
+    /// The block starting at code slot `slot` of `code`, and whether this
+    /// call built it: built under the lock, so each block of the image is
+    /// built exactly once.
+    pub(crate) fn block(&mut self, code: &[Instr], slot: usize) -> (Arc<Block>, bool) {
+        if self.built.len() < code.len() {
+            self.built.resize(code.len(), None);
+        }
+        if let Some(b) = &self.built[slot] {
+            return (Arc::clone(b), false);
+        }
+        let key = self.key.expect("a store is claimed before use");
+        let b = Arc::new(key.build(code, slot));
+        self.built[slot] = Some(Arc::clone(&b));
+        (b, true)
+    }
+
+    /// The superblock promoting the edge from `head` into `tail`,
+    /// memoised by the identity of the two blocks so that every machine
+    /// promoting the same edge shares one superblock.
+    pub(crate) fn promotion(&mut self, head: &Arc<Block>, tail: &Arc<Block>) -> Option<Arc<Block>> {
+        let memo = self
+            .promoted
+            .iter()
+            .find(|[h, t, _]| Arc::ptr_eq(h, head) && Arc::ptr_eq(t, tail));
+        if let Some([_, _, sb]) = memo {
+            return Some(Arc::clone(sb));
+        }
+        let key = self.key.expect("a store is claimed before use");
+        let sb = Arc::new(promote(head, tail, &key.core)?);
+        self.promoted
+            .push([Arc::clone(head), Arc::clone(tail), Arc::clone(&sb)]);
+        Some(sb)
     }
 }
 
@@ -1033,6 +1286,7 @@ mod tests {
         let code = nopish(16);
         let core = CoreModel::ibex();
         cache.insert(0, Arc::new(build_block(&code, 0, &core, true, true)), 16);
+        cache.insert(1, Arc::new(build_block(&code, 1, &core, true, true)), 16);
         let gen = cache.stats.generation;
         let fp = (0x8000_0000u32, 0x8001_0000u64);
         cache.link_insert(0, gen, 0x8000_0040, fp, 4);
@@ -1061,6 +1315,107 @@ mod tests {
         cache.insert(3, Arc::new(promote(&tail, &head, &core).unwrap()), 6);
         assert_eq!(cache.invalidate_covering(layout::CODE_BASE + 4), 1);
         assert_eq!(cache.resident(), 0, "word 1 lies below the start slot");
+    }
+
+    #[test]
+    fn freed_entries_are_reused_and_the_sidecar_stays_dense() {
+        // Two-word blocks: `nop; halt` from every even slot.
+        let code: Vec<Instr> = (0..8).flat_map(|_| [Instr::NOP, Instr::Halt]).collect();
+        let core = CoreModel::ibex();
+        let mut cache = BlockCache::default();
+        let block = |i| Arc::new(build_block(&code, i, &core, true, true));
+        assert_eq!(cache.insert(0, block(0), 16), 0);
+        assert_eq!(cache.insert(2, block(2), 16), 1);
+        assert_eq!(cache.invalidate_covering(layout::CODE_BASE + 4), 1);
+        assert!(cache.lookup(0).is_none());
+        assert_eq!(cache.insert(4, block(4), 16), 0, "the freed entry");
+        assert_eq!(
+            cache.lookup(4).map(|b| b.start),
+            Some(layout::CODE_BASE + 16)
+        );
+        assert_eq!(
+            cache.lookup(2).map(|b| b.start),
+            Some(layout::CODE_BASE + 8)
+        );
+        assert_eq!(cache.resident(), 2);
+        // One index word per code word plus one entry per resident block.
+        assert_eq!(std::mem::size_of::<Entry>(), 56);
+        assert_eq!(cache.sidecar_bytes(), 16 * 2 + 2 * 56);
+        cache.clear();
+        assert_eq!((cache.resident(), cache.sidecar_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_full_table_refuses_more_blocks_until_one_is_freed() {
+        let code = vec![Instr::Halt; MAX_ENTRIES + 1];
+        let core = CoreModel::ibex();
+        let mut cache = BlockCache::default();
+        for slot in 0..MAX_ENTRIES {
+            assert!(cache.has_room());
+            let block = Arc::new(build_block(&code, slot, &core, true, true));
+            cache.insert(slot, block, code.len());
+        }
+        assert!(!cache.has_room());
+        assert_eq!(cache.invalidate_covering(layout::CODE_BASE + 40), 1);
+        assert!(cache.has_room());
+        let last = Arc::new(build_block(&code, MAX_ENTRIES, &core, true, true));
+        assert_eq!(
+            cache.insert(MAX_ENTRIES, last, code.len()),
+            10,
+            "the freed entry"
+        );
+        assert!(!cache.has_room());
+    }
+
+    #[test]
+    fn a_link_matches_its_whole_fingerprint_and_an_empty_one_nothing() {
+        let mut cache = BlockCache::default();
+        cache.insert(
+            0,
+            Arc::new(build_block(&nopish(4), 0, &CoreModel::ibex(), true, true)),
+            4,
+        );
+        let whole = (0u32, 1u64 << 32);
+        cache.link_insert(0, 0, 0x8000_0040, whole, 0);
+        assert_eq!(cache.link_follow(0, 0, 0x8000_0040, (0, 0)), None);
+        assert_eq!(cache.link_follow(0, 0, 0x8000_0040, (4, 1 << 32)), None);
+        assert_eq!(
+            cache.link_follow(0, 0, 0x8000_0040, whole),
+            Some((0, false))
+        );
+        // The second link is empty: not even an all-zero edge matches it.
+        assert_eq!(cache.link_follow(0, 0, 0, (0, 0)), None);
+    }
+
+    #[test]
+    fn the_store_builds_each_block_once_and_shares_promotions() {
+        let mut code = Arc::new(Code {
+            instrs: two_block_loop(),
+            store: Mutex::default(),
+        });
+        let key = BuildKey::of(&MachineConfig::new(CoreModel::ibex()));
+        assert!(Code::shared_store(&code, key).is_none(), "a unique handle");
+        let sibling = Arc::clone(&code);
+        let store = || Code::shared_store(&sibling, key).unwrap();
+        let (head, built) = store().block(&code, 0);
+        assert!(built);
+        let (again, built) = store().block(&code, 0);
+        assert!(!built && Arc::ptr_eq(&head, &again));
+        let (tail, _) = store().block(&code, 3);
+        let sb = store().promotion(&head, &tail).unwrap();
+        assert!(Arc::ptr_eq(&sb, &store().promotion(&head, &tail).unwrap()));
+        // Another config is refused.
+        let flute = BuildKey::of(&MachineConfig::new(CoreModel::flute()));
+        assert!(Code::shared_store(&code, flute).is_none());
+        // An edit unshares: the copy starts with an empty store.
+        Arc::make_mut(&mut code).edit();
+        let copy = Arc::clone(&code);
+        assert!(Code::shared_store(&copy, flute).unwrap().block(&code, 0).1);
+        // An edit through a unique handle empties the store.
+        drop((copy, sibling));
+        Arc::make_mut(&mut code).edit();
+        let copy = Arc::clone(&code);
+        assert!(Code::shared_store(&copy, key).unwrap().block(&code, 0).1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! timer + console, with per-instruction cycle accounting driven by a
 //! [`CoreModel`].
 
-use crate::blockcache::{build_block, promote, Block, BlockCache, BlockCacheStats};
+use crate::blockcache::{promote, Block, BlockCache, BlockCacheStats, BuildKey, Code};
 use crate::bus::{DeviceBus, Uart};
 use crate::cpu::Cpu;
 use crate::error::SimError;
@@ -196,9 +196,11 @@ pub struct Machine {
     /// [`Machine::patch_code`] unshare via `Arc::make_mut`, the code
     /// region's CoW break). Two `Arc::ptr_eq` handles therefore hold
     /// identical code, which lets [`Machine::restore_from`] skip the code
-    /// adoption and keep resident predecoded blocks.
-    code: Arc<Vec<Instr>>,
-    /// Predecoded basic-block cache over `code` (see [`crate::blockcache`]).
+    /// adoption and keep resident predecoded blocks, and lets every
+    /// holder share the handle's block store.
+    code: Arc<Code>,
+    /// This machine's dispatch state over `code`: the blocks it holds and
+    /// their successor links (see [`crate::blockcache`]).
     blocks: BlockCache,
     /// Emit `BlockCompiled`/`BlockInvalidated` trace events? Off by
     /// default so trace output is byte-identical cache-on vs cache-off.
@@ -246,13 +248,14 @@ pub struct SnapshotStats {
 
 /// A point-in-time capture of a machine's full architectural state: CPU,
 /// SRAM bytes + tags, revocation bitmap, background revoker, timers,
-/// console, GPIO, statistics, the code region, and the (Arc-shared)
-/// predecoded block table.
+/// console, GPIO, statistics, the code region, and the machine's block
+/// table (its dispatch state; the blocks themselves are `Arc`-shared).
 ///
 /// Captured with [`Machine::snapshot`] / [`Machine::snapshot_into`],
 /// applied with [`Machine::restore_from`], or turned into an independent
 /// machine with [`Snapshot::to_machine`] (a *fork* — the new machine
-/// shares the snapshot's decoded blocks but no mutable state). Host-side
+/// shares the snapshot's decoded blocks and its code image's block store,
+/// but no mutable state). Host-side
 /// observers (tracer, block-trace flag, snapshot counters) are not part
 /// of a snapshot.
 #[derive(Clone)]
@@ -269,7 +272,7 @@ pub struct Snapshot {
     gpio_writes: u64,
     bus: DeviceBus,
     stats: Stats,
-    code: Arc<Vec<Instr>>,
+    code: Arc<Code>,
     blocks: BlockCache,
     halted: Option<ExitReason>,
     pending_use: Option<(Reg, u64)>,
@@ -317,8 +320,11 @@ impl Snapshot {
     }
 
     /// Builds an independent machine in this snapshot's state (a fork).
-    /// The fork shares the snapshot's predecoded blocks (`Arc`), so it
-    /// starts with a warm block cache and re-decodes nothing.
+    /// The fork starts with a copy of the snapshot's block table: the
+    /// blocks it holds are shared (`Arc`), and its successor links, an
+    /// O(resident blocks) sidecar, are copied. A block the snapshot did
+    /// not hold comes from the code image's shared store, so the fleet
+    /// builds each block once, whichever fork runs it first.
     pub fn to_machine(&self) -> Machine {
         let mut m = Machine::new(self.cfg);
         m.restore_from(self);
@@ -334,9 +340,10 @@ impl Snapshot {
     /// bank (data bytes; the tag words add 1/64 on top and are not
     /// counted), the console backlog, and the decoded code region. This is
     /// the cost of a full deep copy; under CoW a fork shares these pages
-    /// and pays only handle adoptions. The Arc-shared predecoded block
-    /// table is deliberately excluded — forks share it, so it costs
-    /// nothing per instance.
+    /// and pays only handle adoptions. Predecoded blocks are excluded:
+    /// forks share them. So is the block table's sidecar (one index word
+    /// per code word and one entry per resident block), which every fork
+    /// copies by value ([`Machine::block_sidecar_bytes`]).
     pub fn bytes(&self) -> u64 {
         u64::from(self.sram.size())
             + self.console.len() as u64
@@ -479,7 +486,9 @@ impl Machine {
             // snapshot/fork still holding the old handle, then append. An
             // empty load keeps sharing, so the handle still says "same
             // code".
-            Arc::make_mut(&mut self.code).extend_from_slice(instrs);
+            Arc::make_mut(&mut self.code)
+                .edit()
+                .extend_from_slice(instrs);
             // Blocks truncated at the old end of code must re-extend over
             // the new instructions; the generation bump lets observers see
             // that the cache noticed the load.
@@ -537,7 +546,7 @@ impl Machine {
             })?;
         // The patch is a CoW break for the shared code region: siblings
         // forked from the same snapshot keep the unpatched instructions.
-        let old = core::mem::replace(&mut Arc::make_mut(&mut self.code)[idx], instr);
+        let old = core::mem::replace(&mut Arc::make_mut(&mut self.code).edit()[idx], instr);
         let dropped = self.blocks.invalidate_covering(addr) as u32;
         if self.block_trace {
             self.trace_emit(EventKind::BlockInvalidated {
@@ -566,6 +575,23 @@ impl Machine {
     /// Number of predecoded blocks currently resident.
     pub fn blocks_resident(&self) -> usize {
         self.blocks.resident()
+    }
+
+    /// The predecoded block this machine holds starting at `pc`, if any.
+    /// Blocks are shared: `Arc::ptr_eq` tells whether two machines hold
+    /// the same one.
+    pub fn cached_block(&self, pc: u32) -> Option<Arc<Block>> {
+        if pc < layout::CODE_BASE || !pc.is_multiple_of(4) {
+            return None;
+        }
+        self.blocks.lookup(((pc - layout::CODE_BASE) / 4) as usize)
+    }
+
+    /// Host bytes of this machine's own block-cache state (the blocks are
+    /// shared and not counted): the sidecar a fork copies, sized by the
+    /// code words and the resident blocks ([`BlockCache::sidecar_bytes`]).
+    pub fn block_sidecar_bytes(&self) -> usize {
+        self.blocks.sidecar_bytes()
     }
 
     /// Discards every predecoded block. Architecturally invisible —
@@ -598,8 +624,8 @@ impl Machine {
     /// Only SRAM pages whose handles differ from `snap`'s move, and under
     /// CoW each moved page is a handle adoption (the snapshot shares the
     /// machine's page; the machine's next write to it CoW-breaks). The
-    /// code region and (Arc-shared) predecoded block table are only
-    /// re-adopted when the code handle differs from `snap`'s.
+    /// code region and the block table are only re-adopted when the code
+    /// handle differs from `snap`'s.
     pub fn snapshot_into(&mut self, snap: &mut Snapshot) {
         snap.cfg = self.cfg;
         snap.cpu = self.cpu.clone();
@@ -634,8 +660,9 @@ impl Machine {
     /// handle adoption, which is what makes a fleet fork metadata-cost.
     /// When the code handle already matches, resident predecoded blocks
     /// are left in place, so a run forked after a reference run inherits
-    /// its decoded blocks; otherwise the snapshot's Arc-shared block table
-    /// is installed alongside the code handle.
+    /// its decoded blocks; otherwise a copy of the snapshot's block table
+    /// (shared blocks, copied links) is installed alongside the code
+    /// handle, which brings the image's shared block store with it.
     ///
     /// The tracer and `block_trace` flag are host-side observers and are
     /// left untouched.
@@ -663,7 +690,7 @@ impl Machine {
             // next load/patch unshares it.
             self.code = Arc::clone(&snap.code);
             self.blocks = snap.blocks.clone();
-            std::mem::size_of::<Arc<Vec<Instr>>>() as u64
+            std::mem::size_of::<Arc<Code>>() as u64
         } else {
             0
         };
@@ -1614,10 +1641,11 @@ impl Machine {
 
         let chain = self.cfg.block_chain;
         // Successor links embed the generation they were recorded under.
-        // Code cannot change mid-chain — invalidation only happens through
-        // external `Machine` APIs (`patch_code`, program loads,
-        // `flush_block_cache`), never from `exec` — so the only mid-chain
-        // bump is this loop's own promotion, which reloads it.
+        // Mid-chain it moves on this loop's own promotions, which reload
+        // it, and on a code store by a device's DMA inside the general
+        // `exec` path. The loop does not reload it then: an invalidation
+        // also kills every link recorded so far (`BlockCache::free_where`),
+        // so a stale `gen` can only match links recorded after the store.
         let mut gen = self.blocks.stats.generation;
         // The PCC address is materialised lazily: the loop reads each
         // instruction's predecoded `pc` and writes the PCC only at stop
@@ -1930,12 +1958,9 @@ impl Machine {
                     // is replaced, never mutated. The successor still runs
                     // next as a separate block; the superblock serves the
                     // next entry into this slot.
-                    let promoted = self
-                        .blocks
-                        .lookup(slot)
-                        .and_then(|tail| promote(&block, &tail, &self.cfg.core));
+                    let promoted = self.promote_edge(&block, slot);
                     if let Some(sb) = promoted.filter(|sb| self.verify_block_fetch(sb)) {
-                        block = Arc::new(sb);
+                        block = sb;
                         gen = self.blocks.note_promotion();
                     }
                 }
@@ -1982,24 +2007,26 @@ impl Machine {
         }
     }
 
-    /// The predecoded block starting at `pc`, building and caching it on
-    /// first sight. The block is *moved* out of its slot — the caller
-    /// executes it and hands it back with `self.blocks.restore(idx, ..)`
-    /// — so the hot path pays no `Arc` refcount traffic. `None` sends the
-    /// caller to the per-instruction slow path (the slot is always left
-    /// populated in that case): PC outside loaded code, misaligned, or a
-    /// PCC that does not cover the whole block (the batched fetch check
-    /// needs bounds over `[start, end)` — one interval, so checking the
-    /// first and last instruction covers every one in between).
+    /// The predecoded block starting at `pc`, with its entry handle,
+    /// caching it on first sight ([`Machine::block_miss`]).
+    /// The block is *moved* out of its entry — the caller executes it and
+    /// hands it back with `self.blocks.restore(idx, ..)` — so the hot path
+    /// pays no `Arc` refcount traffic. `None` sends the caller to the
+    /// per-instruction slow path (the entry is always left populated in
+    /// that case): PC outside loaded code, misaligned, a full block table
+    /// ([`crate::blockcache::MAX_ENTRIES`]), or a PCC that does not cover
+    /// the whole block (the batched fetch check needs bounds over
+    /// `[start, end)` — one interval, so checking the first and last
+    /// instruction covers every one in between).
     fn block_take(&mut self, pc: u32) -> Option<(usize, Arc<Block>)> {
         if pc < layout::CODE_BASE || !pc.is_multiple_of(4) {
             return None;
         }
-        let idx = ((pc - layout::CODE_BASE) / 4) as usize;
-        if idx >= self.code.len() {
+        let slot = ((pc - layout::CODE_BASE) / 4) as usize;
+        if slot >= self.code.len() {
             return None;
         }
-        if let Some(b) = self.blocks.take(idx) {
+        if let Some((idx, b)) = self.blocks.take_at(slot) {
             if self.verify_block_fetch(&b) {
                 self.blocks.stats.hits += 1;
                 return Some((idx, b));
@@ -2007,17 +2034,42 @@ impl Machine {
             self.blocks.restore(idx, b);
             return None;
         }
-        let block = Arc::new(build_block(
-            &self.code,
-            idx,
-            &self.cfg.core,
-            self.cfg.load_filter,
-            self.cfg.block_chain,
-        ));
-        let code_words = self.code.len();
+        self.block_miss(slot)
+    }
+
+    /// [`Machine::block_take`] for a block this machine does not hold:
+    /// takes it from the code image's shared store (counted as `shared`),
+    /// or builds it (counted as a miss) and publishes it there, then
+    /// caches it. A machine whose code handle is unique, or whose build
+    /// config differs from the store's, builds privately. Out of line but
+    /// not `#[cold]`: inlined, it costs the dispatch loop it sits in, and
+    /// campaigns and fuzzing take it constantly.
+    #[inline(never)]
+    fn block_miss(&mut self, slot: usize) -> Option<(usize, Arc<Block>)> {
+        if !self.blocks.has_room() {
+            return None;
+        }
+        let key = BuildKey::of(&self.cfg);
+        let block = match Code::shared_store(&self.code, key) {
+            Some(mut store) => {
+                let (block, built) = store.block(&self.code, slot);
+                if built {
+                    self.blocks.stats.misses += 1;
+                } else {
+                    self.blocks.stats.shared += 1;
+                }
+                block
+            }
+            None => {
+                self.blocks.stats.misses += 1;
+                Arc::new(key.build(&self.code, slot))
+            }
+        };
         // The miss path caches a clone and returns the original; after
         // execution `restore` replaces the clone with it (same block).
-        self.blocks.insert(idx, Arc::clone(&block), code_words);
+        let idx = self
+            .blocks
+            .insert(slot, Arc::clone(&block), self.code.len());
         if self.block_trace {
             let (pc, len) = (block.start, block.insns.len() as u32);
             self.trace_emit(EventKind::BlockCompiled { pc, len });
@@ -2026,6 +2078,20 @@ impl Machine {
             Some((idx, block))
         } else {
             None
+        }
+    }
+
+    /// The superblock promoting the hot edge from `head` into the block of
+    /// entry `tail` ([`crate::blockcache::promote`]), shared through the
+    /// code image's store when this machine builds through it, so that
+    /// siblings promoting the same edge hold one superblock. Out of line
+    /// for the same reason as [`Machine::block_miss`].
+    #[inline(never)]
+    fn promote_edge(&mut self, head: &Arc<Block>, tail: usize) -> Option<Arc<Block>> {
+        let tail = self.blocks.peek(tail)?;
+        match Code::shared_store(&self.code, BuildKey::of(&self.cfg)) {
+            Some(mut store) => store.promotion(head, &tail),
+            None => promote(head, &tail, &self.cfg.core).map(Arc::new),
         }
     }
 

@@ -11,7 +11,7 @@
 use cheriot_cap::Capability;
 use cheriot_core::insn::{AluOp, BranchCond, CapField, Instr, MemWidth, Reg, ScrId};
 use cheriot_core::trace::Tracer;
-use cheriot_core::{layout, CoreModel, ExitReason, Machine, MachineConfig};
+use cheriot_core::{layout, BlockCacheStats, CoreModel, ExitReason, Machine, MachineConfig};
 
 /// Stepwise, block cache without chaining, and chained dispatch.
 const MODES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
@@ -479,10 +479,12 @@ fn link_into_a_promoted_slot_under_another_fingerprint_rechecks_fetch() {
 
 #[test]
 fn promotion_in_one_fork_leaves_its_siblings_alone() {
-    // Forks (a farm's devices) share the parent's `Arc` blocks. A fork
-    // that runs hot enough to promote must not change what a sibling
-    // executes or how it dispatches: run after it, the sibling makes the
-    // same three promotions itself, counter for counter.
+    // Forks (a farm's devices) share the parent's `Arc` blocks and the
+    // code image's block store. A fork that runs hot enough to promote
+    // must not change what a sibling executes or how it dispatches: run
+    // after it, the sibling makes the same three promotions itself,
+    // dispatch counter for dispatch counter. Only who built the blocks
+    // differs: the sibling adopts what the hot fork built.
     let (mut parent, _) = flip_machine(CoreModel::ibex(), (true, true), [60, 70, 80], 100, None);
     parent.run(100); // builds and links every block, promotes nothing
     assert_eq!(parent.block_stats().promotions, 0);
@@ -493,5 +495,18 @@ fn promotion_in_one_fork_leaves_its_siblings_alone() {
     assert_eq!(hot.block_stats().promotions, 3);
     sibling.run(1_000_000);
     assert_same(&sibling, &hot, "sibling vs hot fork");
-    assert_eq!(sibling.block_stats(), hot.block_stats());
+    let (h, s) = (hot.block_stats(), sibling.block_stats());
+    let dispatch = |b: BlockCacheStats| BlockCacheStats {
+        misses: 0,
+        shared: 0,
+        ..b
+    };
+    assert_eq!(dispatch(s), dispatch(h));
+    assert_eq!(h.misses, s.misses + s.shared);
+    assert_eq!(
+        s.misses,
+        parent.block_stats().misses,
+        "the sibling built nothing"
+    );
+    assert!(s.shared > 0);
 }

@@ -9,7 +9,10 @@
 //!
 //! * tracks CONNECT/SUBSCRIBE state per device,
 //! * fans each PUBLISH out to the topic's subscribers (minus the
-//!   publisher itself) and records which of them owe a PUBACK,
+//!   publisher itself) and records which of them owe a PUBACK — only a
+//!   PUBLISH that names its real sender as `src` and a `msg_id` with
+//!   nothing in flight, so a guest can neither spoof another device's
+//!   message nor overwrite the deliveries owed to it,
 //! * routes each PUBACK back to the original publisher and retires the
 //!   acking device's in-flight entry — only a delivery that device still
 //!   owes, so a stray or duplicate PUBACK is counted as malformed and
@@ -46,7 +49,8 @@ pub struct FabricStats {
     /// Frames that crossed from one instance to a *different* one.
     pub cross_instance_frames: u64,
     /// Frames the fabric could not interpret, including PUBACKs for no
-    /// delivery the sender owed.
+    /// delivery the sender owed and PUBLISHes that spoof another sender
+    /// or reuse a message id still in flight.
     pub malformed: u64,
     /// PUBLISHes that had no subscriber at routing time.
     pub no_subscriber: u64,
@@ -138,6 +142,13 @@ impl NetFabric {
                 )]
             }
             KIND_PUBLISH => {
+                // The in-flight table is keyed by the guest-written
+                // `(src, msg_id)`: a PUBLISH under another device's `src`,
+                // or reusing a key still in flight, would replace the
+                // deliveries someone is owed.
+                if f.src as usize != src_dev || self.in_flight.contains_key(&(f.src, f.msg_id)) {
+                    return self.malformed();
+                }
                 self.stats.published_guest += 1;
                 self.metrics.add("fabric_publishes", 1);
                 self.fan_out(f, Some(src_dev))
@@ -235,6 +246,8 @@ impl NetFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn frame(kind: u32, topic: u32, msg_id: u32, src: u32) -> [u8; FRAME_LEN] {
         Frame {
@@ -330,6 +343,80 @@ mod tests {
         fab.route(2, &frame(KIND_PUBACK, 0, 5, 0));
         assert_eq!(fab.in_flight(), 0);
         assert_eq!(fab.stats().acks, s.deliveries);
+    }
+
+    #[test]
+    fn a_publish_cannot_spoof_or_overwrite_owed_deliveries() {
+        let mut fab = NetFabric::new(4, 1, 0);
+        for d in 1..4 {
+            fab.route(d, &frame(KIND_SUBSCRIBE, 0, 0, d as u32));
+        }
+        assert_eq!(fab.route(0, &frame(KIND_PUBLISH, 0, 5, 0)).len(), 3);
+        assert_eq!(fab.in_flight(), 3);
+        // Device 1 publishes as device 0, reusing its in-flight id; then
+        // device 0 reuses it itself. Neither fans out or touches the
+        // three deliveries owed to device 0.
+        assert!(fab.route(1, &frame(KIND_PUBLISH, 0, 5, 0)).is_empty());
+        assert!(fab.route(0, &frame(KIND_PUBLISH, 0, 5, 0)).is_empty());
+        // A spoofed `src` with a fresh id is refused too.
+        assert!(fab.route(1, &frame(KIND_PUBLISH, 0, 6, 2)).is_empty());
+        assert_eq!(fab.in_flight(), 3);
+        assert_eq!(fab.stats().malformed, 3);
+        assert_eq!(fab.stats().published_guest, 1);
+        // Device 1's genuine PUBACK still retires its delivery.
+        assert_eq!(fab.route(1, &frame(KIND_PUBACK, 0, 5, 0)).len(), 1);
+        assert_eq!(fab.in_flight(), 2);
+        assert_eq!(fab.stats().acks, 1);
+    }
+
+    /// The deliveries owed on messages other senders than `sender`
+    /// published, leaving out `sender`'s own part in them (acking what it
+    /// owes is its right).
+    fn owed_to_others(fab: &NetFabric, sender: usize) -> BTreeMap<(u32, u32), BTreeSet<usize>> {
+        fab.in_flight
+            .iter()
+            .filter(|((src, _), _)| *src as usize != sender)
+            .map(|(&key, owed)| (key, owed.iter().copied().filter(|&d| d != sender).collect()))
+            .filter(|(_, owed): &(_, BTreeSet<usize>)| !owed.is_empty())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile guest bytes: arbitrary 0–64-byte frames, and
+        /// well-formed frames with arbitrary fields, from arbitrary
+        /// devices between host publishes. No frame panics the fabric,
+        /// and none changes the deliveries owed on another sender's
+        /// messages beyond the sender's own acks.
+        #[test]
+        fn hostile_frames_never_touch_another_devices_owed_set(
+            ops in proptest::collection::vec(
+                (
+                    0usize..4,
+                    any::<u8>(),
+                    (1u32..8, 0u32..3, 0u32..4, 0u32..6),
+                    proptest::collection::vec(any::<u8>(), 0..65),
+                ),
+                1..96,
+            ),
+        ) {
+            let mut fab = NetFabric::new(4, 2, 1);
+            for (sender, sel, (kind, topic, msg_id, src), raw) in ops {
+                if sel % 8 == 7 {
+                    fab.host_publish();
+                    continue;
+                }
+                let bytes = if sel % 2 == 0 {
+                    frame(kind, topic, msg_id, src).to_vec()
+                } else {
+                    raw
+                };
+                let before = owed_to_others(&fab, sender);
+                fab.route(sender, &bytes);
+                prop_assert_eq!(owed_to_others(&fab, sender), before);
+            }
+        }
     }
 
     #[test]

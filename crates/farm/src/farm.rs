@@ -35,7 +35,7 @@ use crate::fabric::{FabricStats, NetFabric};
 use crate::guest::{self, Mailbox};
 use crate::registry::boot_node_image;
 use cheriot_core::sched::work_steal_with;
-use cheriot_core::{CoreModel, ExitReason, Machine};
+use cheriot_core::{BlockCacheStats, CoreModel, ExitReason, Machine};
 use cheriot_soc::{net_flush_rx, net_push_rx, net_rx_dropped, net_take_tx};
 use cheriot_trace::json::Json;
 use cheriot_trace::metrics::MetricsRegistry;
@@ -122,6 +122,8 @@ struct Instance {
     mb: Mailbox,
     /// Set when the guest stopped executing (fault/halt) — a farm bug.
     dead: Option<ExitReason>,
+    /// Block-cache counters right after the fork.
+    forked: BlockCacheStats,
 }
 
 /// What one worker observed running one instance for one quantum.
@@ -173,6 +175,18 @@ pub struct FarmReport {
     /// Pages still structurally shared across the fleet at the end of
     /// the run — memory the fleet never had to materialize.
     pub cow_shared_pages: u64,
+    /// Predecoded blocks the fleet built after the fork. Every device
+    /// shares its code image's block store, so this is the number of
+    /// distinct blocks the fleet ran that the warm image did not hold,
+    /// whatever the device or worker count.
+    pub blocks_built: u64,
+    /// Blocks devices adopted from the shared store after the fork,
+    /// built by a sibling.
+    pub blocks_shared: u64,
+    /// The largest device's block-cache sidecar at the end of the run
+    /// ([`Machine::block_sidecar_bytes`]): its own dispatch state, sized
+    /// by the blocks it holds.
+    pub block_sidecar_bytes_max: u64,
     /// Host bytes of page content the fleet uniquely owns at the end of
     /// the run (sum of each instance's private pages). With CoW this is
     /// the fleet's true page footprint beyond the shared image; without
@@ -258,6 +272,10 @@ impl FarmReport {
             "cow                {} breaks, {} pages still shared, {} unique bytes, rss {}\n",
             self.cow_breaks, self.cow_shared_pages, self.fleet_unique_bytes, self.host_rss_bytes
         ));
+        out.push_str(&format!(
+            "blocks             {} built after the fork, {} shared, sidecar <= {} bytes/device\n",
+            self.blocks_built, self.blocks_shared, self.block_sidecar_bytes_max
+        ));
         if self.dead_devices > 0 {
             out.push_str(&format!("DEAD DEVICES       {:>12}\n", self.dead_devices));
         }
@@ -290,6 +308,9 @@ impl FarmReport {
             .push("fork_bytes_per_device", self.fork_bytes_per_device())
             .push("cow_breaks", self.cow_breaks)
             .push("cow_shared_pages", self.cow_shared_pages)
+            .push("blocks_built", self.blocks_built)
+            .push("blocks_shared", self.blocks_shared)
+            .push("block_sidecar_bytes_max", self.block_sidecar_bytes_max)
             .push("fleet_unique_bytes", self.fleet_unique_bytes)
             .push("host_rss_bytes", self.host_rss_bytes)
             .push("dead_devices", self.dead_devices)
@@ -322,6 +343,7 @@ pub fn run_farm(cfg: &FarmConfig) -> Result<FarmReport, String> {
     for i in 0..cfg.devices {
         let mut m = snap.to_machine();
         snapshot_bytes_copied += m.snapshot_stats().bytes_copied;
+        let forked = m.block_stats();
         m.dma_write(guest::MB_ID, &(i as u32 + 1).to_le_bytes())
             .map_err(|e| format!("assigning id to device {i}: {e:?}"))?;
         instances.push(Mutex::new(Instance {
@@ -329,6 +351,7 @@ pub fn run_farm(cfg: &FarmConfig) -> Result<FarmReport, String> {
             inbox: Vec::new(),
             mb: Mailbox::default(),
             dead: None,
+            forked,
         }));
     }
 
@@ -479,6 +502,7 @@ pub fn run_farm(cfg: &FarmConfig) -> Result<FarmReport, String> {
     let mut cow_breaks = 0u64;
     let mut cow_shared_pages = 0u64;
     let mut fleet_unique_bytes = 0u64;
+    let (mut blocks_built, mut blocks_shared, mut block_sidecar_bytes_max) = (0u64, 0u64, 0u64);
     for inst in instances.iter() {
         let inst = &mut *inst.lock().expect("instance lock");
         guest_rx_pub += u64::from(inst.mb.rx_pub);
@@ -490,6 +514,10 @@ pub fn run_farm(cfg: &FarmConfig) -> Result<FarmReport, String> {
         cow_breaks += inst.m.sram.cow_stats().breaks;
         cow_shared_pages += u64::from(inst.m.sram.shared_pages());
         fleet_unique_bytes += inst.m.sram.unique_resident_bytes();
+        let blocks = inst.m.block_stats();
+        blocks_built += blocks.misses - inst.forked.misses;
+        blocks_shared += blocks.shared - inst.forked.shared;
+        block_sidecar_bytes_max = block_sidecar_bytes_max.max(inst.m.block_sidecar_bytes() as u64);
         if inst.dead.is_some() {
             dead_devices += 1;
         }
@@ -522,6 +550,9 @@ pub fn run_farm(cfg: &FarmConfig) -> Result<FarmReport, String> {
         snapshot_bytes_copied,
         cow_breaks,
         cow_shared_pages,
+        blocks_built,
+        blocks_shared,
+        block_sidecar_bytes_max,
         fleet_unique_bytes,
         host_rss_bytes: host_rss_bytes(),
         dead_devices,

@@ -3,8 +3,8 @@
 //! The paper's end-to-end scenario (§7.2) is one IoT device running a
 //! compartmentalized network stack. This crate runs *thousands* of
 //! them concurrently: every instance is forked in O(dirty pages) from
-//! a warm post-boot [`Snapshot`](cheriot_core::Snapshot) (inheriting
-//! the Arc-shared predecoded block table), scheduled in round-robin
+//! a warm post-boot [`Snapshot`](cheriot_core::Snapshot) (sharing
+//! one predecoded block store per code image), scheduled in round-robin
 //! cycle quanta across the work-stealing pool
 //! (`cheriot_core::sched::work_steal_with`), and wired to its siblings
 //! through a host-side network fabric that routes NIC frames between

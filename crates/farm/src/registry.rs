@@ -4,9 +4,9 @@
 //! Booting the node firmware costs a few hundred instructions plus the
 //! ring setup; doing that once and forking thousands of instances off
 //! the parked state is what makes a 1000-device farm start in
-//! milliseconds. Forks inherit the image's Arc-shared predecoded block
-//! table, so instance number 1000 begins execution with the same warm
-//! block cache as instance 0 — no per-instance re-decode.
+//! milliseconds. Forks inherit the image's predecoded blocks and share
+//! its code's block store, so the fleet decodes each block once: the
+//! first instance to run it builds it, and every other adopts it.
 
 use crate::guest;
 use cheriot_core::{CoreModel, ExitReason, Machine, MachineConfig, Snapshot};

@@ -104,12 +104,57 @@ fn fork_accounting_scales_with_fleet_size() {
     // exactly (every cold fork copies the same image).
     assert_eq!(small.snapshot_bytes_copied * 2, large.snapshot_bytes_copied);
     // A cold fork pays at most the resident image (SRAM + console +
-    // code); the predecoded block table is Arc-shared, never copied.
+    // code); predecoded blocks are shared, never copied.
     assert!(
         small.snapshot_bytes_copied / 8 <= small.snapshot_bytes,
         "per-fork copy {} exceeds resident size {}",
         small.snapshot_bytes_copied / 8,
         small.snapshot_bytes
+    );
+}
+
+#[test]
+fn the_fleet_builds_each_block_once_on_any_worker_count() {
+    // Every device shares the image's block store, so the blocks built
+    // after the fork are the distinct blocks the fleet ran: the same
+    // count on any worker count, and fewer than the devices once the
+    // fleet outnumbers the firmware's blocks.
+    let mut cfg = small_cfg();
+    cfg.devices = 16;
+    cfg.rounds = 20;
+    let serial = run_farm(&cfg).expect("1-worker run");
+    cfg.workers = 2;
+    let parallel = run_farm(&cfg).expect("2-worker run");
+    assert_eq!(serial.blocks_built, parallel.blocks_built);
+    assert_eq!(serial.blocks_shared, parallel.blocks_shared);
+    assert!(serial.blocks_built > 0);
+    assert!(serial.blocks_shared > serial.blocks_built);
+    cfg.devices = 32;
+    let double = run_farm(&cfg).expect("32-device run");
+    assert!(
+        double.blocks_built < cfg.devices as u64,
+        "{} blocks built for {} devices",
+        double.blocks_built,
+        cfg.devices
+    );
+}
+
+#[test]
+fn a_device_keeps_dispatch_state_only_for_the_blocks_it_holds() {
+    let report = run_farm(&small_cfg()).expect("farm run");
+    assert!(report.block_sidecar_bytes_max > 0);
+    assert!(
+        report.block_sidecar_bytes_max <= 2048,
+        "a device's block sidecar is {} bytes",
+        report.block_sidecar_bytes_max
+    );
+    let doc = Json::parse(&report.to_json()).expect("farm JSON parses");
+    let uint = |key: &str| doc.get(key).and_then(Json::as_u64);
+    assert_eq!(uint("blocks_built"), Some(report.blocks_built));
+    assert_eq!(uint("blocks_shared"), Some(report.blocks_shared));
+    assert_eq!(
+        uint("block_sidecar_bytes_max"),
+        Some(report.block_sidecar_bytes_max)
     );
 }
 

@@ -424,6 +424,85 @@ fn dma_store_into_executed_code_invalidates_covering_blocks() {
     );
 }
 
+#[test]
+fn guest_dma_into_code_mid_chain_matches_stepwise() {
+    // The guest kicks the DMA engine from inside its loop, rewriting the
+    // first word of block `b` while the dispatch loop is mid-chain. The
+    // store frees `b`'s entry; the next new block (`x`, first run right
+    // after the kick) reuses it. `go`'s link into `b`, recorded before
+    // the store, must be dead by then, or the chain would run `x` in
+    // `b`'s place. Every dispatch mode must end where stepwise does.
+    use cheriot_asm::Asm;
+    const DMA: i32 = 0x8700_0000_u32 as i32;
+    let src = layout::SRAM_BASE + 0x3000;
+    let patched = Instr::OpImm {
+        op: AluOp::Add,
+        rd: Reg::A3,
+        rs1: Reg::A3,
+        imm: 100,
+    };
+    let mut a = Asm::new();
+    let (b, lp, go, x) = (a.label(), a.label(), a.label(), a.label());
+    a.bind(b);
+    a.addi(Reg::A3, Reg::A3, 1); // word 0: the DMA's destination
+    a.bltu(Reg::A0, Reg::S0, lp);
+    a.halt();
+    // Entry (word 3): program the engine's SRC, DST and LEN.
+    a.li(Reg::A4, DMA);
+    a.csetaddr(Reg::S1, Reg::T0, Reg::A4);
+    a.li(Reg::A4, src as i32);
+    a.sw(Reg::A4, 0, Reg::S1);
+    a.li(Reg::A4, layout::CODE_BASE as i32);
+    a.sw(Reg::A4, 4, Reg::S1);
+    a.li(Reg::A4, 4);
+    a.sw(Reg::A4, 8, Reg::S1);
+    a.li(Reg::A5, 1);
+    a.li(Reg::A2, 3);
+    a.li(Reg::S0, 10);
+    a.bind(lp);
+    a.addi(Reg::A0, Reg::A0, 1);
+    a.bne(Reg::A0, Reg::A2, go);
+    a.sw(Reg::A5, 0xc, Reg::S1); // CTRL: copy now (third iteration)
+    a.beq(Reg::ZERO, Reg::ZERO, x);
+    a.bind(go);
+    a.j(b);
+    a.bind(x);
+    a.addi(Reg::A1, Reg::A1, 1);
+    a.j(lp);
+    let program = a.assemble();
+
+    let mut finals = Vec::new();
+    for mode in [(false, false), (true, false), (true, true)] {
+        let (mut m, _) = iot_machine(mode);
+        m.sram
+            .write_scalar(src, 4, cheriot_core::encode(&patched).unwrap())
+            .unwrap();
+        let base = m.load_program(&program);
+        assert_eq!(base, layout::CODE_BASE);
+        m.set_entry(base + 12);
+        let exit = m.run(1_000_000);
+        assert_eq!(m.code_at(base), Some(patched), "mode {mode:?}");
+        let regs: Vec<u32> = [Reg::A0, Reg::A1, Reg::A3]
+            .iter()
+            .map(|&r| m.cpu.read_int(r))
+            .collect();
+        finals.push((exit, m.cycles, m.stats, m.cpu.pc(), regs));
+    }
+    assert_eq!(
+        finals[0], finals[1],
+        "cached dispatch diverged from stepwise"
+    );
+    assert_eq!(
+        finals[0], finals[2],
+        "chained dispatch diverged from stepwise"
+    );
+    assert_eq!(
+        finals[0].4,
+        [10, 1, 2 + 7 * 100],
+        "the patch took effect mid-loop"
+    );
+}
+
 // ------------------------------------------------------------ interrupts
 
 #[test]
