@@ -112,15 +112,15 @@ impl HeapAllocator {
     /// revocation bitmap MMIO window from the memory root; callers receive
     /// capabilities *without* SL.
     pub fn new(m: &mut Machine, policy: TemporalPolicy) -> HeapAllocator {
-        let base = m.cfg.heap_base();
-        let end = m.cfg.heap_end();
+        let base = m.cfg().heap_base();
+        let end = m.cfg().heap_end();
         let heap_cap = Capability::root_mem_rw()
             .with_address(base)
             .set_bounds(u64::from(end - base))
             .expect("heap region is representable");
         let sweep_cap = Capability::root_mem_rw()
             .with_address(layout::SRAM_BASE)
-            .set_bounds(u64::from(m.cfg.sram_size))
+            .set_bounds(u64::from(m.cfg().sram_size))
             .expect("SRAM is representable");
         let bitmap_cap = Capability::root_mem_rw()
             .with_address(layout::REV_BITMAP_BASE)
@@ -723,12 +723,12 @@ impl HeapAllocator {
             // save/restore plus the two extra HWM CSRs when present
             // (paper §7.2.2's note on the 128 KiB case: a wait-dominated
             // workload makes those extra saves visible).
-            let caps = 60 * m.cfg.core.cap_beats();
-            let hwm_extra = if m.cfg.hwm_enabled { 24 } else { 0 };
+            let caps = 60 * m.cfg().core.cap_beats();
+            let hwm_extra = if m.cfg().hwm_enabled { 24 } else { 0 };
             (150 + caps + hwm_extra, caps)
         };
         while m.revoker.in_progress() {
-            if m.cfg.revoker.interrupt_on_completion {
+            if m.cfg().revoker.interrupt_on_completion {
                 // Sleeping thread: idle until the completion interrupt,
                 // except for the periodic scheduler tick, which performs a
                 // context-switch pair through the blocked state.

@@ -162,8 +162,8 @@ fn software_sweep_reports_stripped_words_and_filter_events() {
     let mut h = HeapAllocator::new(&mut m, TemporalPolicy::Quarantine(RevokerKind::Software));
     h.quarantine_threshold = 1;
     let heap_cap = Capability::root_mem_rw()
-        .with_address(m.cfg.heap_base())
-        .set_bounds(u64::from(m.cfg.heap_size))
+        .with_address(m.cfg().heap_base())
+        .set_bounds(u64::from(m.cfg().heap_size))
         .unwrap();
 
     let holder = h.malloc(&mut m, 16).unwrap();

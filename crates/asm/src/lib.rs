@@ -57,12 +57,6 @@ enum Pending {
         rd: Reg,
         target: Label,
     },
-    /// `li rd, (label address)` — materialise a label's *byte offset from
-    /// program start* (the caller combines it with a base capability).
-    LaOffset {
-        rd: Reg,
-        target: Label,
-    },
     /// `auipcc rd, (label - here)` — a PCC-derived capability to a label
     /// (trap vectors, sentry targets), resolved like a branch offset.
     Auipcc {
@@ -159,16 +153,6 @@ impl Asm {
                     rd,
                     offset: resolve(target),
                 },
-                Pending::LaOffset { rd, target } => {
-                    let pos = self.labels[target.0].expect("unbound label");
-                    // Absolute byte offset of the label from program start.
-                    Instr::OpImm {
-                        op: AluOp::Add,
-                        rd,
-                        rs1: Reg::ZERO,
-                        imm: (pos * 4) as i32,
-                    }
-                }
                 Pending::Auipcc { rd, target } => Instr::Auipcc {
                     rd,
                     imm: resolve(target),
@@ -751,15 +735,6 @@ impl Asm {
     /// Simulator halt (exit code in `a0`).
     pub fn halt(&mut self) -> &mut Asm {
         self.raw(Instr::Halt)
-    }
-
-    /// Materialises a label's byte offset from program start into `rd`
-    /// (combine with `csetaddr`/`cincaddr` against a code capability).
-    pub fn la_offset(&mut self, rd: Reg, target: Label) -> &mut Asm {
-        let at = self.code.len();
-        self.code.push(Instr::NOP);
-        self.fixups.push((at, Pending::LaOffset { rd, target }));
-        self
     }
 }
 

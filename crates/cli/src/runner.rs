@@ -153,6 +153,13 @@ pub fn run_words(words: &[u32], opts: &RunOptions) -> Result<RunOutcome, RunErro
 }
 
 fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, RunError> {
+    let cfg = MachineConfig {
+        load_filter: opts.load_filter,
+        block_cache: opts.block_cache,
+        block_chain: opts.block_chain,
+        cow: opts.cow,
+        ..MachineConfig::new(CoreModel::of(opts.core))
+    };
     let mut m = match &opts.machine {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| {
@@ -162,19 +169,11 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
                 })
             })?;
             cheriot_soc::MachineSpec::parse(&text)
-                .and_then(|spec| spec.build())
+                .and_then(|spec| spec.build(cfg))
                 .map_err(RunError::Manifest)?
         }
-        None => Machine::new(MachineConfig::new(CoreModel::of(opts.core))),
+        None => Machine::new(cfg),
     };
-    m.cfg.load_filter = opts.load_filter;
-    m.cfg.block_cache = opts.block_cache;
-    m.cfg.block_chain = opts.block_chain;
-    if !opts.cow {
-        // The machine (default or manifest-built) exists by now, so the
-        // mode switch goes through set_cow, which also updates cfg.cow.
-        m.set_cow(false);
-    }
     if opts.trace_out.is_some() || opts.metrics {
         // One tracer serves all three outputs; buffer instruction retires
         // only when the post-run instruction trace also needs them.

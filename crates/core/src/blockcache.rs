@@ -15,15 +15,19 @@
 //!
 //! * **One block store per code image** ([`Code`]). A block is a pure
 //!   function of the code contents, its start slot and the build config
-//!   ([`BuildKey`]), and two machines holding `Arc::ptr_eq` code handles
-//!   hold the same code. So the handle carries a lock-protected,
-//!   slot-indexed store: the first machine to miss a slot builds the block
-//!   under the lock and publishes it, and every sibling fork adopts the
-//!   same `Arc<Block>` ([`BlockCacheStats::shared`]). Promoted superblocks
-//!   are memoised there too, by the identity of their head and tail. The
-//!   store is immutable history: editing the code through a shared handle
-//!   unshares it (`Arc::make_mut`) and the copy starts with an empty
-//!   store; editing through a unique handle empties the store.
+//!   (the core's cost model, the load filter, superblock chasing), and two
+//!   machines holding `Arc::ptr_eq` code handles hold the same code under
+//!   the same config: a machine's config is fixed at construction, and a
+//!   handle only passes between machines of one config (capture, restore
+//!   and fork refuse to cross configs). So the handle carries a
+//!   lock-protected, slot-indexed store: the first machine to miss a slot
+//!   builds the block under the lock and publishes it, and every sibling
+//!   fork adopts the same `Arc<Block>` ([`BlockCacheStats::shared`]).
+//!   Every miss and every promotion goes through the store. Promoted
+//!   superblocks are memoised there too, by the identity of their head and
+//!   tail. The store is immutable history: editing the code through a
+//!   shared handle unshares it (`Arc::make_mut`) and the copy starts with
+//!   an empty store; editing through a unique handle empties the store.
 //! * **Per-machine dispatch state** ([`BlockCache`]): which blocks this
 //!   machine holds, its successor links, follow counts, generation and
 //!   promotions. It is sized by the blocks the machine holds, not by the
@@ -49,8 +53,12 @@
 //! Coherence is exact and conservative:
 //!
 //! * Any overwrite of loaded code ([`crate::machine::Machine::patch_code`]
-//!   — self-modifying code and `cheriot-fault` code-region injections)
-//!   invalidates every cached block covering the patched address.
+//!   — self-modifying code, a device's DMA into code and `cheriot-fault`
+//!   code-region injections) invalidates every cached block covering the
+//!   patched address. The block the dispatch loop holds while a device
+//!   stores into code is out of its entry and escapes that sweep, so the
+//!   loop ends its pass after the storing instruction and drops the block
+//!   (`BlockCache::discard`) instead of putting it back.
 //! * Appending code ([`crate::machine::Machine::try_load_program`]) drops
 //!   blocks that ended exactly at the old end of code, so a block truncated
 //!   by running out of instructions re-extends over the new code.
@@ -397,7 +405,8 @@ impl BlockCache {
     /// instead of an atomic refcount round-trip per executed block — and
     /// returns it with [`BlockCache::restore`]. Invalidation in between
     /// (a device's DMA into code, mid-instruction) never frees the held
-    /// entry: it only frees entries that still hold their block.
+    /// entry: it only frees entries that still hold their block. The loop
+    /// then hands the block to [`BlockCache::discard`] instead.
     #[inline]
     pub(crate) fn take(&mut self, entry: usize) -> Option<Arc<Block>> {
         self.entries.get_mut(entry)?.block.take()
@@ -408,6 +417,15 @@ impl BlockCache {
     #[inline]
     pub(crate) fn restore(&mut self, entry: usize, block: Arc<Block>) {
         self.entries[entry].block = Some(block);
+    }
+
+    /// Frees entry `entry`, whose block the dispatch loop took and holds
+    /// as `block`, without putting the block back: code was stored into
+    /// while the loop held it, so it may decode stale instructions.
+    pub(crate) fn discard(&mut self, entry: usize, block: &Block) {
+        self.index[((block.start - layout::CODE_BASE) / 4) as usize] = 0;
+        self.free.push(entry as u32);
+        self.stats.invalidated += 1;
     }
 
     /// Is there an entry for one more block ([`MAX_ENTRIES`])?
@@ -515,20 +533,15 @@ impl BlockCache {
         self.stats.generation
     }
 
-    /// Frees every entry whose block `drop` selects, returning how many,
-    /// and kills every link. Entries without a block (the one the
-    /// dispatch loop holds, and those already free) are left alone.
-    ///
-    /// The caller bumps the generation, which retires every link; the
-    /// links die here too because a device's DMA store into code runs
-    /// inside the chained dispatch loop, which keeps using the generation
-    /// it started with. A freed entry may be reused for another block
-    /// before the loop returns, and no link recorded before the store may
-    /// lead there.
+    /// Frees every entry whose block `drop` selects, returning how many.
+    /// Entries without a block (the one the dispatch loop holds, and those
+    /// already free) are left alone. The caller bumps the generation,
+    /// which retires every link, so no link can lead to a freed entry once
+    /// it is reused; a dispatch loop that was running when a device stored
+    /// into code returns before it follows another link.
     fn free_where(&mut self, drop: impl Fn(&Block) -> bool) -> u64 {
         let mut removed = 0;
         for (e, entry) in self.entries.iter_mut().enumerate() {
-            entry.gen_plus1 = 0;
             let Some(b) = entry.block.as_deref() else {
                 continue;
             };
@@ -595,31 +608,6 @@ impl BlockCache {
     }
 }
 
-/// The build config a block is a pure function of, besides the code
-/// contents and its start slot: the core's cost model, the load filter's
-/// CLC penalty, and superblock chasing (`cfg.block_chain`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct BuildKey {
-    core: CoreModel,
-    load_filter: bool,
-    chase: bool,
-}
-
-impl BuildKey {
-    pub(crate) fn of(cfg: &MachineConfig) -> BuildKey {
-        BuildKey {
-            core: cfg.core,
-            load_filter: cfg.load_filter,
-            chase: cfg.block_chain,
-        }
-    }
-
-    /// Builds the block starting at code slot `slot` of `code`.
-    pub(crate) fn build(&self, code: &[Instr], slot: usize) -> Block {
-        build_block(code, slot, &self.core, self.load_filter, self.chase)
-    }
-}
-
 /// A loaded code image: the decoded instructions, plus the block store
 /// every machine holding this `Arc<Code>` handle shares.
 ///
@@ -656,33 +644,19 @@ impl Code {
         &mut self.instrs
     }
 
-    /// The store of the image behind `code`, if it serves blocks built
-    /// under `key`. `None` when the handle is unique (there is no one to
-    /// share with, so the lock is not worth taking) or the store was
-    /// claimed for another build config: the first machine to use a
-    /// store claims it, and a machine with another config
-    /// (`Machine::cfg` is public and mutable) builds privately.
-    pub(crate) fn shared_store(
-        code: &Arc<Code>,
-        key: BuildKey,
-    ) -> Option<MutexGuard<'_, BlockStore>> {
-        if Arc::strong_count(code) == 1 {
-            return None;
-        }
+    /// The image's block store, locked.
+    pub(crate) fn store(&self) -> MutexGuard<'_, BlockStore> {
         // Every update leaves the store valid (a block is published with
         // one assignment, after it is built), so a panic elsewhere while
         // the lock was held cannot have left it half-written.
-        let mut store = code.store.lock().unwrap_or_else(PoisonError::into_inner);
-        (*store.key.get_or_insert(key) == key).then_some(store)
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// The blocks of one code image under one build config, shared by every
-/// machine holding the image's handle. Slot-indexed, like the code.
+/// The blocks of one code image, shared by every machine holding the
+/// image's handle (all of one config). Slot-indexed, like the code.
 #[derive(Debug, Default)]
 pub(crate) struct BlockStore {
-    /// The config the blocks were built under, set by the first user.
-    key: Option<BuildKey>,
     /// Per code word, the block starting there.
     built: Vec<Option<Arc<Block>>>,
     /// Promoted superblocks as `[head, tail, superblock]`. The store holds
@@ -693,17 +667,27 @@ pub(crate) struct BlockStore {
 
 impl BlockStore {
     /// The block starting at code slot `slot` of `code`, and whether this
-    /// call built it: built under the lock, so each block of the image is
-    /// built exactly once.
-    pub(crate) fn block(&mut self, code: &[Instr], slot: usize) -> (Arc<Block>, bool) {
+    /// call built it (under `cfg`): built under the lock, so each block of
+    /// the image is built exactly once.
+    pub(crate) fn block(
+        &mut self,
+        code: &[Instr],
+        slot: usize,
+        cfg: &MachineConfig,
+    ) -> (Arc<Block>, bool) {
         if self.built.len() < code.len() {
             self.built.resize(code.len(), None);
         }
         if let Some(b) = &self.built[slot] {
             return (Arc::clone(b), false);
         }
-        let key = self.key.expect("a store is claimed before use");
-        let b = Arc::new(key.build(code, slot));
+        let b = Arc::new(build_block(
+            code,
+            slot,
+            &cfg.core,
+            cfg.load_filter,
+            cfg.block_chain,
+        ));
         self.built[slot] = Some(Arc::clone(&b));
         (b, true)
     }
@@ -711,7 +695,12 @@ impl BlockStore {
     /// The superblock promoting the edge from `head` into `tail`,
     /// memoised by the identity of the two blocks so that every machine
     /// promoting the same edge shares one superblock.
-    pub(crate) fn promotion(&mut self, head: &Arc<Block>, tail: &Arc<Block>) -> Option<Arc<Block>> {
+    pub(crate) fn promotion(
+        &mut self,
+        head: &Arc<Block>,
+        tail: &Arc<Block>,
+        core: &CoreModel,
+    ) -> Option<Arc<Block>> {
         let memo = self
             .promoted
             .iter()
@@ -719,8 +708,7 @@ impl BlockStore {
         if let Some([_, _, sb]) = memo {
             return Some(Arc::clone(sb));
         }
-        let key = self.key.expect("a store is claimed before use");
-        let sb = Arc::new(promote(head, tail, &key.core)?);
+        let sb = Arc::new(promote(head, tail, core)?);
         self.promoted
             .push([Arc::clone(head), Arc::clone(tail), Arc::clone(&sb)]);
         Some(sb)
@@ -1393,29 +1381,24 @@ mod tests {
             instrs: two_block_loop(),
             store: Mutex::default(),
         });
-        let key = BuildKey::of(&MachineConfig::new(CoreModel::ibex()));
-        assert!(Code::shared_store(&code, key).is_none(), "a unique handle");
+        let cfg = MachineConfig::new(CoreModel::ibex());
         let sibling = Arc::clone(&code);
-        let store = || Code::shared_store(&sibling, key).unwrap();
-        let (head, built) = store().block(&code, 0);
+        let (head, built) = sibling.store().block(&code, 0, &cfg);
         assert!(built);
-        let (again, built) = store().block(&code, 0);
-        assert!(!built && Arc::ptr_eq(&head, &again));
-        let (tail, _) = store().block(&code, 3);
-        let sb = store().promotion(&head, &tail).unwrap();
-        assert!(Arc::ptr_eq(&sb, &store().promotion(&head, &tail).unwrap()));
-        // Another config is refused.
-        let flute = BuildKey::of(&MachineConfig::new(CoreModel::flute()));
-        assert!(Code::shared_store(&code, flute).is_none());
+        let (again, built) = code.store().block(&code, 0, &cfg);
+        assert!(!built && Arc::ptr_eq(&head, &again), "one store per image");
+        let (tail, _) = code.store().block(&code, 3, &cfg);
+        let sb = code.store().promotion(&head, &tail, &cfg.core).unwrap();
+        let memo = sibling.store().promotion(&head, &tail, &cfg.core);
+        assert!(Arc::ptr_eq(&sb, &memo.unwrap()));
         // An edit unshares: the copy starts with an empty store.
         Arc::make_mut(&mut code).edit();
-        let copy = Arc::clone(&code);
-        assert!(Code::shared_store(&copy, flute).unwrap().block(&code, 0).1);
+        assert!(code.store().block(&code, 0, &cfg).1);
+        assert!(!sibling.store().block(&sibling, 0, &cfg).1);
         // An edit through a unique handle empties the store.
-        drop((copy, sibling));
+        drop(sibling);
         Arc::make_mut(&mut code).edit();
-        let copy = Arc::clone(&code);
-        assert!(Code::shared_store(&copy, key).unwrap().block(&code, 0).1);
+        assert!(code.store().block(&code, 0, &cfg).1);
     }
 
     #[test]

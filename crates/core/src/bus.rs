@@ -390,11 +390,6 @@ impl DeviceBus {
             .iter_mut()
             .find_map(|s| s.dev.as_any_mut().downcast_mut::<T>())
     }
-
-    /// Number of attached devices (the interrupt controller not counted).
-    pub fn device_count(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// The UART that replaces the magic console vector. Register layout

@@ -360,14 +360,6 @@ impl Instr {
         imm: 0,
     };
 
-    /// Does this instruction access data memory?
-    pub fn is_mem(self) -> bool {
-        matches!(
-            self,
-            Instr::Load { .. } | Instr::Store { .. } | Instr::Clc { .. } | Instr::Csc { .. }
-        )
-    }
-
     /// Does this instruction end a predecoded basic block? True for
     /// everything that can redirect control flow, change the interrupt
     /// posture, or observe state the block loop batches (branches, jumps,

@@ -2,12 +2,12 @@
 //! timer + console, with per-instruction cycle accounting driven by a
 //! [`CoreModel`].
 
-use crate::blockcache::{promote, Block, BlockCache, BlockCacheStats, BuildKey, Code};
+use crate::blockcache::{Block, BlockCache, BlockCacheStats, Code};
 use crate::bus::{DeviceBus, Uart};
 use crate::cpu::Cpu;
 use crate::error::SimError;
 use crate::insn::{pure_register, AluOp, BranchCond, CapField, CsrId, CsrOp, Instr, MulOp, Reg};
-use crate::mem::{Sram, GRANULE};
+use crate::mem::{Sram, XferCost, GRANULE};
 use crate::pipeline::CoreModel;
 use crate::revocation::{BackgroundRevoker, RevocationBitmap, RevokerConfig};
 use crate::trap::{TrapCause, PCC_REG_INDEX};
@@ -44,8 +44,9 @@ pub mod layout {
     pub const MMIO_SIZE: u32 = 0x1000;
 }
 
-/// Build-time configuration of a [`Machine`].
-#[derive(Clone, Copy, Debug)]
+/// Build-time configuration of a [`Machine`], fixed when the machine is
+/// constructed ([`Machine::new`]) and read back with [`Machine::cfg`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Core cost model (Ibex or Flute class).
     pub core: CoreModel,
@@ -81,9 +82,9 @@ pub struct MachineConfig {
     /// Only meaningful when `block_cache` is on.
     pub block_chain: bool,
     /// Copy-on-write page store enabled ([`crate::mem::Sram`])? When
-    /// false (CLI `--no-cow`) SRAM pages are kept uniquely owned and
-    /// every snapshot capture/restore/fork deep-copies bytes — the
-    /// pre-CoW cost model, kept as an escape hatch and comparison
+    /// false (CLI `--no-cow`) the bank is built with every page uniquely
+    /// owned and every snapshot capture/restore/fork deep-copies bytes —
+    /// the pre-CoW cost model, kept as an escape hatch and comparison
     /// baseline. Architecturally invisible either way.
     pub cow: bool,
 }
@@ -166,8 +167,9 @@ pub enum ExitReason {
 /// The simulated SoC.
 #[derive(Debug)]
 pub struct Machine {
-    /// Configuration (immutable after construction).
-    pub cfg: MachineConfig,
+    /// Configuration, fixed at construction ([`Machine::cfg`]). Every
+    /// holder of a code handle therefore builds blocks under one config.
+    cfg: MachineConfig,
     /// CPU architectural state.
     pub cpu: Cpu,
     /// Tagged data SRAM.
@@ -251,74 +253,28 @@ pub struct SnapshotStats {
 /// console, GPIO, statistics, the code region, and the machine's block
 /// table (its dispatch state; the blocks themselves are `Arc`-shared).
 ///
-/// Captured with [`Machine::snapshot`] / [`Machine::snapshot_into`],
-/// applied with [`Machine::restore_from`], or turned into an independent
-/// machine with [`Snapshot::to_machine`] (a *fork* — the new machine
-/// shares the snapshot's decoded blocks and its code image's block store,
-/// but no mutable state). Host-side
-/// observers (tracer, block-trace flag, snapshot counters) are not part
-/// of a snapshot.
+/// A snapshot *is* a machine that never runs: capture
+/// ([`Machine::snapshot`] / [`Machine::snapshot_into`]), restore
+/// ([`Machine::restore_from`]) and fork ([`Snapshot::to_machine`]) all
+/// move state through one copy routine, so there is one definition of
+/// what a machine's state is. A fork shares the snapshot's decoded
+/// blocks and its code image's block store, but no mutable state.
+/// Host-side observers (tracer, block-trace flag, snapshot counters) are
+/// not part of a snapshot.
 #[derive(Clone)]
-pub struct Snapshot {
-    cfg: MachineConfig,
-    cpu: Cpu,
-    sram: Sram,
-    bitmap: RevocationBitmap,
-    revoker: BackgroundRevoker,
-    cycles: u64,
-    mtimecmp: u64,
-    console: Vec<u8>,
-    gpio_out: u32,
-    gpio_writes: u64,
-    bus: DeviceBus,
-    stats: Stats,
-    code: Arc<Code>,
-    blocks: BlockCache,
-    halted: Option<ExitReason>,
-    pending_use: Option<(Reg, u64)>,
-    wd_limit: u64,
-    last_trap: Option<TrapCause>,
-}
+pub struct Snapshot(Machine);
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("cycles", &self.cycles)
-            .field("code_words", &self.code.len())
-            .field("sram", &self.sram)
+            .field("cycles", &self.0.cycles)
+            .field("code_words", &self.0.code.len())
+            .field("sram", &self.0.sram)
             .finish()
     }
 }
 
 impl Snapshot {
-    /// An all-default snapshot for `cfg`, used as the initial capture
-    /// target (the first [`Machine::snapshot_into`] fills it wholesale).
-    fn empty(cfg: MachineConfig) -> Snapshot {
-        Snapshot {
-            cfg,
-            cpu: Cpu::at_reset(),
-            // Zero-size bank: the first capture reshapes it to the
-            // machine's shape (snapshot banks never carry the decoded-cap
-            // side cache).
-            sram: Sram::new(layout::SRAM_BASE, 0),
-            bitmap: RevocationBitmap::new(cfg.heap_base(), cfg.heap_end()),
-            revoker: BackgroundRevoker::new(cfg.revoker),
-            cycles: 0,
-            mtimecmp: u64::MAX,
-            console: Vec::new(),
-            gpio_out: 0,
-            gpio_writes: 0,
-            bus: DeviceBus::default(),
-            stats: Stats::default(),
-            code: Arc::default(),
-            blocks: BlockCache::default(),
-            halted: None,
-            pending_use: None,
-            wd_limit: u64::MAX,
-            last_trap: None,
-        }
-    }
-
     /// Builds an independent machine in this snapshot's state (a fork).
     /// The fork starts with a copy of the snapshot's block table: the
     /// blocks it holds are shared (`Arc`), and its successor links, an
@@ -326,14 +282,14 @@ impl Snapshot {
     /// not hold comes from the code image's shared store, so the fleet
     /// builds each block once, whichever fork runs it first.
     pub fn to_machine(&self) -> Machine {
-        let mut m = Machine::new(self.cfg);
+        let mut m = Machine::new(self.0.cfg);
         m.restore_from(self);
         m
     }
 
     /// Cycle count at capture time.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.0.cycles
     }
 
     /// Approximate resident size of this snapshot in host bytes: the SRAM
@@ -345,18 +301,20 @@ impl Snapshot {
     /// per code word and one entry per resident block), which every fork
     /// copies by value ([`Machine::block_sidecar_bytes`]).
     pub fn bytes(&self) -> u64 {
-        u64::from(self.sram.size())
-            + self.console.len() as u64
-            + (self.code.len() * std::mem::size_of::<Instr>()) as u64
+        u64::from(self.0.sram.size())
+            + self.0.console.len() as u64
+            + (self.0.code.len() * std::mem::size_of::<Instr>()) as u64
     }
 }
 
 impl Clone for Machine {
-    /// Clones the architectural state. The tracer (if any) stays with the
-    /// original: a trace is a log of one machine's history, and sinks may
-    /// hold non-clonable resources such as open files. The clone starts
-    /// with tracing disabled and a cold (empty) block cache — the cache is
-    /// pure derived state, rebuilt on demand.
+    /// Clones the architectural state, block table included, so a clone
+    /// forks exactly like [`Snapshot::to_machine`]: it holds the same
+    /// shared blocks and a copy of the successor links. The tracer (if
+    /// any) stays with the original: a trace is a log of one machine's
+    /// history, and sinks may hold non-clonable resources such as open
+    /// files. The clone starts with tracing disabled and zeroed snapshot
+    /// counters.
     fn clone(&self) -> Machine {
         Machine {
             cfg: self.cfg,
@@ -372,7 +330,7 @@ impl Clone for Machine {
             bus: self.bus.clone(),
             stats: self.stats,
             code: self.code.clone(),
-            blocks: BlockCache::default(),
+            blocks: self.blocks.clone(),
             block_trace: self.block_trace,
             halted: self.halted,
             pending_use: self.pending_use,
@@ -391,14 +349,10 @@ impl Machine {
         let heap_base = cfg.heap_base();
         let heap_end = cfg.heap_end();
         assert!(heap_end <= layout::SRAM_BASE + cfg.sram_size);
-        let mut sram = Sram::new(layout::SRAM_BASE, cfg.sram_size);
-        if !cfg.cow {
-            sram.set_cow(false);
-        }
         Machine {
             cfg,
             cpu: Cpu::at_reset(),
-            sram,
+            sram: Sram::new(layout::SRAM_BASE, cfg.sram_size, cfg.cow),
             bitmap: RevocationBitmap::new(heap_base, heap_end),
             revoker: BackgroundRevoker::new(cfg.revoker),
             cycles: 0,
@@ -419,6 +373,11 @@ impl Machine {
             snap_stats: SnapshotStats::default(),
             active_dev: crate::bus::INTC_DEV_ID,
         }
+    }
+
+    /// The configuration this machine was built with.
+    pub fn cfg(&self) -> &MachineConfig {
+        &self.cfg
     }
 
     // --- Tracing -------------------------------------------------------------
@@ -614,42 +573,19 @@ impl Machine {
     /// reuses the snapshot's buffers and moves only pages written since
     /// the previous capture.
     pub fn snapshot(&mut self) -> Snapshot {
-        let mut snap = Snapshot::empty(self.cfg);
+        let mut snap = Snapshot(Machine::new(self.cfg));
         self.snapshot_into(&mut snap);
         snap
     }
 
-    /// Re-captures the machine's state into an existing snapshot.
+    /// Re-captures the machine's state into an existing snapshot: the
+    /// state copy of [`Machine::restore_from`], in the other direction.
     ///
-    /// Only SRAM pages whose handles differ from `snap`'s move, and under
-    /// CoW each moved page is a handle adoption (the snapshot shares the
-    /// machine's page; the machine's next write to it CoW-breaks). The
-    /// code region and the block table are only re-adopted when the code
-    /// handle differs from `snap`'s.
+    /// # Panics
+    ///
+    /// Panics if `snap` was captured from a machine with another config.
     pub fn snapshot_into(&mut self, snap: &mut Snapshot) {
-        snap.cfg = self.cfg;
-        snap.cpu = self.cpu.clone();
-        self.sram.capture_into(&mut snap.sram);
-        snap.bitmap.copy_from(&self.bitmap);
-        snap.revoker = self.revoker.clone();
-        snap.cycles = self.cycles;
-        snap.mtimecmp = self.mtimecmp;
-        snap.console.clear();
-        snap.console.extend_from_slice(&self.console);
-        snap.gpio_out = self.gpio_out;
-        snap.gpio_writes = self.gpio_writes;
-        snap.bus = self.bus.clone();
-        snap.stats = self.stats;
-        if !Arc::ptr_eq(&snap.code, &self.code) {
-            // O(1): the snapshot adopts the code handle; the machine's
-            // next load/patch unshares it (`Arc::make_mut`).
-            snap.code = Arc::clone(&self.code);
-            snap.blocks = self.blocks.clone();
-        }
-        snap.halted = self.halted;
-        snap.pending_use = self.pending_use;
-        snap.wd_limit = self.wd_limit;
-        snap.last_trap = self.last_trap;
+        snap.0.copy_state_from(self);
     }
 
     /// Restores the machine to the state captured in `snap`.
@@ -669,53 +605,54 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `snap` was captured from a machine with a different SRAM
-    /// configuration.
+    /// Panics if `snap` was captured from a machine with another config.
     pub fn restore_from(&mut self, snap: &Snapshot) {
-        self.cfg = snap.cfg;
-        self.cpu = snap.cpu.clone();
-        let cost = self.sram.restore_page_wise(&snap.sram);
-        self.bitmap.copy_from(&snap.bitmap);
-        self.revoker = snap.revoker.clone();
-        self.cycles = snap.cycles;
-        self.mtimecmp = snap.mtimecmp;
-        self.console.clear();
-        self.console.extend_from_slice(&snap.console);
-        self.gpio_out = snap.gpio_out;
-        self.gpio_writes = snap.gpio_writes;
-        self.bus = snap.bus.clone();
-        self.stats = snap.stats;
-        let code_copied = if !Arc::ptr_eq(&self.code, &snap.code) {
-            // Adopting the snapshot's code handle is O(1); the machine's
-            // next load/patch unshares it.
-            self.code = Arc::clone(&snap.code);
-            self.blocks = snap.blocks.clone();
-            std::mem::size_of::<Arc<Code>>() as u64
-        } else {
-            0
-        };
-        self.halted = snap.halted;
-        self.pending_use = snap.pending_use;
-        self.wd_limit = snap.wd_limit;
-        self.last_trap = snap.last_trap;
+        let cost = self.copy_state_from(&snap.0);
         self.snap_stats.restores += 1;
         self.snap_stats.pages_copied += u64::from(cost.pages);
-        self.snap_stats.bytes_copied += cost.bytes + snap.console.len() as u64 + code_copied;
+        self.snap_stats.bytes_copied += cost.bytes;
+    }
+
+    /// Makes this machine's architectural state equal `src`'s: the one
+    /// state copy behind capture, restore and fork. SRAM moves page-wise
+    /// (only pages whose handles differ), the console reuses its buffer,
+    /// and the code handle and block table are adopted only when the code
+    /// handle differs. Returns the pages and host bytes moved: the SRAM
+    /// transfer, the console backlog and, when adopted, the code handle.
+    fn copy_state_from(&mut self, src: &Machine) -> XferCost {
+        assert_eq!(
+            self.cfg, src.cfg,
+            "machine state copied across machine configs"
+        );
+        self.cpu = src.cpu.clone();
+        let mut cost = self.sram.copy_from(&src.sram);
+        self.bitmap.copy_from(&src.bitmap);
+        self.revoker = src.revoker.clone();
+        self.cycles = src.cycles;
+        self.mtimecmp = src.mtimecmp;
+        self.console.clone_from(&src.console);
+        cost.bytes += src.console.len() as u64;
+        self.gpio_out = src.gpio_out;
+        self.gpio_writes = src.gpio_writes;
+        self.bus = src.bus.clone();
+        self.stats = src.stats;
+        if !Arc::ptr_eq(&self.code, &src.code) {
+            // Adopting the code handle is O(1); the holder's next
+            // load/patch unshares it (`Arc::make_mut`).
+            self.code = Arc::clone(&src.code);
+            self.blocks = src.blocks.clone();
+            cost.bytes += std::mem::size_of::<Arc<Code>>() as u64;
+        }
+        self.halted = src.halted;
+        self.pending_use = src.pending_use;
+        self.wd_limit = src.wd_limit;
+        self.last_trap = src.last_trap;
+        cost
     }
 
     /// Host-side snapshot/restore counters (see [`SnapshotStats`]).
     pub fn snapshot_stats(&self) -> SnapshotStats {
         self.snap_stats
-    }
-
-    /// Enables/disables the copy-on-write page store at runtime (the CLI
-    /// `--no-cow` escape hatch applies this after construction). Keeps
-    /// `cfg.cow` in sync so snapshots and forks inherit the mode.
-    /// Disabling materializes currently-shared pages into private copies;
-    /// architecturally invisible either way (see [`Sram::set_cow`]).
-    pub fn set_cow(&mut self, on: bool) {
-        self.cfg.cow = on;
-        self.sram.set_cow(on);
     }
 
     /// An executable capability covering all loaded code, for use as a boot
@@ -1327,11 +1264,12 @@ impl Machine {
             };
             // The block is *moved* out of its cache slot for the duration
             // of its execution and moved back after — no refcount traffic
-            // on the hot path. Nothing in between can touch the cache:
-            // invalidation only happens through external `Machine` APIs
-            // (`patch_code`, `flush_block_cache`, program loads), never
-            // from `exec`. `exec_chain` owns the restore: with chaining it
-            // keeps dispatching successor blocks until a stop boundary.
+            // on the hot path. The one invalidation that can happen in
+            // between is a device's DMA into code inside the general
+            // `exec` path, and it never frees the held entry; `exec_chain`
+            // then drops the block instead of restoring it. `exec_chain`
+            // owns the restore: with chaining it keeps dispatching
+            // successor blocks until a stop boundary.
             let exit = self.exec_chain(idx, block, limit, wd, enabled);
             if exit == BlockExit::Stop {
                 return;
@@ -1643,9 +1581,10 @@ impl Machine {
         // Successor links embed the generation they were recorded under.
         // Mid-chain it moves on this loop's own promotions, which reload
         // it, and on a code store by a device's DMA inside the general
-        // `exec` path. The loop does not reload it then: an invalidation
-        // also kills every link recorded so far (`BlockCache::free_where`),
-        // so a stale `gen` can only match links recorded after the store.
+        // `exec` path. A store may have rewritten the held block, which
+        // the invalidation could not reach, so a general-path instruction
+        // that moved the generation ends the pass at the next PC and the
+        // held block is dropped rather than put back (`put_back!`).
         let mut gen = self.blocks.stats.generation;
         // The PCC address is materialised lazily: the loop reads each
         // instruction's predecoded `pc` and writes the PCC only at stop
@@ -1690,6 +1629,17 @@ impl Machine {
                 mtimecmp = self.mtimecmp;
                 irq_pend = self.irq_lines_pending();
                 plain_cycles = self.cycles_plain();
+            };
+        }
+        // Returns the held block to its entry, or drops it when code was
+        // stored into since the loop took it.
+        macro_rules! put_back {
+            () => {
+                if self.blocks.stats.generation == gen {
+                    self.blocks.restore(idx, block);
+                } else {
+                    self.blocks.discard(idx, &block);
+                }
             };
         }
         // Charges `cycles`, of which `mem_beats` used the load/store unit.
@@ -1893,6 +1843,11 @@ impl Machine {
                         self.finish_jump(npc);
                         break 'body BodyExit::Stop;
                     }
+                    if self.blocks.stats.generation != gen {
+                        // A device stored into code: the rest of this
+                        // block may be stale.
+                        break 'body BodyExit::Fall(npc);
+                    }
                     // Mid-block the posture cannot change (posture-changing
                     // instructions end blocks; traps break out above), so the
                     // boundary check reduces to interrupt arrival.
@@ -1906,7 +1861,7 @@ impl Machine {
             // --- chain boundary ---
             let (next_pc, pcc_synced) = match out {
                 BodyExit::Stop => {
-                    self.blocks.restore(idx, block);
+                    put_back!();
                     return BlockExit::Stop;
                 }
                 BodyExit::Fall(npc) => (npc, false),
@@ -1917,12 +1872,19 @@ impl Machine {
             // dispatcher would run reads them directly.
             let irq_stop = self.cpu.interrupts_enabled != enabled
                 || (enabled && (cyc >= mtimecmp || irq_pend));
-            if !chain || irq_stop || self.halted.is_some() || cyc >= limit || ins >= wd {
+            let code_stored = self.blocks.stats.generation != gen;
+            if !chain
+                || irq_stop
+                || code_stored
+                || self.halted.is_some()
+                || cyc >= limit
+                || ins >= wd
+            {
                 sync!();
                 if !pcc_synced {
                     self.finish_jump(next_pc);
                 }
-                self.blocks.restore(idx, block);
+                put_back!();
                 return if irq_stop {
                     BlockExit::Stop
                 } else {
@@ -2040,31 +2002,20 @@ impl Machine {
     /// [`Machine::block_take`] for a block this machine does not hold:
     /// takes it from the code image's shared store (counted as `shared`),
     /// or builds it (counted as a miss) and publishes it there, then
-    /// caches it. A machine whose code handle is unique, or whose build
-    /// config differs from the store's, builds privately. Out of line but
-    /// not `#[cold]`: inlined, it costs the dispatch loop it sits in, and
-    /// campaigns and fuzzing take it constantly.
+    /// caches it. Out of line but not `#[cold]`: inlined, it costs the
+    /// dispatch loop it sits in, and campaigns and fuzzing take it
+    /// constantly.
     #[inline(never)]
     fn block_miss(&mut self, slot: usize) -> Option<(usize, Arc<Block>)> {
         if !self.blocks.has_room() {
             return None;
         }
-        let key = BuildKey::of(&self.cfg);
-        let block = match Code::shared_store(&self.code, key) {
-            Some(mut store) => {
-                let (block, built) = store.block(&self.code, slot);
-                if built {
-                    self.blocks.stats.misses += 1;
-                } else {
-                    self.blocks.stats.shared += 1;
-                }
-                block
-            }
-            None => {
-                self.blocks.stats.misses += 1;
-                Arc::new(key.build(&self.code, slot))
-            }
-        };
+        let (block, built) = self.code.store().block(&self.code, slot, &self.cfg);
+        if built {
+            self.blocks.stats.misses += 1;
+        } else {
+            self.blocks.stats.shared += 1;
+        }
         // The miss path caches a clone and returns the original; after
         // execution `restore` replaces the clone with it (same block).
         let idx = self
@@ -2083,16 +2034,13 @@ impl Machine {
 
     /// The superblock promoting the hot edge from `head` into the block of
     /// entry `tail` ([`crate::blockcache::promote`]), shared through the
-    /// code image's store when this machine builds through it, so that
-    /// siblings promoting the same edge hold one superblock. Out of line
-    /// for the same reason as [`Machine::block_miss`].
+    /// code image's store, so that siblings promoting the same edge hold
+    /// one superblock. Out of line for the same reason as
+    /// [`Machine::block_miss`].
     #[inline(never)]
     fn promote_edge(&mut self, head: &Arc<Block>, tail: usize) -> Option<Arc<Block>> {
         let tail = self.blocks.peek(tail)?;
-        match Code::shared_store(&self.code, BuildKey::of(&self.cfg)) {
-            Some(mut store) => store.promotion(head, &tail),
-            None => promote(head, &tail, &self.cfg.core).map(Arc::new),
-        }
+        self.code.store().promotion(head, &tail, &self.cfg.core)
     }
 
     /// Can the current PCC fetch every instruction of `block`? The single

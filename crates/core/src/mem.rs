@@ -21,7 +21,8 @@
 //! handles hold identical content, so a capture or restore moves exactly
 //! the pages whose handles differ.
 //!
-//! * a **capture** hands the snapshot handle clones of the machine's
+//! * capture, restore and fork are one operation, `Sram::copy_from`: a
+//!   **capture** hands the snapshot handle clones of the machine's
 //!   differing pages — refcount bumps, zero byte copies;
 //! * a **restore/fork** adopts the snapshot's handles the same way, so a
 //!   1000-device fleet forked from one warm image holds one copy of every
@@ -32,11 +33,13 @@
 //!   fresh bank costs no allocation, and creating, cloning, capturing,
 //!   restoring and dropping a bank touch only the pages something wrote.
 //!
-//! The `--no-cow` escape hatch ([`Sram::set_cow`]) disables structural
-//! sharing: every page is materialised and kept uniquely owned, so no
-//! handle ever matches and every capture/restore deep-copies the whole
-//! bank — the pre-CoW cost model. CoW on/off is architecturally
-//! invisible — runs are byte-identical either way (property-tested).
+//! The `--no-cow` escape hatch disables structural sharing: a bank built
+//! with `cow` off ([`Sram::new`]) materialises every page and keeps it
+//! uniquely owned, so no handle ever matches and every capture/restore
+//! deep-copies the whole bank — the pre-CoW cost model. A bank takes its
+//! mode once, at construction (a machine's from its config's `cow`).
+//! CoW on/off is architecturally invisible — runs are byte-identical
+//! either way (property-tested).
 //!
 //! Two simulator-only acceleration structures ride alongside the
 //! architectural state (neither is architecturally visible, and neither is
@@ -184,7 +187,8 @@ pub struct Sram {
     caps: Vec<Option<Box<[Option<Capability>]>>>,
     /// Structural sharing enabled? When false (`--no-cow`), pages are
     /// kept uniquely owned and captures/restores copy bytes — the pre-CoW
-    /// cost model, kept as an escape hatch and comparison baseline.
+    /// cost model, kept as an escape hatch and comparison baseline. Fixed
+    /// at construction.
     cow: bool,
     /// Write-barrier unshare counters (host-side, never snapshotted).
     cow_stats: CowStats,
@@ -227,44 +231,29 @@ impl Clone for Sram {
 }
 
 impl Sram {
-    /// Creates a zeroed SRAM bank of `size` bytes at `base`. Untouched
-    /// pages hold no handle, so a fresh bank allocates no page; the first
-    /// write to each page allocates it.
+    /// Creates a zeroed SRAM bank of `size` bytes at `base`, with
+    /// structural sharing on or off (`cow`). Under CoW untouched pages
+    /// hold no handle, so a fresh bank allocates no page; the first write
+    /// to each page allocates it. Without CoW every page is allocated
+    /// here and stays uniquely owned.
     ///
     /// # Panics
     ///
     /// Panics if `base` or `size` is not granule-aligned.
-    pub fn new(base: u32, size: u32) -> Sram {
+    pub fn new(base: u32, size: u32, cow: bool) -> Sram {
         assert_eq!(base % GRANULE, 0, "SRAM base must be granule-aligned");
         assert_eq!(size % GRANULE, 0, "SRAM size must be granule-aligned");
         let pages = (size as usize).div_ceil(PAGE_SIZE as usize);
         Sram {
             base,
             len: size as usize,
-            pages: vec![None; pages],
+            pages: (0..pages)
+                .map(|_| (!cow).then(|| Arc::new(Page::ZERO)))
+                .collect(),
             caps: Vec::new(),
-            cow: true,
+            cow,
             cow_stats: CowStats::default(),
         }
-    }
-
-    /// Enables/disables structural sharing. Disabling materializes every
-    /// untouched or currently-shared page into a private copy (not
-    /// counted as a CoW break — this is a mode switch, not a write).
-    pub fn set_cow(&mut self, on: bool) {
-        self.cow = on;
-        if !on {
-            for p in &mut self.pages {
-                if is_shared(p) {
-                    *p = Some(Arc::new(page_or_zero(p).clone()));
-                }
-            }
-        }
-    }
-
-    /// Is structural sharing enabled?
-    pub fn cow_enabled(&self) -> bool {
-        self.cow
     }
 
     /// Write-barrier unshare counters.
@@ -733,15 +722,26 @@ impl Sram {
     }
 
     /// Makes this bank's content equal `src`'s by adopting every page
-    /// whose handle differs from `src`'s. Shared pages are immutable, so
+    /// whose handle differs from `src`'s: the one page transfer behind
+    /// capture, restore and fork. Shared pages are immutable, so
     /// `Arc::ptr_eq` handles (and two untouched slots) hold identical
     /// content and are skipped; in steady state the differing set is
-    /// exactly the pages written since the two banks last matched. Under
+    /// exactly the pages written since the two banks last matched — so a
+    /// fleet fork costs O(pages) pointer writes, not O(bytes), and a
+    /// rewind moves just the pages written since the last capture. Under
     /// CoW adopting is a handle clone, with CoW disabled a deep copy of
     /// data + tag words (every page is materialised and none is ever
     /// shared then, so every page moves). Drops side-cache entries
     /// covering adopted pages; returns the pages/bytes transferred.
-    fn adopt_differing(&mut self, src: &Sram) -> XferCost {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the banks have different bases or sizes.
+    pub(crate) fn copy_from(&mut self, src: &Sram) -> XferCost {
+        assert!(
+            self.same_shape(src),
+            "state copy across differently-shaped SRAM banks"
+        );
         let mut cost = XferCost::default();
         // Scan to the next differing handle (a tight compare loop: in
         // steady state almost every page is shared), adopt it, repeat.
@@ -765,37 +765,6 @@ impl Sram {
             p += 1;
         }
         cost
-    }
-
-    /// Captures the bank's current content into `dst` (a snapshot's
-    /// bank), moving only the pages whose handles differ; a `dst` of
-    /// another base or size is reshaped by becoming a clone of this bank.
-    /// Under CoW the snapshot then shares the machine's pages and the
-    /// machine's next write to any of them CoW-breaks. `dst` adopts this
-    /// bank's CoW mode.
-    pub(crate) fn capture_into(&self, dst: &mut Sram) {
-        if dst.same_shape(self) {
-            dst.cow = self.cow;
-            dst.adopt_differing(self);
-        } else {
-            *dst = self.clone();
-        }
-    }
-
-    /// Restores the bank to the content of `src` (a snapshot's bank),
-    /// moving only the pages whose handles differ from `src`'s — so a
-    /// fleet fork costs O(pages) pointer writes, not O(bytes), and a
-    /// rewind to the last capture moves just the pages written since.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the banks have different bases or sizes.
-    pub(crate) fn restore_page_wise(&mut self, src: &Sram) -> XferCost {
-        assert!(
-            self.same_shape(src),
-            "snapshot restore across differently-shaped SRAM banks"
-        );
-        self.adopt_differing(src)
     }
 }
 
@@ -827,7 +796,7 @@ mod tests {
     use super::*;
 
     fn sram() -> Sram {
-        Sram::new(0x2000_0000, 0x1000)
+        Sram::new(0x2000_0000, 0x1000, true)
     }
 
     /// Do the two banks hold the very same page handles?
@@ -919,7 +888,7 @@ mod tests {
         // Regression: `end()` used to compute base + size in u32, which
         // overflows (panicking in debug builds) for a bank whose exclusive
         // end is 0x1_0000_0000.
-        let mut m = Sram::new(0xffff_f000, 0x1000);
+        let mut m = Sram::new(0xffff_f000, 0x1000, true);
         assert_eq!(m.end(), 0x1_0000_0000);
         assert!(m.contains(0xffff_fff8, 8));
         assert!(!m.contains(0xffff_fff8, 16));
@@ -960,7 +929,7 @@ mod tests {
 
     #[test]
     fn untagged_run_down_scans_word_boundaries() {
-        let mut m = Sram::new(0x2000_0000, 0x2000); // 1024 granules
+        let mut m = Sram::new(0x2000_0000, 0x2000, true); // 1024 granules
         let at = |g: u32| 0x2000_0000 + g * GRANULE;
         // Empty bank: the run reaches the base, or stops at the cap.
         assert_eq!(m.untagged_run_down(at(1023), 2048), 1024);
@@ -1036,47 +1005,43 @@ mod tests {
         // Pages each store covers: the last two straddle a page boundary.
         let pages = [1, 1, 1, 1, 2, 2];
         for (store, &pages) in stores.iter().zip(&pages) {
-            let mut m = Sram::new(0x2000_0000, 0x4000);
+            let mut m = Sram::new(0x2000_0000, 0x4000, true);
             // Pre-populate so zeroing/overwrites actually change content.
             for a in (0x2000_0000u32..0x2000_4000).step_by(64) {
                 m.write_cap_word(a, u64::from(a), true).unwrap();
             }
-            let mut snap = Sram::new(0x2000_0000, 0x4000);
-            m.capture_into(&mut snap);
+            let mut snap = Sram::new(0x2000_0000, 0x4000, true);
+            snap.copy_from(&m);
             store(&mut m);
-            assert_eq!(m.restore_page_wise(&snap).pages, pages);
+            assert_eq!(m.copy_from(&snap).pages, pages);
             assert!(m.content_eq(&snap), "restore missed a written page");
         }
     }
 
     #[test]
     fn page_wise_restore_copies_only_written_pages() {
-        let mut m = Sram::new(0x2000_0000, 0x8000); // 8 pages
+        let mut m = Sram::new(0x2000_0000, 0x8000, true); // 8 pages
         m.write_cap_word(0x2000_4000, 7, true).unwrap();
-        let mut snap = Sram::new(0x2000_0000, 0x8000);
-        m.capture_into(&mut snap);
+        let mut snap = Sram::new(0x2000_0000, 0x8000, true);
+        snap.copy_from(&m);
         assert!(
             shares_every_page(&m, &snap),
             "capture hands over every handle"
         );
         m.write_scalar(0x2000_0000, 4, 1).unwrap();
         m.write_scalar(0x2000_7ffc, 4, 2).unwrap();
-        assert_eq!(m.restore_page_wise(&snap).pages, 2);
+        assert_eq!(m.copy_from(&snap).pages, 2);
         assert!(m.content_eq(&snap));
         assert!(m.tag_at(0x2000_4000));
-        // Capturing into a bank of another shape reshapes it first.
-        let mut reshaped = Sram::new(0x2000_0000, 0x1000);
-        m.capture_into(&mut reshaped);
-        assert!(shares_every_page(&m, &reshaped));
         // A foreign bank shares no written page with the snapshot: the
         // pages either bank has written move, untouched ones on both
         // sides match without a handle.
-        let mut other = Sram::new(0x2000_0000, 0x8000);
+        let mut other = Sram::new(0x2000_0000, 0x8000, true);
         other.write_scalar(0x2000_1000, 4, 3).unwrap();
-        assert_eq!(other.restore_page_wise(&snap).pages, 2);
+        assert_eq!(other.copy_from(&snap).pages, 2);
         assert!(other.content_eq(&snap));
         // A clone of the snapshot shares every handle: nothing moves.
-        assert_eq!(other.restore_page_wise(&snap.clone()).pages, 0);
+        assert_eq!(other.copy_from(&snap.clone()).pages, 0);
     }
 
     #[test]
@@ -1085,15 +1050,15 @@ mod tests {
             .with_address(0x2000_0040)
             .set_bounds(32)
             .unwrap();
-        let mut m = Sram::new(0x2000_0000, 0x2000);
+        let mut m = Sram::new(0x2000_0000, 0x2000, true);
         m.write_cap(0x2000_0040, c).unwrap();
-        let mut snap = Sram::new(0x2000_0000, 0x2000);
-        m.capture_into(&mut snap);
+        let mut snap = Sram::new(0x2000_0000, 0x2000, true);
+        snap.copy_from(&m);
         // Overwrite the capability, then restore: the read-back must be
         // the snapshot's capability, not the overwrite or a stale decode.
         m.write_cap_word(0x2000_0040, 0xffff_ffff_ffff_ffff, false)
             .unwrap();
-        m.restore_page_wise(&snap);
+        m.copy_from(&snap);
         let back = m.read_cap(0x2000_0040).unwrap();
         assert_eq!(back, c);
         assert_eq!(back.bounds(), c.bounds());
@@ -1113,21 +1078,21 @@ mod tests {
 
     #[test]
     fn bank_without_capability_traffic_keeps_an_empty_side_cache() {
-        let mut m = Sram::new(0x2000_0000, 0x4000);
+        let mut m = Sram::new(0x2000_0000, 0x4000, true);
         m.write_scalar(0x2000_0010, 4, 7).unwrap();
         m.write_cap_word(0x2000_1000, 0x1234, false).unwrap();
         m.zero_range(0x2000_0ff0, 0x20).unwrap();
         m.write_bytes(0x2000_2ffc, &[1; 8]).unwrap();
         assert!(!m.read_cap(0x2000_1000).unwrap().tag());
-        let mut snap = Sram::new(0x2000_0000, 0x4000);
-        m.capture_into(&mut snap);
-        m.restore_page_wise(&snap);
+        let mut snap = Sram::new(0x2000_0000, 0x4000, true);
+        snap.copy_from(&m);
+        m.copy_from(&snap);
         assert!(m.caps.is_empty(), "no capability traffic, no page table");
     }
 
     #[test]
     fn one_capability_store_allocates_one_pages_slots() {
-        let mut m = Sram::new(0x2000_0000, 0x4000);
+        let mut m = Sram::new(0x2000_0000, 0x4000, true);
         m.write_cap(0x2000_2040, cap_at(0x2000_0100)).unwrap();
         assert_eq!(m.caps.len(), 4, "the page table covers every page");
         assert_eq!(live_cap_pages(&m), 1);
@@ -1145,7 +1110,7 @@ mod tests {
             |s| s.write_bytes(0x2000_0ffc, &[0xaa; 8]).unwrap(),
         ];
         for clear in clears {
-            let mut m = Sram::new(0x2000_0000, 0x2000);
+            let mut m = Sram::new(0x2000_0000, 0x2000, true);
             let (lo, hi) = (cap_at(0x2000_0100), cap_at(0x2000_0200));
             m.write_cap(0x2000_0ff8, lo).unwrap();
             m.write_cap(0x2000_1000, hi).unwrap();
@@ -1165,15 +1130,15 @@ mod tests {
     #[test]
     fn restore_after_capability_writes_returns_the_snapshots_capability() {
         let (old, new) = (cap_at(0x2000_0100), cap_at(0x2000_0300));
-        let mut m = Sram::new(0x2000_0000, 0x2000);
+        let mut m = Sram::new(0x2000_0000, 0x2000, true);
         m.write_cap(0x2000_1040, old).unwrap();
-        let mut snap = Sram::new(0x2000_0000, 0x2000);
-        m.capture_into(&mut snap);
+        let mut snap = Sram::new(0x2000_0000, 0x2000, true);
+        snap.copy_from(&m);
         // The overwrite fills the slot with `new`; the restore must drop
         // it rather than serve it for the snapshot's word.
         m.write_cap(0x2000_1040, new).unwrap();
         assert_eq!(m.read_cap(0x2000_1040).unwrap(), new);
-        m.restore_page_wise(&snap);
+        m.copy_from(&snap);
         let back = m.read_cap(0x2000_1040).unwrap();
         assert_eq!(back, old);
         assert_eq!(back.bounds(), old.bounds());
@@ -1181,7 +1146,7 @@ mod tests {
 
     #[test]
     fn page_content_exposes_bytes_and_tag_words() {
-        let mut m = Sram::new(0x2000_0000, 0x2000);
+        let mut m = Sram::new(0x2000_0000, 0x2000, true);
         m.write_cap_word(0x2000_1000 + 65 * 8, 0x0102_0304_0506_0708, true)
             .unwrap();
         let (bytes, tags) = m.page_content(1).expect("a written page has a handle");
@@ -1220,7 +1185,7 @@ mod tests {
 
     #[test]
     fn fresh_bank_holds_no_page_until_written() {
-        let mut m = Sram::new(0x2000_0000, 0x4000); // 4 pages
+        let mut m = Sram::new(0x2000_0000, 0x4000, true); // 4 pages
         assert!(m.pages.iter().all(Option::is_none), "no page allocated");
         assert_eq!(
             m.shared_pages(),
@@ -1248,7 +1213,7 @@ mod tests {
             |s| s.write_bytes(0x2000_0a00, &[0; 16]).unwrap(),
         ];
         for store in stores {
-            let mut m = Sram::new(0x2000_0000, 0x2000);
+            let mut m = Sram::new(0x2000_0000, 0x2000, true);
             store(&mut m);
             let stats = m.cow_stats();
             assert_eq!((stats.breaks, stats.bytes_copied), (1, PAGE_COPY_BYTES));
@@ -1258,7 +1223,7 @@ mod tests {
 
     #[test]
     fn reading_an_untouched_page_allocates_nothing() {
-        let mut m = Sram::new(0x2000_0000, 0x2000);
+        let mut m = Sram::new(0x2000_0000, 0x2000, true);
         assert_eq!(m.read_scalar(0x2000_1ffc, 4).unwrap(), 0);
         assert_eq!(m.read_cap_word(0x2000_1ff8).unwrap(), (0, false));
         assert!(!m.read_cap(0x2000_1ff8).unwrap().tag());
@@ -1273,23 +1238,22 @@ mod tests {
 
     #[test]
     fn no_cow_bank_materialises_every_page_and_captures_all() {
-        let mut m = Sram::new(0x2000_0000, 0x4000);
-        m.set_cow(false);
+        let mut m = Sram::new(0x2000_0000, 0x4000, false);
         assert!(
             m.pages.iter().all(Option::is_some),
             "every page materialised"
         );
         assert_eq!(m.shared_pages(), 0);
-        let mut snap = Sram::new(0x2000_0000, 0x4000);
-        m.capture_into(&mut snap);
+        let mut snap = Sram::new(0x2000_0000, 0x4000, false);
+        snap.copy_from(&m);
         assert!(snap.pages.iter().all(Option::is_some));
         assert_eq!(snap.shared_pages(), 0);
         assert!(m.clone().pages.iter().all(Option::is_some));
         // Restoring from an untouched CoW bank copies zeros into every
         // page rather than dropping handles.
-        let zero = Sram::new(0x2000_0000, 0x4000);
+        let zero = Sram::new(0x2000_0000, 0x4000, true);
         m.write_scalar(0x2000_0000, 4, 1).unwrap();
-        let cost = m.restore_page_wise(&zero);
+        let cost = m.copy_from(&zero);
         assert_eq!((cost.pages, cost.bytes), (4, 4 * PAGE_COPY_BYTES));
         assert!(m.content_eq(&zero));
         assert_eq!(m.shared_pages(), 0);
@@ -1297,10 +1261,10 @@ mod tests {
 
     #[test]
     fn capture_shares_pages_and_write_breaks_them() {
-        let mut m = Sram::new(0x2000_0000, 0x4000);
+        let mut m = Sram::new(0x2000_0000, 0x4000, true);
         m.write_cap_word(0x2000_2000, 99, true).unwrap();
-        let mut snap = Sram::new(0x2000_0000, 0x4000);
-        m.capture_into(&mut snap);
+        let mut snap = Sram::new(0x2000_0000, 0x4000, true);
+        snap.copy_from(&m);
         // Machine and snapshot now share every page.
         assert!(shares_every_page(&m, &snap));
         assert_eq!(m.shared_pages(), 4);
@@ -1314,16 +1278,16 @@ mod tests {
 
     #[test]
     fn forked_siblings_are_isolated() {
-        let mut image = Sram::new(0x2000_0000, 0x4000);
+        let mut image = Sram::new(0x2000_0000, 0x4000, true);
         for a in (0x2000_0000u32..0x2000_4000).step_by(256) {
             image.write_cap_word(a, u64::from(a), true).unwrap();
         }
-        let mut snap = Sram::new(0x2000_0000, 0x4000);
-        image.capture_into(&mut snap);
-        let mut a = Sram::new(0x2000_0000, 0x4000);
-        let mut b = Sram::new(0x2000_0000, 0x4000);
-        assert_eq!(a.restore_page_wise(&snap).bytes, 4 * PAGE_HANDLE_BYTES);
-        b.restore_page_wise(&snap);
+        let mut snap = Sram::new(0x2000_0000, 0x4000, true);
+        snap.copy_from(&image);
+        let mut a = Sram::new(0x2000_0000, 0x4000, true);
+        let mut b = Sram::new(0x2000_0000, 0x4000, true);
+        assert_eq!(a.copy_from(&snap).bytes, 4 * PAGE_HANDLE_BYTES);
+        b.copy_from(&snap);
         assert!(a.content_eq(&b));
         // A's writes must not leak into B or the snapshot.
         a.write_scalar(0x2000_0100, 4, 0xdead_beef).unwrap();
@@ -1336,18 +1300,16 @@ mod tests {
 
     #[test]
     fn no_cow_mode_keeps_pages_unique_and_copies_bytes() {
-        let mut m = Sram::new(0x2000_0000, 0x4000);
-        m.set_cow(false);
-        assert_eq!(m.shared_pages(), 0, "set_cow(false) materializes pages");
+        let mut m = Sram::new(0x2000_0000, 0x4000, false);
+        assert_eq!(m.shared_pages(), 0, "a no-CoW bank materialises pages");
         m.write_cap_word(0x2000_0000, 5, true).unwrap();
         assert_eq!(m.cow_stats().breaks, 0, "unique pages never break");
-        let mut snap = Sram::new(0x2000_0000, 0x4000);
-        m.capture_into(&mut snap);
+        let mut snap = Sram::new(0x2000_0000, 0x4000, false);
+        snap.copy_from(&m);
         assert!(snap.content_eq(&m));
         assert_eq!(m.shared_pages(), 0, "no-cow capture deep-copies");
-        assert!(!snap.cow_enabled(), "snapshot adopts the bank's mode");
         m.write_scalar(0x2000_0008, 4, 1).unwrap();
-        let cost = m.restore_page_wise(&snap);
+        let cost = m.copy_from(&snap);
         assert_eq!(cost.pages, 4, "no handle is shared, so every page moves");
         assert_eq!(cost.bytes, 4 * PAGE_COPY_BYTES, "tag bytes are accounted");
         assert!(m.content_eq(&snap));
@@ -1361,30 +1323,29 @@ mod tests {
             |s| s.zero_range(0x2000_0ff0, 0x20).unwrap(),
             |s| s.write_bytes(0x2000_2ffa, &[9; 12]).unwrap(),
         ];
-        let mut a = Sram::new(0x2000_0000, 0x4000);
-        let mut b = Sram::new(0x2000_0000, 0x4000);
-        b.set_cow(false);
+        let mut a = Sram::new(0x2000_0000, 0x4000, true);
+        let mut b = Sram::new(0x2000_0000, 0x4000, false);
         let (mut sa, mut sb) = (
-            Sram::new(0x2000_0000, 0x4000),
-            Sram::new(0x2000_0000, 0x4000),
+            Sram::new(0x2000_0000, 0x4000, true),
+            Sram::new(0x2000_0000, 0x4000, false),
         );
-        a.capture_into(&mut sa);
-        b.capture_into(&mut sb);
+        sa.copy_from(&a);
+        sb.copy_from(&b);
         for op in ops {
             op(&mut a);
             op(&mut b);
             assert!(a.content_eq(&b));
         }
-        a.restore_page_wise(&sa);
-        b.restore_page_wise(&sb);
+        a.copy_from(&sa);
+        b.copy_from(&sb);
         assert!(a.content_eq(&b), "restores agree across modes");
     }
 
     #[test]
     fn unique_resident_bytes_tracks_breaks() {
-        let mut m = Sram::new(0x2000_0000, 0x4000);
-        let mut snap = Sram::new(0x2000_0000, 0x4000);
-        m.capture_into(&mut snap);
+        let mut m = Sram::new(0x2000_0000, 0x4000, true);
+        let mut snap = Sram::new(0x2000_0000, 0x4000, true);
+        snap.copy_from(&m);
         assert_eq!(m.unique_resident_bytes(), 0, "fully shared after capture");
         m.write_scalar(0x2000_0000, 4, 1).unwrap();
         assert_eq!(m.unique_resident_bytes(), PAGE_COPY_BYTES);
@@ -1392,7 +1353,7 @@ mod tests {
 
     #[test]
     fn clone_shares_under_cow_and_isolates_writes() {
-        let mut m = Sram::new(0x2000_0000, 0x2000);
+        let mut m = Sram::new(0x2000_0000, 0x2000, true);
         m.write_cap_word(0x2000_0000, 7, true).unwrap();
         let clone = m.clone();
         assert!(m.content_eq(&clone));

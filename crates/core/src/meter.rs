@@ -37,24 +37,24 @@ impl<'a> Meter<'a> {
 
     /// Charges `n` register-register instructions.
     pub fn charge(&mut self, n: u64) {
-        let c = self.m.cfg.core.alu_cycles * n;
+        let c = self.m.cfg().core.alu_cycles * n;
         self.m.advance(c, 0);
     }
 
     /// Charges one taken-branch penalty (loop back-edges in native loops).
     pub fn charge_branch(&mut self) {
-        let c = self.m.cfg.core.alu_cycles + self.m.cfg.core.branch_taken_penalty;
+        let c = self.m.cfg().core.alu_cycles + self.m.cfg().core.branch_taken_penalty;
         self.m.advance(c, 0);
     }
 
     fn load_cost(&self, bytes: u32) -> (u64, u64) {
-        let beats = self.m.cfg.core.beats(bytes);
-        (self.m.cfg.core.load_base_extra + beats, beats)
+        let beats = self.m.cfg().core.beats(bytes);
+        (self.m.cfg().core.load_base_extra + beats, beats)
     }
 
     fn store_cost(&self, bytes: u32) -> (u64, u64) {
-        let beats = self.m.cfg.core.beats(bytes);
-        (self.m.cfg.core.store_base_extra + beats, beats)
+        let beats = self.m.cfg().core.beats(bytes);
+        (self.m.cfg().core.store_base_extra + beats, beats)
     }
 
     /// Loads a scalar through `auth`.
@@ -99,14 +99,14 @@ impl<'a> Meter<'a> {
     /// As `clc`.
     pub fn load_cap(&mut self, auth: Capability, addr: u32) -> Result<Capability, TrapCause> {
         auth.check_access(addr, GRANULE, Permissions::LD | Permissions::MC)?;
-        let beats = self.m.cfg.core.cap_beats();
-        let cycles = self.m.cfg.core.load_base_extra
+        let beats = self.m.cfg().core.cap_beats();
+        let cycles = self.m.cfg().core.load_base_extra
             + beats
             + self
                 .m
-                .cfg
+                .cfg()
                 .core
-                .load_use_penalty(true, self.m.cfg.load_filter);
+                .load_use_penalty(true, self.m.cfg().load_filter);
         self.m.advance(cycles, beats);
         self.m.stats.cap_loads += 1;
         let c = self.m.bus_read_cap(addr)?;
@@ -134,8 +134,8 @@ impl<'a> Meter<'a> {
                 reg: 0xff,
             });
         }
-        let beats = self.m.cfg.core.cap_beats();
-        let cycles = self.m.cfg.core.store_base_extra + beats;
+        let beats = self.m.cfg().core.cap_beats();
+        let cycles = self.m.cfg().core.store_base_extra + beats;
         self.m.advance(cycles, beats);
         self.m.stats.cap_stores += 1;
         self.m.bus_write_cap(addr, c)
@@ -152,8 +152,8 @@ impl<'a> Meter<'a> {
             return Ok(());
         }
         auth.check_access(addr, len, Permissions::SD)?;
-        let cycles = self.m.cfg.core.zeroing_cycles(len);
-        let beats = u64::from(len.div_ceil(self.m.cfg.core.bus_bytes));
+        let cycles = self.m.cfg().core.zeroing_cycles(len);
+        let beats = u64::from(len.div_ceil(self.m.cfg().core.bus_bytes));
         self.m.advance(cycles, beats);
         self.m.sram.zero_range(addr, len)?;
         self.m.revoker.snoop_zero_range(addr, len);
@@ -162,7 +162,7 @@ impl<'a> Meter<'a> {
 
     /// Charges `words` MMIO word accesses (revocation-bitmap painting).
     pub fn charge_mmio_words(&mut self, words: u64) {
-        let per = self.m.cfg.core.store_base_extra + 1;
+        let per = self.m.cfg().core.store_base_extra + 1;
         // Painting is a read-modify-write plus loop overhead.
         self.m.advance(words * (2 * per + 2), words * 2);
     }
@@ -273,12 +273,12 @@ mod tests {
         let mut m = machine(CoreModel::ibex());
         let auth = sram_cap();
         let heap_obj = Capability::root_mem_rw()
-            .with_address(m.cfg.heap_base() + 64)
+            .with_address(m.cfg().heap_base() + 64)
             .set_bounds(32)
             .unwrap();
         let slot = layout::SRAM_BASE + 128;
         m.meter().store_cap(auth, slot, heap_obj).unwrap();
-        m.bitmap.set_range(m.cfg.heap_base() + 64, 32);
+        m.bitmap.set_range(m.cfg().heap_base() + 64, 32);
         let loaded = m.meter().load_cap(auth, slot).unwrap();
         assert!(!loaded.tag(), "load filter must strip revoked caps");
         assert_eq!(m.stats.filter_strips, 1);

@@ -14,7 +14,7 @@
 //! overheads of Table 3 emerge from the mechanism differences, not fitted
 //! per-benchmark.
 
-use crate::insn::{Instr, MemWidth, MulOp};
+use crate::insn::{Instr, MulOp};
 
 /// Which core a model describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -181,20 +181,10 @@ impl CoreModel {
     }
 }
 
-/// Convenience: both models, for parameter sweeps.
-pub fn all_cores() -> [CoreModel; 2] {
-    [CoreModel::flute(), CoreModel::ibex()]
-}
-
-/// Width helper re-exported for cost computations.
-pub fn width_bytes(w: MemWidth) -> u32 {
-    w.bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::Reg;
+    use crate::insn::{MemWidth, Reg};
 
     #[test]
     fn cap_access_is_two_beats_on_ibex_one_on_flute() {

@@ -11,7 +11,17 @@ use cheriot_core::revocation::revoker_reg;
 use cheriot_core::{layout, CoreModel, ExitReason, Machine, MachineConfig};
 
 fn machine() -> Machine {
-    Machine::new(MachineConfig::new(CoreModel::ibex()))
+    machine_mode((true, true))
+}
+
+/// An Ibex machine with an explicit dispatch mode: stepwise, block cache
+/// without chaining, or the fully chained dispatch loop.
+fn machine_mode((block_cache, block_chain): (bool, bool)) -> Machine {
+    Machine::new(MachineConfig {
+        block_cache,
+        block_chain,
+        ..MachineConfig::new(CoreModel::ibex())
+    })
 }
 
 #[test]
@@ -90,7 +100,7 @@ fn side_cache_does_not_bypass_load_filter() {
     ];
     let e = m.load_program(&prog);
     m.set_entry(e);
-    let heap_obj = m.cfg.heap_base() + 0x200;
+    let heap_obj = m.cfg().heap_base() + 0x200;
     let granule = layout::SRAM_BASE + 0x40;
     let auth = Capability::root_mem_rw()
         .with_address(granule)
@@ -121,7 +131,12 @@ fn side_cache_does_not_bypass_load_filter() {
 /// forward, exercising interrupt delivery, trap entry and `mret` under
 /// the batched loop.
 fn timer_machine() -> Machine {
-    let mut m = machine();
+    timer_machine_mode((true, true))
+}
+
+/// `timer_machine` with an explicit dispatch mode.
+fn timer_machine_mode(mode: (bool, bool)) -> Machine {
+    let mut m = machine_mode(mode);
     // Handler at code start: a1 += 1; a3 = mtimecmp_lo + period; store it;
     // mret.
     let handler = vec![
@@ -216,15 +231,6 @@ fn batched_run_matches_stepwise_loop_with_timer_interrupts() {
     assert_eq!(batched.mtimecmp, stepwise.mtimecmp);
 }
 
-/// `timer_machine` with an explicit dispatch mode: stepwise, block cache
-/// without chaining, or the fully chained dispatch loop.
-fn timer_machine_mode((block_cache, block_chain): (bool, bool)) -> Machine {
-    let mut m = timer_machine();
-    m.cfg.block_cache = block_cache;
-    m.cfg.block_chain = block_chain;
-    m
-}
-
 #[test]
 fn three_way_dispatch_equivalence_with_timer_interrupts() {
     // The full observable record — cycle counts, retirement counts, every
@@ -292,10 +298,8 @@ fn three_way_dispatch_equivalence_across_sliced_budgets() {
 
 /// `timer_machine` whose interrupt handler additionally emits a console
 /// byte per delivery, so the console stream records IRQ boundaries.
-fn console_timer_machine((block_cache, block_chain): (bool, bool)) -> Machine {
-    let mut m = machine();
-    m.cfg.block_cache = block_cache;
-    m.cfg.block_chain = block_chain;
+fn console_timer_machine(mode: (bool, bool)) -> Machine {
+    let mut m = machine_mode(mode);
     let handler = vec![
         Instr::OpImm {
             op: AluOp::Add,
@@ -469,9 +473,11 @@ fn live_sweep_machine(
     (block_cache, block_chain): (bool, bool),
     guard: bool,
 ) -> Machine {
-    let mut m = Machine::new(MachineConfig::new(core));
-    m.cfg.block_cache = block_cache;
-    m.cfg.block_chain = block_chain;
+    let mut m = Machine::new(MachineConfig {
+        block_cache,
+        block_chain,
+        ..MachineConfig::new(core)
+    });
     let op_imm = |op, rd, rs1, imm| Instr::OpImm { op, rd, rs1, imm };
     let handler = vec![
         Instr::Csr {
@@ -603,7 +609,7 @@ fn live_sweep_machine(
             .set_bounds(len)
             .unwrap()
     };
-    let freed = m.cfg.heap_base() + 0x200;
+    let freed = m.cfg().heap_base() + 0x200;
     m.bitmap.set_range(freed, 32);
     m.cpu.write(Reg::TP, rw(freed, 32));
     m.cpu.write(Reg::A2, rw(layout::REVOKER_BASE, 16));

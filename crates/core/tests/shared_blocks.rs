@@ -3,11 +3,12 @@
 //! history stays per machine. These tests pin that sharing is
 //! architecturally invisible — every fork ends exactly where the stepwise
 //! interpreter does — and that the store never serves a block built for
-//! other code or another build config.
+//! other code. (Another build config cannot reach a store: a machine's
+//! config is fixed at construction and state never moves across configs.)
 
 use cheriot_cap::Capability;
 use cheriot_core::insn::{AluOp, BranchCond, Instr, Reg};
-use cheriot_core::{layout, CoreModel, ExitReason, Machine, MachineConfig, Snapshot};
+use cheriot_core::{layout, CoreModel, ExitReason, Machine, MachineConfig};
 use std::sync::Arc;
 
 const DATA: u32 = layout::SRAM_BASE + 0x1000;
@@ -58,7 +59,12 @@ fn hot_loop() -> Vec<Instr> {
 
 /// The hot loop, loaded and ready at its entry, not yet run.
 fn loaded() -> (Machine, u32) {
-    let mut m = Machine::new(MachineConfig::new(CoreModel::ibex()));
+    loaded_on(MachineConfig::new(CoreModel::ibex()))
+}
+
+/// [`loaded`] on a machine built with `cfg`.
+fn loaded_on(cfg: MachineConfig) -> (Machine, u32) {
+    let mut m = Machine::new(cfg);
     let base = m.load_program(&hot_loop());
     m.set_entry(base);
     m.cpu.write(
@@ -86,13 +92,14 @@ fn finish(m: &mut Machine) -> (String, u64, u64, u32, [u32; 16]) {
     )
 }
 
-/// A fork of `snap` on the stepwise tier, with `edit` applied to its
-/// config.
-fn stepwise(snap: &Snapshot, edit: impl FnOnce(&mut MachineConfig)) -> Machine {
-    let mut m = snap.to_machine();
-    m.cfg.block_cache = false;
-    edit(&mut m.cfg);
-    m
+/// The hot loop, loaded on the stepwise tier: the reference every fork
+/// must match.
+fn stepwise() -> Machine {
+    loaded_on(MachineConfig {
+        block_cache: false,
+        ..MachineConfig::new(CoreModel::ibex())
+    })
+    .0
 }
 
 #[test]
@@ -101,7 +108,7 @@ fn a_second_fork_builds_nothing_and_holds_the_same_blocks() {
     let snap = m.snapshot();
     let mut a = snap.to_machine();
     let mut b = snap.to_machine();
-    let want = finish(&mut stepwise(&snap, |_| {}));
+    let want = finish(&mut stepwise());
     assert_eq!(finish(&mut a), want, "first fork");
     assert_eq!(finish(&mut b), want, "second fork");
 
@@ -139,8 +146,8 @@ fn a_patched_fork_and_its_siblings_each_run_their_own_code() {
     let (mut m, base) = loaded();
     let snap = m.snapshot();
     let patch = base + 12; // word 3: `a0 += 3` becomes `a0 += 5`
-    let want = finish(&mut stepwise(&snap, |_| {}));
-    let mut patched_ref = stepwise(&snap, |_| {});
+    let want = finish(&mut stepwise());
+    let mut patched_ref = stepwise();
     patched_ref
         .patch_code(patch, addi(Reg::A0, Reg::A0, 5))
         .unwrap();
@@ -183,7 +190,11 @@ fn an_in_place_patch_empties_the_store() {
     m.cycles = 0;
     m.stats = Default::default();
     let snap = m.snapshot();
-    let want_patched = finish(&mut stepwise(&snap, |_| {}));
+    let mut patched_ref = stepwise();
+    patched_ref
+        .patch_code(patch, addi(Reg::A0, Reg::A0, 5))
+        .unwrap();
+    let want_patched = finish(&mut patched_ref);
     assert!(want_patched.0.starts_with("Halted"));
     assert_ne!(want, want_patched);
     let mut fork = snap.to_machine();
@@ -195,31 +206,4 @@ fn an_in_place_patch_empties_the_store() {
         "nothing left to adopt"
     );
     assert!(fork.block_stats().misses > forked.misses);
-}
-
-#[test]
-fn a_fork_with_another_build_config_builds_its_own_blocks() {
-    let (mut m, _) = loaded();
-    let snap = m.snapshot();
-    // The first fork claims the store for the snapshot's config.
-    snap.to_machine().run(1_000_000);
-    type Edit = fn(&mut MachineConfig);
-    let edits: [(&str, Edit); 3] = [
-        ("core", |c| c.core = CoreModel::flute()),
-        ("load filter", |c| c.load_filter = false),
-        ("chaining", |c| c.block_chain = false),
-    ];
-    for (what, edit) in edits {
-        let want = finish(&mut stepwise(&snap, edit));
-        let mut fork = snap.to_machine();
-        edit(&mut fork.cfg);
-        assert_eq!(finish(&mut fork), want, "{what}");
-        let s = fork.block_stats();
-        assert_eq!(s.shared, 0, "{what}: served another config's blocks");
-        assert!(s.misses > 0, "{what}");
-    }
-    // The edits matter: each one moves the cycle count (chaining aside).
-    let base = finish(&mut stepwise(&snap, |_| {})).1;
-    assert_ne!(finish(&mut stepwise(&snap, edits[0].1)).1, base);
-    assert_ne!(finish(&mut stepwise(&snap, edits[1].1)).1, base);
 }

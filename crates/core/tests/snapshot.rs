@@ -144,10 +144,29 @@ fn fork_inherits_predecoded_blocks_and_matches() {
         "fork starts with the snapshot's decoded blocks"
     );
     assert_identical(&fork, &m, "fork vs original");
+    // A clone forks the same way: same blocks, same state.
+    let clone = m.clone();
+    assert_eq!(clone.blocks_resident(), resident);
+    assert!(std::sync::Arc::ptr_eq(
+        &clone.cached_block(layout::CODE_BASE).unwrap(),
+        &fork.cached_block(layout::CODE_BASE).unwrap()
+    ));
+    assert_identical(&clone, &m, "clone vs original");
     // Fork and original stay independent: the fork can be restored and
     // re-run without touching the original.
     fork.restore_from(&snap);
     assert_identical(&fork, &m, "fork restored to capture point");
+}
+
+#[test]
+#[should_panic(expected = "machine state copied across machine configs")]
+fn restore_across_configs_is_refused() {
+    // A machine's config is fixed at construction, so a snapshot of one
+    // config cannot be restored into a machine of another: its code
+    // handle (and the block store on it) would then serve blocks built
+    // under the wrong cost model.
+    let snap = boot(true).snapshot();
+    machine_with(false).restore_from(&snap);
 }
 
 #[test]

@@ -192,7 +192,7 @@ fn load_filter_strip_emits_event_with_address() {
     ];
     let e = m.load_program(&prog);
     m.set_entry(e);
-    let heap_obj = m.cfg.heap_base() + 0x100;
+    let heap_obj = m.cfg().heap_base() + 0x100;
     let granule = layout::SRAM_BASE + 0x40;
     m.cpu.write(
         Reg::A1,

@@ -76,7 +76,7 @@ fn random_case(rng: &mut XorShift64) -> Case {
         1 => ((1u64 << 32) - u64::from(size)) as u32,
         _ => 0x2000_0000 + (rng.gen_range(0, 1 << 16) as u32) * GRANULE,
     };
-    let mut sram = Sram::new(base, size);
+    let mut sram = Sram::new(base, size, true);
     let mut tagged = Vec::new();
     let window = u64::from(WINDOW);
     let target = if rng.gen_range(0, 3) == 0 {
@@ -152,7 +152,7 @@ fn tag_word_search_matches_the_granule_walk() {
 #[test]
 fn targets_at_the_window_edge_and_the_bank_edges() {
     let base = 0x2000_0000;
-    let mut sram = Sram::new(base, 0x10_0000); // 1 MiB: 131,072 granules
+    let mut sram = Sram::new(base, 0x10_0000, true); // 1 MiB: 131,072 granules
     let at = |g: u32| base + g * GRANULE;
     sram.write_cap_word(at(100_000), 1, true).unwrap();
     // Exactly WINDOW granules away is found, one more is not.

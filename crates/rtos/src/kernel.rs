@@ -146,11 +146,6 @@ impl Rtos {
         rtos
     }
 
-    /// The allocator compartment's id.
-    pub fn allocator_compartment(&self) -> CompartmentId {
-        self.alloc_comp
-    }
-
     /// Current machine time.
     pub fn now(&self) -> u64 {
         self.machine.cycles
@@ -162,7 +157,7 @@ impl Rtos {
         let addr = self.bump.next_multiple_of(align);
         let end = addr + size;
         assert!(
-            end <= self.machine.cfg.heap_base(),
+            end <= self.machine.cfg().heap_base(),
             "loader: globals/stacks collide with the heap"
         );
         self.bump = end;
@@ -272,7 +267,7 @@ impl Rtos {
                 reg: cheriot_core::trap::PCC_REG_INDEX,
             });
         }
-        let hwm = self.machine.cfg.hwm_enabled;
+        let hwm = self.machine.cfg().hwm_enabled;
         let t = &mut self.threads[tid.0];
         let frame = Frame {
             caller: t.compartment,
@@ -340,7 +335,7 @@ impl Rtos {
                 // cross_call's return path) stack zeroing. Charge the trap
                 // round-trip.
                 self.switcher.forced_unwinds += 1;
-                let flush = self.machine.cfg.core.branch_taken_penalty + 1;
+                let flush = self.machine.cfg().core.branch_taken_penalty + 1;
                 self.machine.advance(40 + 2 * flush, 6);
                 Err(fault)
             }
@@ -460,7 +455,7 @@ impl Rtos {
                 Some(tid) => {
                     if self.last_ran != Some(tid) {
                         self.sched.context_switches += 1;
-                        let hwm = self.machine.cfg.hwm_enabled;
+                        let hwm = self.machine.cfg().hwm_enabled;
                         let t0 = self.machine.cycles;
                         self.switcher.context_switch(&mut self.machine, hwm);
                         self.sched.busy_cycles += self.machine.cycles - t0;

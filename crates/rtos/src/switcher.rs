@@ -87,7 +87,7 @@ impl Switcher {
     ) -> Result<u32, TrapCause> {
         let t0 = m.cycles;
         self.stats.calls += 1;
-        let beats = self.costs.call_cap_stores * m.cfg.core.cap_beats();
+        let beats = self.costs.call_cap_stores * m.cfg().core.cap_beats();
         let mut instrs = self.costs.call_instrs + self.costs.call_cap_stores;
         if hwm_enabled {
             instrs += self.costs.hwm_csr_instrs;
@@ -126,7 +126,7 @@ impl Switcher {
         hwm_enabled: bool,
     ) -> Result<u32, TrapCause> {
         let t0 = m.cycles;
-        let beats = self.costs.ret_cap_loads * m.cfg.core.cap_beats();
+        let beats = self.costs.ret_cap_loads * m.cfg().core.cap_beats();
         let mut instrs = self.costs.ret_instrs + self.costs.ret_cap_loads;
         if hwm_enabled {
             instrs += self.costs.hwm_csr_instrs;
@@ -154,7 +154,7 @@ impl Switcher {
     /// the revoker-bound 128 KiB case *slower* on Ibex).
     pub fn context_switch(&mut self, m: &mut Machine, hwm_enabled: bool) {
         let cap_moves = 30; // save 15 + restore 15 capability registers
-        let beats = cap_moves * m.cfg.core.cap_beats();
+        let beats = cap_moves * m.cfg().core.cap_beats();
         let mut instrs = cap_moves + 45; // scheduler decision, CSR shuffling
         if hwm_enabled {
             instrs += 2 * self.costs.hwm_csr_instrs;

@@ -24,6 +24,13 @@ pub const NET_MAX_FRAME: u32 = 2048;
 /// Size of one network descriptor in SRAM (see [`NetLoopback`]).
 pub const NET_DESC_SIZE: u32 = 16;
 
+/// Most descriptors a network ring holds: the `TX_COUNT` and `RX_COUNT`
+/// registers saturate here. This bounds the walk one `CTRL` store starts
+/// (at most this many TX descriptors, each scanning at most this many RX
+/// descriptors), as [`DMA_MAX_LEN`] bounds one DMA copy. The bundled
+/// guests program rings of 1, 4 and 8.
+pub const NET_MAX_RING: u32 = 64;
+
 // --- LiteX-style timer -------------------------------------------------------
 
 /// A LiteX-`timer0`-style 32-bit countdown timer, modelled *lazily*: the
@@ -285,9 +292,9 @@ impl MmioDevice for DmaEngine {
 /// | offset | register | semantics |
 /// |--------|-----------|-----------|
 /// | `+0x00` | TX_BASE    | TX descriptor ring base (SRAM) |
-/// | `+0x04` | TX_COUNT   | descriptors in the TX ring |
+/// | `+0x04` | TX_COUNT   | descriptors in the TX ring, at most [`NET_MAX_RING`] |
 /// | `+0x08` | RX_BASE    | RX descriptor ring base (SRAM) |
-/// | `+0x0c` | RX_COUNT   | descriptors in the RX ring |
+/// | `+0x0c` | RX_COUNT   | descriptors in the RX ring, at most [`NET_MAX_RING`] |
 /// | `+0x10` | CTRL       | write 1: process owned TX descriptors |
 /// | `+0x14` | FRAMES     | frames delivered, cumulative (RO) |
 /// | `+0x18` | EV_PENDING | bit0: RX delivery event, W1C |
@@ -544,12 +551,12 @@ impl MmioDevice for NetLoopback {
         match off & !3 {
             0x00 => self.tx_base = value,
             0x04 => {
-                self.tx_count = value;
+                self.tx_count = value.min(NET_MAX_RING);
                 self.tx_head = 0;
             }
             0x08 => self.rx_base = value,
             0x0c => {
-                self.rx_count = value;
+                self.rx_count = value.min(NET_MAX_RING);
                 self.rx_head = 0;
             }
             0x10 if value & 1 != 0 => self.kick(m),

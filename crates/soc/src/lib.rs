@@ -31,6 +31,7 @@ pub mod net_host;
 
 pub use devices::{
     DmaEngine, LiteTimer, NetLoopback, DMA_MAX_LEN, NET_DESC_SIZE, NET_HOST_QUEUE, NET_MAX_FRAME,
+    NET_MAX_RING,
 };
 pub use manifest::{DeviceSpec, MachineSpec, ManifestError};
 pub use net_host::{

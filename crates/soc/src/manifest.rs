@@ -139,9 +139,11 @@ impl MachineSpec {
         Ok(spec)
     }
 
-    /// Builds the machine: core config, SRAM sizing (heap in the upper
-    /// half, as [`MachineConfig::new`] lays it out), and a bus populated
-    /// with exactly the declared devices.
+    /// Builds the machine on `base`: the manifest's core, and its SRAM
+    /// size when it gives one (heap in the upper half, as
+    /// [`MachineConfig::new`] lays it out), replace `base`'s; every other
+    /// setting (load filter, dispatch tier, CoW) is `base`'s; and the bus
+    /// is populated with exactly the declared devices.
     ///
     /// # Errors
     ///
@@ -149,9 +151,12 @@ impl MachineSpec {
     /// windows, out-of-range IRQ lines), and everything
     /// [`MachineSpec::parse`] rejects (an unusable SRAM size, say), so a
     /// spec built in code never reaches a panicking `Machine::new`.
-    pub fn build(&self) -> Result<Machine, ManifestError> {
+    pub fn build(&self, base: MachineConfig) -> Result<Machine, ManifestError> {
         self.validate()?;
-        let mut cfg = MachineConfig::new(CoreModel::of(self.core));
+        let mut cfg = MachineConfig {
+            core: CoreModel::of(self.core),
+            ..base
+        };
         if let Some(sram) = self.sram_size {
             cfg.sram_size = sram;
             cfg.heap_offset = sram / 2;

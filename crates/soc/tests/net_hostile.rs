@@ -5,11 +5,11 @@
 //! pointers and lengths — including rings re-programmed mid-stream — no
 //! walk panics (overflow checks are on in this debug build), and no walk
 //! makes a host allocation larger than one maximum frame, whatever length
-//! a descriptor claims.
+//! a descriptor claims. A second test pins how far one kick may walk.
 
 use cheriot_core::mem::PAGE_SIZE;
 use cheriot_core::{layout, CoreModel, Machine, MachineConfig, MmioDevice};
-use cheriot_soc::{NetLoopback, NET_DESC_SIZE, NET_MAX_FRAME};
+use cheriot_soc::{NetLoopback, NET_DESC_SIZE, NET_MAX_FRAME, NET_MAX_RING};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -116,6 +116,39 @@ fn descs() -> impl Strategy<Value = Vec<(u32, u32, u32, u8)>> {
         (any::<u32>(), any::<u32>(), any::<u32>(), any::<u8>()),
         DESCS as usize..DESCS as usize + 1,
     )
+}
+
+/// One `CTRL` store walks at most one ring of descriptors, however the
+/// guest programs the rings: here every descriptor in SRAM is owned by
+/// hardware, both rings start at the bank base and both counts are
+/// `u32::MAX`. The counts saturate at [`NET_MAX_RING`]; unbounded, this
+/// kick walks every descriptor in the 512 KiB bank (32768).
+#[test]
+fn one_kick_walks_at_most_one_ring_of_hostile_descriptors() {
+    let mut m = Machine::new(MachineConfig::new(CoreModel::ibex()));
+    let descs = m.sram.size() / NET_DESC_SIZE;
+    let desc = |d: u32| layout::SRAM_BASE + d * NET_DESC_SIZE;
+    for d in 0..descs {
+        // Owned by hardware, an empty frame at the bank base, no status.
+        m.sram.write_scalar(desc(d), 4, 1).unwrap();
+        m.sram
+            .write_scalar(desc(d) + 4, 4, layout::SRAM_BASE)
+            .unwrap();
+    }
+    let mut nic = NetLoopback::new();
+    for off in [0x00, 0x08] {
+        nic.write(&mut m, off, 4, layout::SRAM_BASE).unwrap();
+    }
+    for off in [0x04, 0x0c] {
+        nic.write(&mut m, off, 4, u32::MAX).unwrap();
+        assert_eq!(nic.read(&mut m, off, 4).unwrap(), NET_MAX_RING);
+    }
+    nic.write(&mut m, 0x10, 4, 1).unwrap();
+    // Every descriptor the walk reached was written back with a status.
+    let walked = (0..descs)
+        .filter(|&d| m.sram.read_scalar(desc(d) + 12, 4).unwrap() != 0)
+        .count();
+    assert_eq!(walked, NET_MAX_RING as usize);
 }
 
 proptest! {

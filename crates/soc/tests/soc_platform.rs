@@ -13,6 +13,21 @@ use proptest::prelude::*;
 /// Capability-granule size in bytes.
 const GRANULE: u32 = 8;
 
+/// The default configuration; a manifest's core replaces its core.
+fn ibex() -> MachineConfig {
+    MachineConfig::new(CoreModel::ibex())
+}
+
+/// The default configuration on the given dispatch tier:
+/// `(block_cache, block_chain)`.
+fn ibex_mode((block_cache, block_chain): (bool, bool)) -> MachineConfig {
+    MachineConfig {
+        block_cache,
+        block_chain,
+        ..ibex()
+    }
+}
+
 fn layout_of(spec: &MachineSpec) -> SocDemoLayout {
     SocDemoLayout::from_devices(spec.devices.iter().map(|d| (d.kind.as_str(), d.base)))
 }
@@ -98,7 +113,7 @@ fn json_manifest_parses_numbers_and_hex_strings() {
 fn manifest_errors_are_reported_with_context() {
     // Unknown device kind surfaces at build time.
     let spec = MachineSpec::parse("[[device]]\nkind = \"gpu\"\nbase = 0x8200_0000\n").unwrap();
-    let err = spec.build().unwrap_err();
+    let err = spec.build(ibex()).unwrap_err();
     assert!(err.msg.contains("gpu"), "{err}");
 
     // Bad TOML carries a line number.
@@ -111,7 +126,7 @@ fn manifest_errors_are_reported_with_context() {
          [[device]]\nkind = \"dma\"\nbase = 0x8200_0000\n",
     )
     .unwrap();
-    assert!(spec.build().is_err());
+    assert!(spec.build(ibex()).is_err());
 
     // SRAM sizes that would panic `Machine::new` are manifest errors, in
     // both formats: not a granule multiple, a heap half that is not
@@ -131,7 +146,7 @@ fn manifest_errors_are_reported_with_context() {
         sram_size: Some(12),
         ..MachineSpec::default()
     };
-    assert!(spec.build().is_err());
+    assert!(spec.build(ibex()).is_err());
 }
 
 // ------------------------------------------------------------------- boot
@@ -140,7 +155,7 @@ fn manifest_errors_are_reported_with_context() {
 fn every_bundled_manifest_boots_and_passes_the_guest_driver() {
     for (name, text) in bundled_manifests() {
         let spec = MachineSpec::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut m = spec.build().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut m = spec.build(ibex()).unwrap_or_else(|e| panic!("{name}: {e}"));
         let report = run_soc_demo(&mut m, &layout_of(&spec));
         assert!(report.passed(), "{name}: {report:?}");
     }
@@ -150,7 +165,7 @@ fn every_bundled_manifest_boots_and_passes_the_guest_driver() {
 fn default_manifest_is_byte_identical_to_plain_machine() {
     let text = include_str!("../manifests/default.toml");
     let spec = MachineSpec::parse(text).unwrap();
-    let mut from_manifest = spec.build().unwrap();
+    let mut from_manifest = spec.build(ibex()).unwrap();
     let mut plain = Machine::new(MachineConfig::new(CoreModel::ibex()));
     let layout = layout_of(&spec);
     let a = run_soc_demo(&mut from_manifest, &layout);
@@ -164,9 +179,7 @@ fn default_manifest_is_byte_identical_to_plain_machine() {
 
 fn iot_machine(mode: (bool, bool)) -> (Machine, SocDemoLayout) {
     let spec = MachineSpec::parse(include_str!("../manifests/iot.toml")).unwrap();
-    let mut m = spec.build().unwrap();
-    m.cfg.block_cache = mode.0;
-    m.cfg.block_chain = mode.1;
+    let m = spec.build(ibex_mode(mode)).unwrap();
     (m, layout_of(&spec))
 }
 
@@ -338,7 +351,7 @@ fn dma_into_forked_soc_machine_leaves_sibling_untouched() {
     // the one CoW break point device traffic can take: a DMA store into
     // one fork of a shared boot image must not perturb its sibling.
     let spec = MachineSpec::parse(include_str!("../manifests/iot.toml")).unwrap();
-    let mut m = spec.build().unwrap();
+    let mut m = spec.build(ibex()).unwrap();
     let snap = m.snapshot();
     let mut a = snap.to_machine();
     let mut b = snap.to_machine();
@@ -378,9 +391,7 @@ fn dma_store_into_executed_code_invalidates_covering_blocks() {
     let word = cheriot_core::encode(&patched).unwrap();
     let mut finals = Vec::new();
     for mode in [(false, false), (true, false), (true, true)] {
-        let mut m = Machine::new(MachineConfig::new(CoreModel::ibex()));
-        m.cfg.block_cache = mode.0;
-        m.cfg.block_chain = mode.1;
+        let mut m = Machine::new(ibex_mode(mode));
         let entry = m.load_program(&[
             Instr::OpImm {
                 op: AluOp::Add,
@@ -503,6 +514,70 @@ fn guest_dma_into_code_mid_chain_matches_stepwise() {
     );
 }
 
+#[test]
+fn guest_dma_into_the_running_block_matches_stepwise() {
+    // A 5-iteration loop whose first block kicks the DMA engine to copy
+    // `addi a3, a3, 100` over the block's next instruction
+    // (`addi a3, a3, 1`). The dispatch loop holds that block while the
+    // store lands, so the invalidation cannot free it: the pass must end
+    // after the kick and the held block must be dropped, or the rest of
+    // the pass runs the old instruction and the stale block goes back
+    // into its entry. Stepwise adds 100 on every iteration.
+    use cheriot_asm::Asm;
+    const DMA: u32 = 0x8700_0000;
+    let src = layout::SRAM_BASE + 0x3000;
+    let (old, patched) = (addi(Reg::A3, 1), addi(Reg::A3, 100));
+    let mut a = Asm::new();
+    let lp = a.label();
+    a.li(Reg::A5, 1);
+    a.li(Reg::S0, 5);
+    a.bind(lp);
+    a.sw(Reg::A5, 0xc, Reg::S1); // CTRL: copy now
+    a.raw(old); // the DMA's destination
+    a.addi(Reg::A0, Reg::A0, 1);
+    a.bltu(Reg::A0, Reg::S0, lp);
+    a.halt();
+    let program = a.assemble();
+    let dst = 4 * program.iter().position(|&i| i == old).unwrap() as u32;
+
+    let mut finals = Vec::new();
+    for mode in [(false, false), (true, false), (true, true)] {
+        let (mut m, _) = iot_machine(mode);
+        m.sram
+            .write_scalar(src, 4, cheriot_core::encode(&patched).unwrap())
+            .unwrap();
+        let base = m.load_program(&program);
+        for (off, value) in [(0x0, src), (0x4, base + dst), (0x8, 4)] {
+            m.bus_write(DMA + off, 4, value).unwrap();
+        }
+        let dma = m.cpu.read(Reg::T0).with_address(DMA);
+        m.cpu.write(Reg::S1, dma);
+        m.set_entry(base);
+        let exit = m.run(1_000_000);
+        assert_eq!(m.code_at(base + dst), Some(patched), "mode {mode:?}");
+        finals.push((exit, m.cycles, m.stats, m.cpu.pc(), m.cpu.read_int(Reg::A3)));
+    }
+    assert_eq!(finals[0].4, 500, "stepwise runs the patched instruction");
+    assert_eq!(
+        finals[0], finals[1],
+        "cached dispatch diverged from stepwise"
+    );
+    assert_eq!(
+        finals[0], finals[2],
+        "chained dispatch diverged from stepwise"
+    );
+}
+
+/// `addi rd, rd, imm`.
+fn addi(rd: Reg, imm: i32) -> Instr {
+    Instr::OpImm {
+        op: AluOp::Add,
+        rd,
+        rs1: rd,
+        imm,
+    }
+}
+
 // ------------------------------------------------------------ interrupts
 
 #[test]
@@ -511,9 +586,7 @@ fn uart_rx_interrupt_delivered_through_the_intc() {
     let modes = [(false, false), (true, false), (true, true)];
     let mut finals = Vec::new();
     for &mode in &modes {
-        let mut m = Machine::new(MachineConfig::new(CoreModel::ibex()));
-        m.cfg.block_cache = mode.0;
-        m.cfg.block_chain = mode.1;
+        let mut m = Machine::new(ibex_mode(mode));
 
         // Handler: drain the RX byte first (the UART's level drops), then
         // claim — claiming before draining would let the still-high level
@@ -565,9 +638,7 @@ fn masked_devices_leave_oblivious_guests_untouched() {
     // A guest that never programs the intc must run byte-identically with
     // and without extra devices latching interrupt levels.
     let (mut with_devices, _) = iot_machine((true, true));
-    let mut plain = Machine::new(MachineConfig::new(CoreModel::ibex()));
-    plain.cfg.block_cache = true;
-    plain.cfg.block_chain = true;
+    let mut plain = Machine::new(ibex());
     with_devices.uart_inject_rx(b"x"); // UART CTRL off: level stays low
     with_devices.raise_device_irq(0b100); // latched, but mask = 0
 

@@ -115,8 +115,7 @@ pub fn chrome_trace_json(events: &[TraceEvent], metrics: &MetricsRegistry) -> St
 }
 
 /// Render events as a flat CSV (`cycles,event,args`) with `;`-joined
-/// `key=value` args — the same row format [`crate::sink::FileSink`]
-/// streams.
+/// `key=value` args.
 pub fn csv(events: &[TraceEvent]) -> String {
     let mut out = String::from("cycles,event,args\n");
     for ev in events {

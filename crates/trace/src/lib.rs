@@ -9,9 +9,8 @@
 //!   [`EventKind`]): instruction retire, traps, interrupt delivery and
 //!   posture changes, compartment-switch spans, thread scheduling,
 //!   allocator and quarantine activity, revoker epochs, load-filter hits.
-//! * [`sink`] — where events go: [`RingSink`] (last *N*), [`VecSink`]
-//!   (everything), [`FileSink`] (streaming CSV), [`NullSink`]
-//!   (metrics only).
+//! * [`sink`] — where events go: [`RingSink`] (last *N*) or [`VecSink`]
+//!   (everything).
 //! * [`metrics`] — counters, log2 histograms, and per-compartment /
 //!   per-thread cycle attribution derived from switch spans.
 //! * [`export`] — Chrome `trace_event` JSON (for `chrome://tracing` /
@@ -34,7 +33,7 @@ pub mod sink;
 
 pub use event::{EventKind, TraceEvent};
 pub use metrics::{DeviceActivity, Histogram, MetricsRegistry};
-pub use sink::{FileSink, NullSink, RingSink, TraceSink, VecSink};
+pub use sink::{RingSink, TraceSink, VecSink};
 
 /// Front-end the simulated machine talks to: recording policy + metrics
 /// registry + sink.
@@ -74,17 +73,6 @@ impl Tracer {
     /// long runs.
     pub fn timeline() -> Tracer {
         Tracer::with_sink(Box::new(VecSink::new()), false, true)
-    }
-
-    /// Buffer absolutely everything, instruction retires included. Only
-    /// for short runs.
-    pub fn full() -> Tracer {
-        Tracer::with_sink(Box::new(VecSink::new()), true, true)
-    }
-
-    /// Metrics only: count and attribute, buffer nothing.
-    pub fn metrics_only() -> Tracer {
-        Tracer::with_sink(Box::new(NullSink::new()), false, false)
     }
 
     /// Emit one event stamped at `cycles`. Metrics always observe it; the

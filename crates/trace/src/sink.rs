@@ -1,13 +1,11 @@
 //! Event sinks: where recorded events go.
 //!
 //! A [`TraceSink`] receives every event the tracer decides to record.
-//! Buffering sinks ([`RingSink`], [`VecSink`]) keep events in memory for
-//! later export; [`FileSink`] streams CSV rows to disk as they arrive;
-//! [`NullSink`] discards everything (metrics still accumulate upstream).
+//! The sinks ([`RingSink`], [`VecSink`]) keep events in memory for later
+//! export.
 
 use crate::event::TraceEvent;
 use std::collections::VecDeque;
-use std::io::Write;
 
 /// Destination for recorded trace events.
 ///
@@ -29,33 +27,6 @@ pub trait TraceSink: std::fmt::Debug + Send {
     /// Flush any underlying writer.
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
-    }
-}
-
-/// Discards every event; only the acceptance count survives.
-#[derive(Debug, Default)]
-pub struct NullSink {
-    recorded: u64,
-}
-
-impl NullSink {
-    /// A fresh null sink.
-    pub fn new() -> NullSink {
-        NullSink::default()
-    }
-}
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: TraceEvent) {
-        self.recorded += 1;
-    }
-
-    fn events(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    fn recorded(&self) -> u64 {
-        self.recorded
     }
 }
 
@@ -131,73 +102,6 @@ impl TraceSink for VecSink {
     }
 }
 
-/// Streams events as flat CSV rows (`cycles,event,k=v;k=v`) to any writer
-/// — typically a [`std::fs::File`] via [`FileSink::create`]. Nothing is
-/// buffered for export; use this for runs too long to hold in memory.
-pub struct FileSink {
-    writer: Box<dyn Write + Send>,
-    recorded: u64,
-}
-
-impl std::fmt::Debug for FileSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileSink")
-            .field("recorded", &self.recorded)
-            .finish_non_exhaustive()
-    }
-}
-
-impl FileSink {
-    /// Stream CSV rows to a new file at `path` (truncating it), with the
-    /// header row already written.
-    pub fn create(path: &std::path::Path) -> std::io::Result<FileSink> {
-        let file = std::fs::File::create(path)?;
-        FileSink::from_writer(Box::new(std::io::BufWriter::new(file)))
-    }
-
-    /// Stream CSV rows to an arbitrary writer.
-    pub fn from_writer(mut writer: Box<dyn Write + Send>) -> std::io::Result<FileSink> {
-        writeln!(writer, "cycles,event,args")?;
-        Ok(FileSink {
-            writer,
-            recorded: 0,
-        })
-    }
-}
-
-impl TraceSink for FileSink {
-    fn record(&mut self, ev: TraceEvent) {
-        let args: Vec<String> = ev
-            .kind
-            .fields()
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        // Write errors are surfaced on flush; a tracing sink must not be
-        // able to halt the simulation mid-run.
-        let _ = writeln!(
-            self.writer,
-            "{},{},{}",
-            ev.cycles,
-            ev.kind.name(),
-            args.join(";")
-        );
-        self.recorded += 1;
-    }
-
-    fn events(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.writer.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,33 +125,5 @@ mod tests {
         assert_eq!(evs[0].cycles, 2);
         assert_eq!(evs[1].cycles, 3);
         assert_eq!(s.recorded(), 3);
-    }
-
-    #[test]
-    fn null_sink_counts_only() {
-        let mut s = NullSink::new();
-        s.record(ev(1, 0));
-        assert!(s.events().is_empty());
-        assert_eq!(s.recorded(), 1);
-    }
-
-    #[test]
-    fn file_sink_streams_csv() {
-        let dir = std::env::temp_dir().join("cheriot-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sink.csv");
-        let mut s = FileSink::create(&path).unwrap();
-        s.record(TraceEvent {
-            cycles: 7,
-            kind: EventKind::Malloc {
-                base: 0x2000_0000,
-                size: 32,
-            },
-        });
-        s.flush().unwrap();
-        drop(s);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("cycles,event,args\n"));
-        assert!(text.contains("7,malloc,base=536870912;size=32"));
     }
 }

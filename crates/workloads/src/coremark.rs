@@ -540,17 +540,23 @@ impl DispatchMode {
     }
 }
 
-/// Builds a machine with the benchmark program loaded and its data-region
-/// pointer installed, ready to run.
-fn setup_machine(core: CoreModel, cfg: &CoreMarkConfig, dispatch: DispatchMode) -> Machine {
+/// The machine configuration the benchmark runs on.
+fn machine_config(core: CoreModel, cfg: &CoreMarkConfig, dispatch: DispatchMode) -> MachineConfig {
     let (block_cache, block_chain) = dispatch.config_flags();
-    let mut mc = MachineConfig::new(core);
-    mc.load_filter = cfg.load_filter;
-    mc.block_cache = block_cache;
-    mc.block_chain = block_chain;
-    mc.hw_revoker = false;
-    mc.hwm_enabled = false;
-    mc.cheri_enabled = cfg.mode == PtrMode::Capability;
+    MachineConfig {
+        load_filter: cfg.load_filter,
+        block_cache,
+        block_chain,
+        hw_revoker: false,
+        hwm_enabled: false,
+        cheri_enabled: cfg.mode == PtrMode::Capability,
+        ..MachineConfig::new(core)
+    }
+}
+
+/// Builds a machine on `mc` with the benchmark program loaded and its
+/// data-region pointer installed, ready to run.
+fn setup_machine(mc: MachineConfig, cfg: &CoreMarkConfig) -> Machine {
     let mut m = Machine::new(mc);
     let entry = m.load_program(&generate_program(cfg));
     m.set_entry(entry);
@@ -574,52 +580,21 @@ fn setup_machine(core: CoreModel, cfg: &CoreMarkConfig, dispatch: DispatchMode) 
 }
 
 /// Runs the benchmark kernel for a fixed simulated-cycle budget instead of
-/// a fixed iteration count, returning `(simulated_cycles, instructions)`.
+/// a fixed iteration count on the given dispatch path, returning
+/// `(simulated_cycles, instructions)`.
 ///
 /// This is the measurement primitive of the `sim_throughput` benchmark:
-/// host wall time divided into `instructions` gives host-side MIPS. The
-/// iteration count is set high enough that the cycle budget is always the
-/// limiter, so the run exercises the steady-state fetch/execute hot path.
+/// host wall time divided into `instructions` gives host-side MIPS for
+/// each of the three paths. The iteration count is set high enough that
+/// the cycle budget is always the limiter, so the run exercises the
+/// steady-state fetch/execute hot path. The simulated result must not
+/// depend on `dispatch` — every path is architecturally invisible and
+/// only changes host wall time.
 ///
 /// # Panics
 ///
 /// Panics if the program faults or halts before the budget expires (a
 /// generator bug, or a budget large enough to drain the iteration count).
-pub fn run_coremark_for_cycles(core: CoreModel, cfg: &CoreMarkConfig, budget: u64) -> (u64, u64) {
-    run_coremark_for_cycles_dispatch(core, cfg, budget, DispatchMode::Chained)
-}
-
-/// [`run_coremark_for_cycles`] with explicit control over the simulator's
-/// block cache (chaining stays off either way), kept for callers that
-/// predate [`DispatchMode`]; `sim_throughput` uses
-/// [`run_coremark_for_cycles_dispatch`] to measure all three paths.
-///
-/// # Panics
-///
-/// Panics if the program faults or halts before the budget expires.
-pub fn run_coremark_for_cycles_cached(
-    core: CoreModel,
-    cfg: &CoreMarkConfig,
-    budget: u64,
-    block_cache: bool,
-) -> (u64, u64) {
-    let mode = if block_cache {
-        DispatchMode::Cached
-    } else {
-        DispatchMode::Stepwise
-    };
-    run_coremark_for_cycles_dispatch(core, cfg, budget, mode)
-}
-
-/// [`run_coremark_for_cycles`] with explicit control over the simulator's
-/// dispatch path, so `sim_throughput` can report host MIPS for all three.
-/// The simulated `(cycles, instructions)` result must not depend on
-/// `dispatch` — every path is architecturally invisible and only changes
-/// host wall time.
-///
-/// # Panics
-///
-/// Panics if the program faults or halts before the budget expires.
 pub fn run_coremark_for_cycles_dispatch(
     core: CoreModel,
     cfg: &CoreMarkConfig,
@@ -632,7 +607,7 @@ pub fn run_coremark_for_cycles_dispatch(
         iterations: 50_000_000,
         ..*cfg
     };
-    let mut m = setup_machine(core, &cfg, dispatch);
+    let mut m = setup_machine(machine_config(core, &cfg, dispatch), &cfg);
     let reason = m.run(budget);
     assert!(
         matches!(reason, ExitReason::CycleLimit),
@@ -648,7 +623,7 @@ pub fn run_coremark_for_cycles_dispatch(
 ///
 /// Panics if the generated program faults (a bug in the generator).
 pub fn run_coremark(core: CoreModel, cfg: &CoreMarkConfig) -> CoreMarkResult {
-    let mut m = setup_machine(core, cfg, DispatchMode::Chained);
+    let mut m = setup_machine(machine_config(core, cfg, DispatchMode::Chained), cfg);
     let reason = m.run(2_000_000_000);
     let ExitReason::Halted(checksum) = reason else {
         panic!(
@@ -731,8 +706,11 @@ mod tests {
         };
         for core in [CoreModel::ibex(), CoreModel::flute()] {
             let run = |mode, hw_revoker| {
-                let mut m = setup_machine(core, &cfg, mode);
-                m.cfg.hw_revoker = hw_revoker;
+                let mc = MachineConfig {
+                    hw_revoker,
+                    ..machine_config(core, &cfg, mode)
+                };
+                let mut m = setup_machine(mc, &cfg);
                 let exit = m.run(2_000_000_000);
                 assert!(matches!(exit, ExitReason::Halted(_)), "{exit:?}");
                 assert_eq!(m.revoker.epoch(), 0, "no sweep ever starts");

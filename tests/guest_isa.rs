@@ -186,7 +186,7 @@ fn forgery_impossible_in_guest() {
 #[test]
 fn load_filter_strips_in_guest() {
     let mut m = machine();
-    let heap_base = m.cfg.heap_base();
+    let heap_base = m.cfg().heap_base();
     // Plant a capability to a heap object in a global slot, then revoke it.
     let obj = Capability::root_mem_rw()
         .with_address(heap_base + 64)
