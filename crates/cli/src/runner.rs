@@ -260,7 +260,7 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
             for (id, name) in m.bus.device_names() {
                 tracer.metrics.set_device_name(id, name);
             }
-            let _ = tracer.finish(m.cycles);
+            tracer.finish(m.cycles);
             if let Some(path) = &opts.trace_out {
                 match std::fs::write(path, tracer.chrome_json()) {
                     Ok(()) => {

@@ -50,6 +50,14 @@
 //!   A block ending in `cjalr` runs the jump through the general `exec`
 //!   path and chains through the same links.
 //!
+//! Each block also carries a *fast stream* ([`Block::fast`]): its longest
+//! prefix of instructions from the inline-handled set (`inline_handled!`:
+//! the pure-register instructions, loads, stores, `clc` and `csc`) and
+//! interior guards, which the chained loop's unchecked inner loop runs.
+//! That set is named once, and the inline arms, the general `exec` path
+//! and block decode all use the one name, so decode cannot put an
+//! instruction in the stream that the arms do not handle.
+//!
 //! Coherence is exact and conservative:
 //!
 //! * Any overwrite of loaded code ([`crate::machine::Machine::patch_code`]
@@ -80,7 +88,7 @@
 //! state inside a block would be a data race (and would leak one fork's
 //! control-flow history into another).
 
-use crate::insn::{pure_register, Instr, Reg};
+use crate::insn::{inline_handled, Instr, Reg};
 use crate::machine::{layout, MachineConfig};
 use crate::pipeline::CoreModel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -109,7 +117,8 @@ pub struct PredecodedInsn {
     /// The decoded instruction.
     pub instr: Instr,
     /// Base cycle cost from the core model, with the load-filter CLC
-    /// penalty already folded in (both are fixed at machine construction).
+    /// penalty already folded in (both are fixed at machine construction;
+    /// `PredecodedInsn::new`).
     /// For a chased unconditional jump (or a `j` made interior by
     /// promotion), the jump penalty is folded in too (its cost is
     /// unconditional by definition). An interior conditional branch (a
@@ -124,6 +133,35 @@ pub struct PredecodedInsn {
     /// the block is a load (the only setters of the hazard), or for the
     /// first instruction (the hazard can cross a block entry).
     pub check_hazard: bool,
+}
+
+impl PredecodedInsn {
+    /// Predecodes `instr` at `pc` under `core`'s cost model: the one place
+    /// an instruction's cost is computed, for block decode and the
+    /// stepwise loop alike. With the load filter, the revocation-bit
+    /// lookup lengthens capability loads on cores whose pipeline cannot
+    /// hide it (Ibex; free on Flute's 5-stage), so `clc` pays
+    /// [`CoreModel::filter_load_to_use`] on top of its base cycles.
+    pub(crate) fn new(
+        pc: u32,
+        instr: Instr,
+        core: &CoreModel,
+        load_filter: bool,
+        check_hazard: bool,
+    ) -> PredecodedInsn {
+        let filter = match instr {
+            Instr::Clc { .. } if load_filter => core.filter_load_to_use,
+            _ => 0,
+        };
+        PredecodedInsn {
+            pc,
+            instr,
+            base_cycles: core.instr_cycles(&instr) + filter,
+            mem_beats: core.mem_beats(&instr),
+            srcs: instr.sources(),
+            check_hazard,
+        }
+    }
 }
 
 /// One element of a block's *fast stream* — the representation the chained
@@ -735,14 +773,7 @@ pub fn build_block(
     let mut prev_is_load = true; // a hazard can cross the block entry
     while let Some(&instr) = code.get(idx) {
         let pc = layout::CODE_BASE + 4 * idx as u32;
-        let mut base_cycles = core.instr_cycles(&instr);
-        if load_filter {
-            // Same folding as the stepwise loop: the revocation-bit lookup
-            // lengthens capability loads where the pipeline cannot hide it.
-            if let Instr::Clc { .. } = instr {
-                base_cycles += core.filter_load_to_use;
-            }
-        }
+        let mut d = PredecodedInsn::new(pc, instr, core, load_filter, prev_is_load);
         if chase {
             if let Instr::Jal { rd, offset } = instr {
                 let target = pc.wrapping_add(offset as u32);
@@ -760,14 +791,8 @@ pub fn build_block(
                 {
                     let t_idx = ((target - layout::CODE_BASE) / 4) as usize;
                     if t_idx < code.len() && t_idx - start_idx < MAX_COVER_SPAN {
-                        insns.push(PredecodedInsn {
-                            pc,
-                            instr,
-                            base_cycles: base_cycles + core.jump_penalty,
-                            mem_beats: core.mem_beats(&instr),
-                            srcs: instr.sources(),
-                            check_hazard: prev_is_load,
-                        });
+                        d.base_cycles += core.jump_penalty;
+                        insns.push(d);
                         prev_is_load = false;
                         ranges.push((seg_start, pc + 4));
                         seg_start = target;
@@ -777,14 +802,7 @@ pub fn build_block(
                 }
             }
         }
-        insns.push(PredecodedInsn {
-            pc,
-            instr,
-            base_cycles,
-            mem_beats: core.mem_beats(&instr),
-            srcs: instr.sources(),
-            check_hazard: prev_is_load,
-        });
+        insns.push(d);
         prev_is_load = matches!(instr, Instr::Load { .. } | Instr::Clc { .. });
         idx += 1;
         if instr.is_block_boundary()
@@ -920,22 +938,14 @@ fn finish(
     }
 }
 
-/// Can the chained dispatch loop's inline arms ([`exec_fast` in
-/// `machine.rs`]) handle this instruction? Must stay in lockstep with the
-/// arms in the conservative direction only: `false` for a handled
-/// instruction merely shortens the fast stream, while the arms themselves
-/// decide dynamically (SRAM hit, passing capability check) whether to
-/// execute or bail, so a statically-fast instruction that cannot be
-/// handled at runtime still falls back correctly.
+/// Does this instruction belong in a block's fast stream? Exactly the
+/// inline-handled set ([`inline_handled!`]), named once for the inline
+/// arms (`exec_fast` in `machine.rs`), the general path and this decode.
+/// Membership is static; the arms still decide at runtime (SRAM
+/// address, passing capability check) whether to execute or bail, and a
+/// bail falls back to the checked loop exactly.
 fn statically_fast(instr: &Instr) -> bool {
-    matches!(
-        instr,
-        pure_register!()
-            | Instr::Load { .. }
-            | Instr::Clc { .. }
-            | Instr::Store { .. }
-            | Instr::Csc { .. }
-    )
+    matches!(instr, inline_handled!())
 }
 
 #[cfg(test)]

@@ -328,10 +328,8 @@ pub enum Instr {
 
 /// Pattern for the pure-register instructions: they read and write only
 /// registers, never trap (CHERIoT monotonicity failures detag instead),
-/// never jump and touch no counters or MMIO. `Machine::exec` routes this
-/// set to the one helper that implements it, and the chained dispatch
-/// loop's inline arms run it unconditionally
-/// (`blockcache::statically_fast`).
+/// never jump and touch no counters or MMIO, so the chained dispatch
+/// loop's inline arms run them unconditionally.
 macro_rules! pure_register {
     () => {
         $crate::insn::Instr::Lui { .. }
@@ -350,6 +348,24 @@ macro_rules! pure_register {
     };
 }
 pub(crate) use pure_register;
+
+/// Pattern for the instructions the dispatch engine handles inline: the
+/// pure-register set plus the scalar and capability loads and stores.
+/// `Machine::exec_inline` is their one implementation. `Machine::exec`
+/// routes this set there as the general path, the chained dispatch
+/// loop's inline arms run it restricted to SRAM, and block decode puts
+/// exactly this set in a block's fast stream
+/// (`blockcache::statically_fast`).
+macro_rules! inline_handled {
+    () => {
+        $crate::insn::pure_register!()
+            | $crate::insn::Instr::Load { .. }
+            | $crate::insn::Instr::Store { .. }
+            | $crate::insn::Instr::Clc { .. }
+            | $crate::insn::Instr::Csc { .. }
+    };
+}
+pub(crate) use inline_handled;
 
 impl Instr {
     /// A canonical no-op.

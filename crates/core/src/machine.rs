@@ -2,11 +2,11 @@
 //! timer + console, with per-instruction cycle accounting driven by a
 //! [`CoreModel`].
 
-use crate::blockcache::{Block, BlockCache, BlockCacheStats, Code};
+use crate::blockcache::{Block, BlockCache, BlockCacheStats, Code, PredecodedInsn};
 use crate::bus::{DeviceBus, Uart};
 use crate::cpu::Cpu;
 use crate::error::SimError;
-use crate::insn::{pure_register, AluOp, BranchCond, CapField, CsrId, CsrOp, Instr, MulOp, Reg};
+use crate::insn::{inline_handled, AluOp, BranchCond, CapField, CsrId, CsrOp, Instr, MulOp, Reg};
 use crate::mem::{Sram, XferCost, GRANULE};
 use crate::pipeline::CoreModel;
 use crate::revocation::{BackgroundRevoker, RevocationBitmap, RevokerConfig};
@@ -494,7 +494,9 @@ impl Machine {
     /// replaced instruction. Every predecoded block covering `addr` is
     /// invalidated and the coherence generation bumped
     /// ([`Machine::code_generation`]), so the next execution of the
-    /// patched address re-decodes.
+    /// patched address re-decodes. Storing the instruction already in
+    /// place is no edit: the code handle stays shared with snapshots and
+    /// forks, and no block or generation moves.
     pub fn patch_code(&mut self, addr: u32, instr: Instr) -> Result<Instr, SimError> {
         let idx = (addr.is_multiple_of(4) && addr >= layout::CODE_BASE)
             .then(|| ((addr - layout::CODE_BASE) / 4) as usize)
@@ -503,6 +505,9 @@ impl Machine {
                 addr,
                 code_end: self.code_end(),
             })?;
+        if self.code[idx] == instr {
+            return Ok(instr);
+        }
         // The patch is a CoW break for the shared code region: siblings
         // forked from the same snapshot keep the unpatched instructions.
         let old = core::mem::replace(&mut Arc::make_mut(&mut self.code).edit()[idx], instr);
@@ -786,7 +791,10 @@ impl Machine {
         self.sram.contains(addr, size)
     }
 
-    /// Raw scalar bus read (no capability check).
+    /// Raw scalar bus read (no capability check). Always inlined, like
+    /// [`Machine::bus_write`]: the chained loop's load and store arms run
+    /// it per instruction, and only the MMIO path stays out of line.
+    #[inline(always)]
     pub fn bus_read(&mut self, addr: u32, size: u32) -> Result<u32, TrapCause> {
         if self.is_sram(addr, size) {
             return self.sram.read_scalar(addr, size);
@@ -796,6 +804,7 @@ impl Machine {
 
     /// Raw scalar bus write (no capability check). Clears the granule tag,
     /// snoops the revoker, and updates the stack high-water mark.
+    #[inline(always)]
     pub fn bus_write(&mut self, addr: u32, size: u32, value: u32) -> Result<(), TrapCause> {
         if self.cfg.hwm_enabled {
             self.cpu.note_store(addr);
@@ -847,6 +856,7 @@ impl Machine {
         )
     }
 
+    #[inline(never)]
     fn mmio_read(&mut self, addr: u32, size: u32) -> Result<u32, TrapCause> {
         let (base, off) = (
             addr & !(layout::MMIO_SIZE - 1),
@@ -872,6 +882,7 @@ impl Machine {
         }
     }
 
+    #[inline(never)]
     fn mmio_write(&mut self, addr: u32, size: u32, value: u32) -> Result<(), TrapCause> {
         let (base, off) = (
             addr & !(layout::MMIO_SIZE - 1),
@@ -1004,10 +1015,11 @@ impl Machine {
     /// covered capability tags, unshare the covered pages from any
     /// snapshot/fork (so the next restore moves them), and snoop the
     /// in-flight revoker sweep; code-region stores decode each word and
-    /// go through [`Machine::patch_code`], so covering predecoded blocks
-    /// are invalidated and the coherence generation bumps (retiring
-    /// chained successor links). Emits a `DmaTransfer` trace event
-    /// attributed to the dispatching device.
+    /// go through [`Machine::patch_code`], so a word that changes an
+    /// instruction invalidates the covering predecoded blocks and bumps
+    /// the coherence generation (retiring chained successor links).
+    /// Emits a `DmaTransfer` trace event attributed to the dispatching
+    /// device.
     ///
     /// # Errors
     ///
@@ -1278,49 +1290,91 @@ impl Machine {
     }
 
     /// Dispatches one predecoded instruction through the inline fast
-    /// arms. These arms are the one implementation of the pure-register
-    /// instructions ([`pure_register!`]): [`Machine::exec`] routes that
-    /// set here, so the general path and the chained loop cannot drift.
-    /// On [`Fast::Done`] nothing trapped, halted or jumped, no penalty
-    /// cycles accrued beyond `base_cycles`, and neither `mtimecmp` nor the
-    /// revoker IRQ line moved — the guarantees the chained dispatch loop's
+    /// arms: the inline-handled set ([`inline_handled!`]) through
+    /// [`Machine::exec_inline`] restricted to SRAM, and the interior
+    /// jump and guard arms of superblocks. On [`Fast::Done`] nothing
+    /// trapped, halted or jumped, no penalty cycles accrued beyond
+    /// `base_cycles`, and neither `mtimecmp` nor the revoker IRQ line
+    /// moved — the guarantees the chained dispatch loop's
     /// register-resident counters and its unchecked inner loop
     /// (DESIGN.md §13) rely on. [`Fast::Guard`] gives the same guarantees
     /// except that the caller charges the taken penalty and checks the
-    /// successor. On [`Fast::Bail`] nothing was mutated and the caller
-    /// re-executes through the general `exec` path from scratch.
-    /// `interior` is true when another predecoded instruction follows in
-    /// the same block (it gates the interior-jump arm, whose penalty was
-    /// folded in at decode or promotion, and the guard arm).
+    /// successor. On [`Fast::Bail`] the caller re-executes through the
+    /// general `exec` path from scratch, which repeats the refused
+    /// instruction with full trap bookkeeping: an MMIO access bails with
+    /// nothing mutated (the timer reads `self.cycles`, register-resident
+    /// here, and MMIO stores can move `mtimecmp` or kick the revoker),
+    /// and a faulting access bails having at most noted a store in the
+    /// stack high-water mark, which the re-execution notes again to the
+    /// same effect. `interior` is true when another predecoded
+    /// instruction follows in the same block (it gates the interior-jump
+    /// arm, whose penalty was folded in at decode or promotion, and the
+    /// guard arm).
     #[inline(always)]
     fn exec_fast(&mut self, instr: &Instr, pc: u32, interior: bool) -> Fast {
         // One match over every inline arm keeps the chained loop at one
         // dispatch per instruction.
-        let done = match *instr {
-            // The pure-register instructions never trap (CHERIoT
-            // monotonicity failures detag instead), never jump and touch
-            // no counters or MMIO. They dominate the capability CoreMark
-            // mix (pointer derivation and arithmetic).
-            Instr::Lui { rd, imm } => {
-                self.cpu.write_int(rd, imm << 12);
-                true
+        match *instr {
+            inline_handled!() => match self.exec_inline::<true>(instr) {
+                Ok(true) => Fast::Done,
+                _ => Fast::Bail,
+            },
+            // An *interior* `j` is a superblock edge (chased at
+            // decode or appended by promotion): rd is x0 (no state
+            // change), the jump penalty was folded into
+            // `base_cycles`, and the next predecoded instruction's
+            // `pc` is the target. A `j` in last position takes the
+            // inline exit arm in `exec_chain` instead (charging the
+            // penalty here and there would double-count it).
+            Instr::Jal { rd, .. } if rd == Reg::ZERO && interior => Fast::Done,
+            // An interior conditional branch is a promoted block's
+            // guard. It cannot trap; the caller charges the taken penalty
+            // and leaves the block when `npc` is not the next instruction.
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset,
+            } if interior => {
+                let (npc, taken) = self.resolve_branch(cond, rs1, rs2, offset, pc);
+                Fast::Guard { npc, taken }
             }
+            _ => Fast::Bail,
+        }
+    }
+
+    /// Executes an instruction of the inline-handled set
+    /// ([`inline_handled!`]): the one implementation of each, shared by
+    /// the general path ([`Machine::exec`], `SRAM_ONLY = false`) and the
+    /// inline fast arms ([`Machine::exec_fast`], `SRAM_ONLY = true`).
+    /// Returns `Ok(true)` once the instruction has executed. With
+    /// `SRAM_ONLY`, a scalar access outside SRAM returns `Ok(false)` with
+    /// nothing mutated (capability accesses reach SRAM only). Any other
+    /// instruction returns `Ok(false)`.
+    ///
+    /// The pure-register instructions never trap. Each memory
+    /// instruction checks its authority before it touches memory (`LD`
+    /// for loads, `SD` for stores, `LD|MC` for `clc`, `SD|MC` and the
+    /// store-local rule for `csc`); a store then notes its address in the
+    /// stack high-water mark *before* the write, so a store that faults
+    /// on the write still moves the mark.
+    #[inline(always)]
+    fn exec_inline<const SRAM_ONLY: bool>(&mut self, instr: &Instr) -> Result<bool, TrapCause> {
+        match *instr {
+            Instr::Lui { rd, imm } => self.cpu.write_int(rd, imm << 12),
             Instr::OpImm { op, rd, rs1, imm } => {
                 let a = self.cpu.read_int(rs1);
                 self.cpu.write_int(rd, alu(op, a, imm as u32));
-                true
             }
             Instr::Op { op, rd, rs1, rs2 } => {
                 let a = self.cpu.read_int(rs1);
                 let b = self.cpu.read_int(rs2);
                 self.cpu.write_int(rd, alu(op, a, b));
-                true
             }
             Instr::MulDiv { op, rd, rs1, rs2 } => {
                 let a = self.cpu.read_int(rs1);
                 let b = self.cpu.read_int(rs2);
                 self.cpu.write_int(rd, muldiv(op, a, b));
-                true
             }
             Instr::CGet { field, rd, rs1 } => {
                 let c = self.cpu.read(rs1);
@@ -1334,24 +1388,20 @@ impl Machine {
                     CapField::High => (c.to_word() >> 32) as u32,
                 };
                 self.cpu.write_int(rd, v);
-                true
             }
             Instr::CSetAddr { rd, rs1, rs2 } => {
                 let c = self.cpu.read(rs1);
                 let a = self.cpu.read_int(rs2);
                 self.cpu.write(rd, c.with_address(a));
-                true
             }
             Instr::CIncAddr { rd, rs1, rs2 } => {
                 let c = self.cpu.read(rs1);
                 let a = self.cpu.read_int(rs2);
                 self.cpu.write(rd, c.incremented(a as i32));
-                true
             }
             Instr::CIncAddrImm { rd, rs1, imm } => {
                 let c = self.cpu.read(rs1);
                 self.cpu.write(rd, c.incremented(imm));
-                true
             }
             Instr::CSetBounds {
                 rd,
@@ -1367,38 +1417,25 @@ impl Machine {
                     c.set_bounds(len)
                 };
                 self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
-                true
             }
             Instr::CSetBoundsImm { rd, rs1, imm } => {
                 let c = self.cpu.read(rs1);
                 let out = c.set_bounds(u64::from(imm));
                 self.cpu.write(rd, out.unwrap_or_else(|| c.cleared()));
-                true
             }
             Instr::CAndPerm { rd, rs1, rs2 } => {
                 let c = self.cpu.read(rs1);
                 let mask = Permissions::from_bits(self.cpu.read_int(rs2) as u16);
                 self.cpu.write(rd, c.and_perms(mask));
-                true
             }
             Instr::CClearTag { rd, rs1 } => {
                 let c = self.cpu.read(rs1);
                 self.cpu.write(rd, c.cleared());
-                true
             }
             Instr::CMove { rd, rs1 } => {
                 let c = self.cpu.read(rs1);
                 self.cpu.write(rd, c);
-                true
             }
-            // Loads dispatch inline too (a quarter of the CoreMark
-            // mix), mirroring their `exec` arms, but bail to the
-            // general path for anything unusual: MMIO (the timer
-            // reads `self.cycles`, register-resident here),
-            // capability faults and bus errors (trap bookkeeping).
-            // Bailing re-executes through `exec` from scratch —
-            // sound because nothing mutates before the first
-            // fallible step.
             Instr::Load {
                 width,
                 signed,
@@ -1407,61 +1444,20 @@ impl Machine {
                 offset,
             } => {
                 let auth = self.cpu.read(rs1);
-                let addr = auth.address().wrapping_add(offset as u32);
-                if self.is_sram(addr, width.bytes())
-                    && (!self.cfg.cheri_enabled
-                        || auth
-                            .check_access(addr, width.bytes(), Permissions::LD)
-                            .is_ok())
-                {
-                    if let Ok(raw) = self.sram.read_scalar(addr, width.bytes()) {
-                        let v = if signed {
-                            sign_extend(raw, width.bytes())
-                        } else {
-                            raw
-                        };
-                        self.cpu.write_int(rd, v);
-                        self.stats.loads += 1;
-                        self.pending_use = Some((rd, self.cfg.core.load_to_use));
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
+                let (addr, size) = (auth.address().wrapping_add(offset as u32), width.bytes());
+                if SRAM_ONLY && !self.is_sram(addr, size) {
+                    return Ok(false);
                 }
-            }
-            Instr::Clc { rd, rs1, offset } => {
-                let auth = self.cpu.read(rs1);
-                let addr = auth.address().wrapping_add(offset as u32);
-                // `bus_read_cap`'s filter-strip trace event is
-                // exact here: with a tracer installed the loop
-                // synced `self.cycles` for this instruction above.
-                if auth
-                    .check_access(addr, GRANULE, Permissions::LD | Permissions::MC)
-                    .is_ok()
-                {
-                    if let Ok(c) = self.bus_read_cap(addr) {
-                        self.cpu.write(rd, c.attenuated_on_load(auth));
-                        self.stats.cap_loads += 1;
-                        self.pending_use = Some((rd, self.cfg.core.load_to_use));
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
+                if self.cfg.cheri_enabled {
+                    auth.check_access(addr, size, Permissions::LD)
+                        .map_err(|f| cheri(rs1, f))?;
                 }
+                let raw = self.bus_read(addr, size)?;
+                let v = if signed { sign_extend(raw, size) } else { raw };
+                self.cpu.write_int(rd, v);
+                self.stats.loads += 1;
+                self.pending_use = Some((rd, self.cfg.core.load_to_use));
             }
-            // Stores dispatch inline under the same rules as
-            // loads: SRAM hit with a passing capability check.
-            // MMIO stores (timer compare, revocation bitmap) bail
-            // to the general path, which is what lets the loop
-            // keep `mtimecmp` register-resident across inline
-            // stretches. `write_scalar`/`write_cap` check before
-            // mutating, so a bail re-executes from scratch with
-            // nothing to undo; the high-water-mark note is
-            // idempotent either way.
             Instr::Store {
                 width,
                 rs2,
@@ -1469,81 +1465,51 @@ impl Machine {
                 offset,
             } => {
                 let auth = self.cpu.read(rs1);
-                let addr = auth.address().wrapping_add(offset as u32);
-                if self.is_sram(addr, width.bytes())
-                    && (!self.cfg.cheri_enabled
-                        || auth
-                            .check_access(addr, width.bytes(), Permissions::SD)
-                            .is_ok())
-                {
-                    let v = self.cpu.read_int(rs2);
-                    if self.sram.write_scalar(addr, width.bytes(), v).is_ok() {
-                        if self.cfg.hwm_enabled {
-                            self.cpu.note_store(addr);
-                        }
-                        self.revoker.snoop_store(addr);
-                        self.stats.stores += 1;
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
+                let (addr, size) = (auth.address().wrapping_add(offset as u32), width.bytes());
+                if SRAM_ONLY && !self.is_sram(addr, size) {
+                    return Ok(false);
                 }
+                if self.cfg.cheri_enabled {
+                    auth.check_access(addr, size, Permissions::SD)
+                        .map_err(|f| cheri(rs1, f))?;
+                }
+                let v = self.cpu.read_int(rs2);
+                self.bus_write(addr, size, v)?;
+                self.stats.stores += 1;
+            }
+            Instr::Clc { rd, rs1, offset } => {
+                let auth = self.cpu.read(rs1);
+                let addr = auth.address().wrapping_add(offset as u32);
+                auth.check_access(addr, GRANULE, Permissions::LD | Permissions::MC)
+                    .map_err(|f| cheri(rs1, f))?;
+                // The filter-strip trace event is stamped exactly: with a
+                // tracer installed the chained loop syncs `self.cycles`
+                // before every instruction.
+                let c = self.bus_read_cap(addr)?.attenuated_on_load(auth);
+                self.cpu.write(rd, c);
+                self.stats.cap_loads += 1;
+                self.pending_use = Some((rd, self.cfg.core.load_to_use));
             }
             Instr::Csc { rs2, rs1, offset } => {
                 let auth = self.cpu.read(rs1);
                 let addr = auth.address().wrapping_add(offset as u32);
-                if auth
-                    .check_access(addr, GRANULE, Permissions::SD | Permissions::MC)
-                    .is_ok()
-                {
-                    let c = self.cpu.read(rs2);
-                    // Local caps need SL on the authority (the
-                    // trapping case bails).
-                    if (!c.tag() || c.is_global() || auth.perms().contains(Permissions::SL))
-                        && self.sram.write_cap(addr, c).is_ok()
-                    {
-                        if self.cfg.hwm_enabled {
-                            self.cpu.note_store(addr);
-                        }
-                        self.revoker.snoop_store(addr);
-                        self.stats.cap_stores += 1;
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
+                auth.check_access(addr, GRANULE, Permissions::SD | Permissions::MC)
+                    .map_err(|f| cheri(rs1, f))?;
+                let c = self.cpu.read(rs2);
+                if c.tag() && !c.is_global() && !auth.perms().contains(Permissions::SL) {
+                    return Err(cheri(
+                        rs1,
+                        cheriot_cap::CapFault::PermissionViolation {
+                            needed: Permissions::SL,
+                        },
+                    ));
                 }
+                self.bus_write_cap(addr, c)?;
+                self.stats.cap_stores += 1;
             }
-            // An *interior* `j` is a superblock edge (chased at
-            // decode or appended by promotion): rd is x0 (no state
-            // change), the jump penalty was folded into
-            // `base_cycles`, and the next predecoded instruction's
-            // `pc` is the target. A `j` in last position takes the
-            // inline exit arm in `exec_chain` instead (charging the
-            // penalty here and there would double-count it).
-            Instr::Jal { rd, .. } if rd == Reg::ZERO && interior => true,
-            // An interior conditional branch is a promoted block's
-            // guard. It cannot trap; the caller charges the taken penalty
-            // and leaves the block when `npc` is not the next instruction.
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } if interior => {
-                let (npc, taken) = self.resolve_branch(cond, rs1, rs2, offset, pc);
-                return Fast::Guard { npc, taken };
-            }
-            _ => false,
-        };
-        if done {
-            Fast::Done
-        } else {
-            Fast::Bail
+            _ => return Ok(false),
         }
+        Ok(true)
     }
 
     /// Executes the predecoded block at slot `idx` (taken by the caller
@@ -1682,9 +1648,10 @@ impl Machine {
                 // An element the fast path refuses falls through to the
                 // checked loop at its `resume` index with nothing executed
                 // twice: `ins`/`cyc` are charged only after `exec_fast`
-                // succeeds, and a hazard stall consumed here stays consumed
+                // succeeds, a hazard stall consumed here stays consumed
                 // (`pending_use.take()`), matching the stepwise order of
-                // charge-then-execute. A guard that resolves away from the
+                // charge-then-execute, and a faulting store's high-water-mark
+                // note repeats to the same effect. A guard that resolves away from the
                 // next instruction charges its real cycles, retires, and
                 // leaves through the ordinary fall-through boundary; the
                 // bound covered its taken penalty.
@@ -1808,34 +1775,12 @@ impl Machine {
                         _ => {}
                     }
                     sync!();
-                    match self.exec(d.instr, pc) {
-                        Ok((extra, out)) => {
-                            // Always `advance`: this instruction may have
-                            // just kicked a sweep, which then takes its
-                            // idle cycles exactly as in `step_instr`.
-                            self.advance(d.base_cycles + extra, d.mem_beats);
-                            reload!();
-                            match out {
-                                PcOutcome::Advance => {}
-                                PcOutcome::Jumped => break 'body BodyExit::Jumped,
-                                PcOutcome::Stay => {
-                                    // `halt`: the PCC parks on the instruction.
-                                    self.finish_jump(pc);
-                                    break 'body BodyExit::Stop;
-                                }
-                            }
-                        }
-                        Err(t) => {
-                            // The trap reports the PC of the *offending*
-                            // instruction, not the block start. Sync the PCC
-                            // first: a double fault halts inside `enter_trap`
-                            // and leaves the PCC for post-mortem inspection.
-                            self.advance(d.base_cycles, 0);
-                            self.finish_jump(pc);
-                            self.enter_trap(t, pc);
-                            reload!();
-                            break 'body BodyExit::Jumped;
-                        }
+                    let out = self.retire(d);
+                    reload!();
+                    match out {
+                        PcOutcome::Advance => {}
+                        PcOutcome::Jumped => break 'body BodyExit::Jumped,
+                        PcOutcome::Stay => break 'body BodyExit::Stop,
                     }
                     let npc = block.insns.get(i + 1).map_or(pc.wrapping_add(4), |x| x.pc);
                     if self.halted.is_some() {
@@ -2079,8 +2024,9 @@ impl Machine {
                 return;
             }
         };
+        let d = PredecodedInsn::new(pc, instr, &self.cfg.core, self.cfg.load_filter, true);
         // Load-to-use hazard from the previous instruction.
-        let stall = self.take_stall(&instr.sources());
+        let stall = self.take_stall(&d.srcs);
         if stall != 0 {
             self.advance(stall, 0);
         }
@@ -2088,25 +2034,37 @@ impl Machine {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.emit(self.cycles, EventKind::InstrRetired { pc });
         }
-        let mut base_cycles = self.cfg.core.instr_cycles(&instr);
-        if self.cfg.load_filter {
-            // The revocation-bit lookup lengthens capability loads on cores
-            // whose pipeline cannot hide it (Ibex; free on Flute's 5-stage).
-            if let Instr::Clc { .. } = instr {
-                base_cycles += self.cfg.core.filter_load_to_use;
-            }
+        if self.retire(&d) == PcOutcome::Advance {
+            self.finish_jump(pc.wrapping_add(4));
         }
-        let mem_beats = self.cfg.core.mem_beats(&instr);
-        match self.exec(instr, pc) {
+    }
+
+    /// The general-path retirement of one instruction, shared by
+    /// [`Machine::step_instr`] and the checked loop of
+    /// [`Machine::exec_chain`]: executes `d` through [`Machine::exec`] and
+    /// charges `base + extra` cycles, or `base` on a trap. Charging always
+    /// goes through `advance`: the instruction may have just kicked a
+    /// revoker sweep, which then takes its idle cycles. A trap syncs the
+    /// PCC to the offending instruction first (a double fault halts
+    /// inside `enter_trap` and leaves the PCC for post-mortem inspection)
+    /// and returns [`PcOutcome::Jumped`]; a `halt` parks the PCC on the
+    /// instruction ([`PcOutcome::Stay`]). On [`PcOutcome::Advance`] the
+    /// caller owns the `pc + 4` update.
+    #[inline(always)]
+    fn retire(&mut self, d: &PredecodedInsn) -> PcOutcome {
+        match self.exec(d.instr, d.pc) {
             Ok((extra, out)) => {
-                self.advance(base_cycles + extra, mem_beats);
-                if out == PcOutcome::Advance {
-                    self.finish_jump(pc.wrapping_add(4));
+                self.advance(d.base_cycles + extra, d.mem_beats);
+                if out == PcOutcome::Stay {
+                    self.finish_jump(d.pc);
                 }
+                out
             }
             Err(t) => {
-                self.advance(base_cycles, 0);
-                self.enter_trap(t, pc);
+                self.advance(d.base_cycles, 0);
+                self.finish_jump(d.pc);
+                self.enter_trap(t, d.pc);
+                PcOutcome::Jumped
             }
         }
     }
@@ -2138,9 +2096,8 @@ impl Machine {
         let mut extra = 0;
         let mut next_pc = next;
         match instr {
-            pure_register!() => {
-                let done = self.exec_fast(&instr, pc, false) == Fast::Done;
-                debug_assert!(done);
+            inline_handled!() => {
+                self.exec_inline::<false>(&instr)?;
             }
             Instr::Auipcc { rd, imm } => {
                 let c = self.cpu.pcc.with_address(pc.wrapping_add(imm as u32));
@@ -2226,72 +2183,6 @@ impl Machine {
                 self.cpu.pcc = tc.with_address(addr);
                 extra += self.cfg.core.jump_penalty;
                 return Ok((extra, PcOutcome::Jumped));
-            }
-            Instr::Load {
-                width,
-                signed,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let auth = self.cpu.read(rs1);
-                let addr = auth.address().wrapping_add(offset as u32);
-                if self.cfg.cheri_enabled {
-                    auth.check_access(addr, width.bytes(), Permissions::LD)
-                        .map_err(|f| cheri(rs1, f))?;
-                }
-                let raw = self.bus_read(addr, width.bytes())?;
-                let v = if signed {
-                    sign_extend(raw, width.bytes())
-                } else {
-                    raw
-                };
-                self.cpu.write_int(rd, v);
-                self.stats.loads += 1;
-                self.pending_use = Some((rd, self.cfg.core.load_to_use));
-            }
-            Instr::Store {
-                width,
-                rs2,
-                rs1,
-                offset,
-            } => {
-                let auth = self.cpu.read(rs1);
-                let addr = auth.address().wrapping_add(offset as u32);
-                if self.cfg.cheri_enabled {
-                    auth.check_access(addr, width.bytes(), Permissions::SD)
-                        .map_err(|f| cheri(rs1, f))?;
-                }
-                let v = self.cpu.read_int(rs2);
-                self.bus_write(addr, width.bytes(), v)?;
-                self.stats.stores += 1;
-            }
-            Instr::Clc { rd, rs1, offset } => {
-                let auth = self.cpu.read(rs1);
-                let addr = auth.address().wrapping_add(offset as u32);
-                auth.check_access(addr, GRANULE, Permissions::LD | Permissions::MC)
-                    .map_err(|f| cheri(rs1, f))?;
-                let c = self.bus_read_cap(addr)?.attenuated_on_load(auth);
-                self.cpu.write(rd, c);
-                self.stats.cap_loads += 1;
-                self.pending_use = Some((rd, self.cfg.core.load_to_use));
-            }
-            Instr::Csc { rs2, rs1, offset } => {
-                let auth = self.cpu.read(rs1);
-                let addr = auth.address().wrapping_add(offset as u32);
-                auth.check_access(addr, GRANULE, Permissions::SD | Permissions::MC)
-                    .map_err(|f| cheri(rs1, f))?;
-                let c = self.cpu.read(rs2);
-                if c.tag() && !c.is_global() && !auth.perms().contains(Permissions::SL) {
-                    return Err(cheri(
-                        rs1,
-                        cheriot_cap::CapFault::PermissionViolation {
-                            needed: Permissions::SL,
-                        },
-                    ));
-                }
-                self.bus_write_cap(addr, c)?;
-                self.stats.cap_stores += 1;
             }
             Instr::CSeal { rd, rs1, rs2 } => {
                 let c = self.cpu.read(rs1);
@@ -2556,7 +2447,8 @@ enum Fast {
     /// Executed: nothing beyond `base_cycles` accrued and control falls
     /// through to the next predecoded instruction.
     Done,
-    /// Refused with nothing mutated: re-execute through `exec`.
+    /// Refused: re-execute through `exec`, which repeats the instruction
+    /// from scratch (see `Machine::exec_fast` for what a bail may leave).
     Bail,
     /// A guard (interior conditional branch of a promoted block) resolved
     /// to `npc`; `taken` says whether it pays the taken-branch penalty.

@@ -102,6 +102,25 @@ fn stepwise() -> Machine {
     .0
 }
 
+/// Every block either fork holds from `base` to the end of code,
+/// promoted superblocks included, is the same `Arc` in the other, and
+/// they hold some.
+fn assert_same_blocks(a: &Machine, b: &Machine, base: u32) {
+    let mut held = 0;
+    for pc in (base..a.code_end()).step_by(4) {
+        match (a.cached_block(pc), b.cached_block(pc)) {
+            (Some(x), Some(y)) => {
+                assert!(Arc::ptr_eq(&x, &y), "block at {pc:#x}");
+                held += 1;
+            }
+            (None, None) => {}
+            other => panic!("at {pc:#x} only one fork holds a block: {other:?}"),
+        }
+    }
+    assert_eq!(held, a.blocks_resident());
+    assert!(held > 0);
+}
+
 #[test]
 fn a_second_fork_builds_nothing_and_holds_the_same_blocks() {
     let (mut m, base) = loaded();
@@ -120,21 +139,7 @@ fn a_second_fork_builds_nothing_and_holds_the_same_blocks() {
         sb.promotions, sa.promotions,
         "dispatch history is per machine"
     );
-    // Every block either fork holds, promoted superblocks included, is
-    // the same `Arc` in the other.
-    let mut held = 0;
-    for pc in (base..m.code_end()).step_by(4) {
-        match (a.cached_block(pc), b.cached_block(pc)) {
-            (Some(x), Some(y)) => {
-                assert!(Arc::ptr_eq(&x, &y), "block at {pc:#x}");
-                held += 1;
-            }
-            (None, None) => {}
-            other => panic!("at {pc:#x} only one fork holds a block: {other:?}"),
-        }
-    }
-    assert_eq!(held, a.blocks_resident());
-    assert!(held > 0);
+    assert_same_blocks(&a, &b, base);
     // The parent never ran: it holds no block, and would adopt them all.
     assert_eq!(m.blocks_resident(), 0);
     assert_eq!(finish(&mut m), want, "parent");
@@ -206,4 +211,24 @@ fn an_in_place_patch_empties_the_store() {
         "nothing left to adopt"
     );
     assert!(fork.block_stats().misses > forked.misses);
+}
+
+#[test]
+fn patching_in_the_instruction_already_there_changes_nothing() {
+    // A store of the word already in place (a device rewriting the same
+    // code, or a fault flip the decoder ignores) is no edit: the fork
+    // keeps its generation and the blocks it shares with its sibling.
+    let (mut m, base) = loaded();
+    let snap = m.snapshot();
+    let (mut a, mut b) = (snap.to_machine(), snap.to_machine());
+    let want = finish(&mut stepwise());
+    assert_eq!(finish(&mut a), want);
+    assert_eq!(finish(&mut b), want);
+    let patch = base + 12;
+    let current = a.code_at(patch).unwrap();
+    let gen = a.code_generation();
+    assert_eq!(a.patch_code(patch, current), Ok(current));
+    assert_eq!(a.code_generation(), gen);
+    assert_eq!(a.block_stats().invalidated, b.block_stats().invalidated);
+    assert_same_blocks(&a, &b, base);
 }

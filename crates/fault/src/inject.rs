@@ -280,7 +280,10 @@ impl Injector {
     /// invalidates every cached predecoded block covering the address, so
     /// the next execution sees the corrupted instruction. Skipped when the
     /// address holds no instruction or the flipped word no longer decodes.
-    /// Debug-asserts that the patch bumped the machine's block-cache
+    /// A flip of a bit the decoder ignores yields the same instruction:
+    /// the patch then changes nothing and invalidates nothing, but the
+    /// effect is still reported as a flip. Debug-asserts that a patch
+    /// that changed the instruction bumped the machine's block-cache
     /// coherence generation.
     fn flip_code_bit(m: &mut Machine, addr: u32, bit: u32) -> InjectEffect {
         let Some(old) = m.code_at(addr) else {
@@ -297,8 +300,8 @@ impl Injector {
             return InjectEffect::Skipped;
         }
         debug_assert!(
-            m.code_generation() > generation,
-            "patch_code must bump the block-cache generation"
+            new == old || m.code_generation() > generation,
+            "a patch that changes the instruction must bump the block-cache generation"
         );
         InjectEffect::CodeBitFlipped { addr, bit }
     }

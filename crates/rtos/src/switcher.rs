@@ -85,31 +85,9 @@ impl Switcher {
         thread: &mut Thread,
         hwm_enabled: bool,
     ) -> Result<u32, TrapCause> {
-        let t0 = m.cycles;
         self.stats.calls += 1;
-        let beats = self.costs.call_cap_stores * m.cfg().core.cap_beats();
-        let mut instrs = self.costs.call_instrs + self.costs.call_cap_stores;
-        if hwm_enabled {
-            instrs += self.costs.hwm_csr_instrs;
-        }
-        m.advance(instrs, beats);
-
-        // Zero the part of the stack the callee will receive. Without the
-        // high-water mark the switcher cannot know what is dirty and must
-        // clear the entire unused portion; with it, only [hwm, sp).
-        let (lo, hi) = if hwm_enabled {
-            (thread.hwm.max(thread.stack_base), thread.sp)
-        } else {
-            (thread.stack_base, thread.sp)
-        };
-        let len = hi.saturating_sub(lo);
-        if len > 0 {
-            m.meter().zero(thread.stack_cap, lo, len)?;
-        }
-        thread.hwm = thread.sp; // reset: everything below sp is now clean
-        self.stats.zeroed_bytes += u64::from(len);
-        self.stats.cycles += m.cycles - t0;
-        Ok(len)
+        let (instrs, cap_ops) = (self.costs.call_instrs, self.costs.call_cap_stores);
+        self.clear_stack(m, thread, hwm_enabled, instrs, cap_ops)
     }
 
     /// Performs the return-path work: zeroes what the callee used
@@ -125,24 +103,43 @@ impl Switcher {
         thread: &mut Thread,
         hwm_enabled: bool,
     ) -> Result<u32, TrapCause> {
+        let (instrs, cap_ops) = (self.costs.ret_instrs, self.costs.ret_cap_loads);
+        self.clear_stack(m, thread, hwm_enabled, instrs, cap_ops)
+    }
+
+    /// The work both switcher paths share: charges `instrs` plus `cap_ops`
+    /// capability moves (and the HWM CSR accesses when that hardware is
+    /// present), then zeroes the stack below `sp` that may be dirty and
+    /// resets the high-water mark to `sp`. Without the high-water mark
+    /// the switcher cannot know what is dirty and must clear the entire
+    /// unused portion; with it, only `[hwm, sp)`. Returns the bytes
+    /// zeroed.
+    fn clear_stack(
+        &mut self,
+        m: &mut Machine,
+        thread: &mut Thread,
+        hwm_enabled: bool,
+        instrs: u64,
+        cap_ops: u64,
+    ) -> Result<u32, TrapCause> {
         let t0 = m.cycles;
-        let beats = self.costs.ret_cap_loads * m.cfg().core.cap_beats();
-        let mut instrs = self.costs.ret_instrs + self.costs.ret_cap_loads;
+        let beats = cap_ops * m.cfg().core.cap_beats();
+        let mut instrs = instrs + cap_ops;
         if hwm_enabled {
             instrs += self.costs.hwm_csr_instrs;
         }
         m.advance(instrs, beats);
 
-        let (lo, hi) = if hwm_enabled {
-            (thread.hwm.max(thread.stack_base), thread.sp)
+        let lo = if hwm_enabled {
+            thread.hwm.max(thread.stack_base)
         } else {
-            (thread.stack_base, thread.sp)
+            thread.stack_base
         };
-        let len = hi.saturating_sub(lo);
+        let len = thread.sp.saturating_sub(lo);
         if len > 0 {
             m.meter().zero(thread.stack_cap, lo, len)?;
         }
-        thread.hwm = thread.sp;
+        thread.hwm = thread.sp; // reset: everything below sp is now clean
         self.stats.zeroed_bytes += u64::from(len);
         self.stats.cycles += m.cycles - t0;
         Ok(len)

@@ -101,10 +101,9 @@ impl Tracer {
     }
 
     /// Close out a run: settle cycle attribution up to the machine's
-    /// final cycle counter and flush the sink.
-    pub fn finish(&mut self, cycles: u64) -> std::io::Result<()> {
+    /// final cycle counter.
+    pub fn finish(&mut self, cycles: u64) {
         self.metrics.settle(cycles);
-        self.sink.flush()
     }
 
     /// Export the buffered events as Chrome `trace_event` JSON.

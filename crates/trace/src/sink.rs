@@ -16,18 +16,12 @@ pub trait TraceSink: std::fmt::Debug + Send {
     /// Record one event.
     fn record(&mut self, ev: TraceEvent);
 
-    /// The buffered events, oldest first. Streaming sinks return an empty
-    /// vector.
+    /// The buffered events, oldest first.
     fn events(&self) -> Vec<TraceEvent>;
 
     /// Number of events this sink has accepted over its lifetime (not the
     /// number currently buffered).
     fn recorded(&self) -> u64;
-
-    /// Flush any underlying writer.
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 /// Keeps the last `depth` events, evicting the oldest.

@@ -312,7 +312,7 @@ fn run_iot_app_inner(
         led_writes: rtos.machine.gpio_writes,
     };
     let tracer = rtos.machine.take_tracer().map(|mut t| {
-        let _ = t.finish(rtos.machine.cycles);
+        t.finish(rtos.machine.cycles);
         t
     });
     (report, tracer)
