@@ -307,13 +307,16 @@ impl Fingerprint {
 }
 
 /// Dispatch modes as `(block_cache, block_chain)`. The engine runs
-/// every seed chained; the test oracle runs its reference stepwise, and
-/// only the cross-mode equivalence tests exercise the cached middle mode.
-#[cfg(test)]
+/// every seed stepwise: a seed's code is branch-free and each of its
+/// blocks would run exactly twice (reference, then faulted fork), so
+/// building blocks costs more than it saves. The test oracle runs its
+/// faulted boot chained, and the cross-mode equivalence tests exercise
+/// all three modes.
 const STEPWISE: (bool, bool) = (false, false);
 #[cfg(test)]
 const CACHED: (bool, bool) = (true, false);
-/// Block cache + chaining + superblocks — the default path.
+/// Block cache + chaining + superblocks — the machine default.
+#[cfg(test)]
 const CHAINED: (bool, bool) = (true, true);
 
 /// Boots a campaign machine under `dispatch`: ibex core, a heap with
@@ -562,13 +565,13 @@ fn run_faulted_phase(
 /// snapshot buffer, and the boot-state allocator to clone per run.
 ///
 /// A seed costs two O(dirty) restores, one workload build and one
-/// `HeapAllocator` clone per run, and no boot. The reference runs chained
-/// (the test oracle runs it stepwise): dispatch is architecturally
-/// invisible — cycles, fingerprints and trap PCs are identical in every
-/// mode, which
+/// `HeapAllocator` clone per run, and no boot. The machine boots
+/// stepwise, so the reference run, the faulted fork and the control run
+/// build no predecoded blocks (`seed_worker_builds_no_blocks` pins
+/// this). Dispatch is architecturally invisible — cycles, fingerprints
+/// and trap PCs are identical in every mode, which
 /// `faulted_runs_identical_across_dispatch_modes` and the oracle test
-/// assert — and the faulted fork then inherits the reference run's
-/// decoded blocks through the snapshot.
+/// (whose faulted boot runs chained) assert.
 struct SeedWorker {
     m: Machine,
     boot_heap: HeapAllocator,
@@ -580,7 +583,7 @@ struct SeedWorker {
 
 impl SeedWorker {
     fn new() -> Result<SeedWorker, String> {
-        let (mut m, boot_heap) = boot(CHAINED)?;
+        let (mut m, boot_heap) = boot(STEPWISE)?;
         let boot_snap = m.snapshot();
         let seed_snap = boot_snap.clone();
         Ok(SeedWorker {
@@ -628,8 +631,7 @@ impl SeedWorker {
         let reference = Fingerprint::take(r_ref, &mut self.m);
         let ref_cycles = self.m.cycles.max(1);
         let ref_instructions = self.m.stats.instructions;
-        // Fork the faulted run from the post-load snapshot; it inherits
-        // every block the reference run decoded.
+        // Fork the faulted run from the post-load snapshot.
         self.m.restore_from(&self.seed_snap);
         let mut heap = self.boot_heap.clone();
         run_faulted_phase(
@@ -964,10 +966,11 @@ mod tests {
     }
 
     #[test]
-    fn block_cache_smoke_64_seeds_zero_silent_divergence() {
-        // A 64-seed headline campaign where every run executes through
-        // the chained block cache. Any cache-induced drift between the
-        // reference and the faulted fork would surface as
+    fn engine_smoke_64_seeds_4_threads_zero_silent_divergence() {
+        // A 64-seed headline campaign through the engine on 4 workers,
+        // each reusing its machine across the seeds it steals. Any state
+        // leaking from one seed into the next, or any drift between the
+        // reference and the faulted fork, would surface as a panic or a
         // SilentDivergence.
         let cfg = CampaignConfig {
             seed_base: 1,
@@ -985,6 +988,34 @@ mod tests {
             report.to_text()
         );
         assert!(!report.failed());
+    }
+
+    #[test]
+    fn seed_worker_builds_no_blocks() {
+        // The engine runs stepwise: every seed's reference run, its
+        // faulted fork (code faults included) and the control run
+        // execute without building or adopting a predecoded block.
+        let cfg = CampaignConfig {
+            classes: vec![
+                FaultClass::Tag,
+                FaultClass::Bounds,
+                FaultClass::Bitmap,
+                FaultClass::Code,
+            ],
+            ..CampaignConfig::default()
+        };
+        let mut w = SeedWorker::new().unwrap();
+        let mut applied = 0;
+        for seed in 40u64..48 {
+            applied += w.run_seed(seed, &cfg).faults_applied;
+            let b = w.m.block_stats();
+            assert_eq!((b.misses, b.shared), (0, 0), "seed {seed}");
+        }
+        assert!(applied > 0, "no fault was applied");
+        let mut heap = w.load(cfg.seed_base).unwrap();
+        assert!(check_clean_run(&mut w.m, &mut heap, &cfg).is_empty());
+        let b = w.m.block_stats();
+        assert_eq!((b.misses, b.shared), (0, 0), "control run");
     }
 
     #[test]
