@@ -186,26 +186,18 @@ impl GoldenMem {
     }
 }
 
-/// What kind of lockstep checkpoint the golden model recorded.
+/// A lockstep comparison point: an instruction boundary the comparator
+/// drives every engine to, and why it stops there. The run's final state
+/// is the exit compare and is not a checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// Right after a trap or interrupt was entered.
-    Trap,
-    /// The first instruction boundary past the snapshot/fork point (the
-    /// comparator round-trips the engines through snapshot/restore here).
-    Fork,
-    /// The final state (halt, fault, idle, or cycle budget exhausted).
-    Exit,
-}
-
-/// A lockstep comparison point: the cycle count the engine must be driven
-/// to, and why.
-#[derive(Clone, Copy, Debug)]
 pub struct Checkpoint {
     /// Golden cycle count at the boundary.
     pub cycles: u64,
-    /// Why this boundary was recorded.
-    pub kind: CheckpointKind,
+    /// The atom that ended here entered a trap or interrupt.
+    pub trap: bool,
+    /// The first boundary at or past the fork point: the comparator
+    /// round-trips the engine through snapshot/restore here.
+    pub fork: bool,
 }
 
 /// Dynamic coverage the golden run observed, merged across seeds by the
@@ -401,38 +393,40 @@ impl Golden {
         }
     }
 
-    /// Runs to completion or `max_cycles`, recording a [`Checkpoint`] at
-    /// every trap/interrupt entry, at the first instruction boundary past
-    /// `fork_at` cycles (if given), and at exit.
+    /// Runs to completion or `max_cycles` and lists the run's lockstep
+    /// checkpoints (see [`Golden::next_checkpoint`]) for a fork at
+    /// `fork_at` cycles, if given.
     pub fn run(&mut self, max_cycles: u64, fork_at: Option<u64>) -> Vec<Checkpoint> {
         let limit = self.cycles.saturating_add(max_cycles);
-        let mut cps = Vec::new();
-        let mut fork_pending = fork_at;
-        loop {
-            if let Some(f) = fork_pending {
-                if self.cycles >= f && self.halted.is_none() {
-                    cps.push(Checkpoint {
-                        cycles: self.cycles,
-                        kind: CheckpointKind::Fork,
-                    });
-                    fork_pending = None;
-                }
+        let mut fork_at = fork_at;
+        std::iter::from_fn(|| self.next_checkpoint(limit, &mut fork_at)).collect()
+    }
+
+    /// Steps atom by atom to the next lockstep checkpoint: the end of an
+    /// atom that entered a trap, or of the first atom to reach `*fork_at`
+    /// cycles (which clears `*fork_at`). Returns `None` once halted or at
+    /// `limit` cycles, where only the exit compare is left. This is the
+    /// one definition of where lockstep compares.
+    pub(crate) fn next_checkpoint(
+        &mut self,
+        limit: u64,
+        fork_at: &mut Option<u64>,
+    ) -> Option<Checkpoint> {
+        while self.halted.is_none() && self.cycles < limit {
+            let trap = self.step();
+            let fork = fork_at.is_some_and(|f| self.cycles >= f);
+            if fork {
+                *fork_at = None;
             }
-            if self.halted.is_some() || self.cycles >= limit {
-                break;
-            }
-            if self.step() {
-                cps.push(Checkpoint {
+            if trap || fork {
+                return Some(Checkpoint {
                     cycles: self.cycles,
-                    kind: CheckpointKind::Trap,
+                    trap,
+                    fork,
                 });
             }
         }
-        cps.push(Checkpoint {
-            cycles: self.cycles,
-            kind: CheckpointKind::Exit,
-        });
-        cps
+        None
     }
 
     /// Why the run stopped (mirrors the engine's `exit_reason`; the golden

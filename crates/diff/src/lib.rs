@@ -13,10 +13,11 @@
 //!   toward capability operations, sentries, interrupt-posture changes,
 //!   and bounds-representability edges, with structural well-formedness
 //!   guarantees (no sandbox escape, guaranteed termination).
-//! - [`lockstep`] — runs each program on the golden model and an engine
-//!   configuration in lockstep, comparing *full* architectural state at
-//!   every trap, at a mid-run snapshot/restore round-trip, and at exit,
-//!   with instruction-granular first-divergence triage.
+//! - [`lockstep`] — records each program's golden run once per core and
+//!   checks every engine configuration against it in lockstep, comparing
+//!   *full* architectural state at every trap, at a mid-run
+//!   snapshot/restore round-trip, and at exit, with instruction-granular
+//!   first-divergence triage.
 //! - [`report`] — typed text/JSON campaign reports over the workspace's
 //!   JSON codec, [`cheriot_trace::json`].
 //!
@@ -44,8 +45,10 @@ pub mod lockstep;
 pub mod report;
 
 pub use generator::{generate, shrink, Op, Profile, Program};
-pub use golden::{Checkpoint, CheckpointKind, Coverage, Golden, GoldenMem, OPCODE_NAMES};
-pub use lockstep::{build_engine, compare, run_pair, Divergence, Mismatch, Tweak, DISPATCH_MODES};
+pub use golden::{Checkpoint, Coverage, Golden, GoldenMem, OPCODE_NAMES};
+pub use lockstep::{
+    build_engine, compare, run_pair, Divergence, Mismatch, Reference, Tweak, DISPATCH_MODES,
+};
 pub use report::FuzzReport;
 
 use cheriot_core::insn::{AluOp, Instr, Reg};
@@ -101,12 +104,15 @@ pub struct SeedResult {
     pub divergence: Option<Divergence>,
 }
 
-/// Runs one seed: generates its program, then lockstep-compares it on
-/// every dispatch mode × core model, round-tripping the engine through
-/// snapshot/restore halfway along. On divergence, shrinks the program to
-/// a minimal repro and reports that.
+/// Runs one seed: generates and lowers its program, then per core model
+/// makes a golden dry run (which fixes the fork point, half the run, and
+/// harvests coverage), records the golden run once ([`Reference`]) and
+/// checks every dispatch mode against that recording, round-tripping the
+/// engine through snapshot/restore at the fork. On divergence, shrinks
+/// the program to a minimal repro and reports that.
 pub fn run_seed(seed: u64, cfg: &DiffConfig, tweak: Option<Tweak>) -> SeedResult {
     let prog = generate(seed, &cfg.profile);
+    let instrs = prog.instrs();
     let mut result = SeedResult {
         seed,
         instructions: 0,
@@ -115,43 +121,26 @@ pub fn run_seed(seed: u64, cfg: &DiffConfig, tweak: Option<Tweak>) -> SeedResult
         divergence: None,
     };
     for (core_name, core) in core_models() {
-        // A golden-only dry run fixes the fork point (half the run) and
-        // harvests coverage once per core.
-        let mut dry = Golden::new(core, &prog.instrs());
+        let mut dry = Golden::new(core, &instrs);
         dry.run(cfg.budget_cycles, None);
         result.instructions += dry.stats.instructions;
         result.coverage.merge(&dry.coverage);
-        let fork_at = if dry.cycles >= 4 {
-            Some(dry.cycles / 2)
-        } else {
-            None
-        };
+        let fork_at = (dry.cycles >= 4).then_some(dry.cycles / 2);
+        let reference = Reference::record(&prog, &instrs, core, cfg.budget_cycles, fork_at);
         for (dispatch_name, dispatch) in DISPATCH_MODES {
             result.pairs += 1;
-            match run_pair(
-                &prog,
-                core,
-                core_name,
-                dispatch_name,
-                dispatch,
-                cfg.budget_cycles,
-                fork_at,
-                tweak,
-            ) {
-                Ok(_) => {}
-                Err(d) => {
-                    if result.divergence.is_none() {
-                        result.divergence = Some(shrink_divergence(
-                            &prog,
-                            *d,
-                            core,
-                            core_name,
-                            dispatch_name,
-                            dispatch,
-                            cfg,
-                            tweak,
-                        ));
-                    }
+            if let Err(d) = reference.check(core_name, dispatch_name, dispatch, tweak) {
+                if result.divergence.is_none() {
+                    result.divergence = Some(shrink_divergence(
+                        &prog,
+                        *d,
+                        core,
+                        core_name,
+                        dispatch_name,
+                        dispatch,
+                        cfg,
+                        tweak,
+                    ));
                 }
             }
         }

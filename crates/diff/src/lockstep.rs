@@ -1,17 +1,22 @@
-//! Lockstep execution of a generated program on the golden model and one
-//! engine configuration, with full-state comparison and first-divergence
+//! Lockstep execution of a generated program on the golden model and the
+//! engine configurations, with full-state comparison and first-divergence
 //! triage.
 //!
 //! The protocol leans on one architectural fact: every trap/interrupt
 //! entry is an inter-instruction boundary, and both the golden model and
 //! every engine dispatch mode re-check their cycle budget at those same
-//! boundaries. So the golden model steps one atom at a time, and whenever
-//! it crosses a comparison point (a trap, the snapshot fork, exit) the
+//! boundaries. So the golden model steps one atom at a time, and at each
+//! comparison point it crosses (a trap, the snapshot fork, exit) the
 //! engine is *driven to the same cycle count* with `Machine::run`. If the
 //! two are byte-identical the engine lands exactly on the boundary; if
 //! not, the cycle counters themselves disagree and the comparison reports
 //! it — there is no way for a divergent engine to sneak past a
 //! checkpoint.
+//!
+//! The golden run is deterministic, so it is **recorded once per core,
+//! checked per mode**: a [`Reference`] keeps the compared state at every
+//! checkpoint and the final golden model, and each dispatch mode's engine
+//! is checked against that one recording.
 //!
 //! Comparison is **total state**, not spot checks: the whole [`Cpu`]
 //! (register file with tags, PCC, all SCRs, interrupt flags, trap CSRs),
@@ -20,11 +25,13 @@
 //! and every capability tag, compared page by page and 64 tags at a time.
 
 use crate::generator::Program;
-use crate::golden::Golden;
-use cheriot_core::insn::Reg;
-use cheriot_core::machine::{layout, Machine, MachineConfig};
+use crate::golden::{Checkpoint, Golden};
+use cheriot_core::cpu::Cpu;
+use cheriot_core::insn::{Instr, Reg};
+use cheriot_core::machine::{layout, ExitReason, Machine, MachineConfig, Stats};
 use cheriot_core::mem::{GRANULE, PAGE_SIZE, PAGE_TAG_WORDS};
 use cheriot_core::pipeline::CoreModel;
+use cheriot_core::trap::TrapCause;
 use std::fmt::Debug;
 
 /// `(block_cache, block_chain)` triples the fuzzer compares.
@@ -89,7 +96,7 @@ pub struct Divergence {
 /// Builds an engine machine for `core` and `dispatch`, loads `prog`, and
 /// applies the optional tweak.
 pub fn build_engine(
-    prog: &[cheriot_core::insn::Instr],
+    prog: &[Instr],
     core: CoreModel,
     dispatch: (bool, bool),
     tweak: Option<Tweak>,
@@ -116,10 +123,139 @@ fn drive(m: &mut Machine, target: u64) {
     }
 }
 
+/// The architectural state compared at every checkpoint: everything but
+/// memory, which is compared once, at exit.
+struct State {
+    cycles: u64,
+    cpu: Cpu,
+    mtimecmp: u64,
+    stats: Stats,
+    pending_use: Option<(Reg, u64)>,
+    halted: Option<ExitReason>,
+    last_trap: Option<TrapCause>,
+}
+
+impl State {
+    fn of(g: &Golden) -> State {
+        State {
+            cycles: g.cycles,
+            cpu: g.cpu.clone(),
+            mtimecmp: g.mtimecmp,
+            stats: g.stats,
+            pending_use: g.pending_use,
+            halted: g.halted,
+            last_trap: g.last_trap,
+        }
+    }
+}
+
+/// One golden run of a program on one core, recorded once so that any
+/// number of engine configurations can be checked against it: the
+/// compared state at every [`Checkpoint`], and the final golden model,
+/// memory and tags included, for the exit compare.
+pub struct Reference {
+    seed: u64,
+    budget: u64,
+    checkpoints: Vec<(Checkpoint, State)>,
+    golden: Golden,
+}
+
+impl Reference {
+    /// Runs `instrs` (`prog` lowered) on a fresh golden model for `core`,
+    /// within `budget` cycles, recording the state at every checkpoint of
+    /// a run that forks at `fork_at` cycles, if given.
+    pub fn record(
+        prog: &Program,
+        instrs: &[Instr],
+        core: CoreModel,
+        budget: u64,
+        fork_at: Option<u64>,
+    ) -> Reference {
+        let mut golden = Golden::new(core, instrs);
+        let mut fork_at = fork_at;
+        let mut checkpoints = Vec::new();
+        while let Some(cp) = golden.next_checkpoint(budget, &mut fork_at) {
+            checkpoints.push((cp, State::of(&golden)));
+        }
+        Reference {
+            seed: prog.seed,
+            budget,
+            checkpoints,
+            golden,
+        }
+    }
+
+    /// The recorded checkpoints, in run order.
+    pub fn checkpoints(&self) -> impl Iterator<Item = Checkpoint> + '_ {
+        self.checkpoints.iter().map(|&(cp, _)| cp)
+    }
+
+    /// The golden model as the run left it.
+    pub fn golden(&self) -> &Golden {
+        &self.golden
+    }
+
+    /// Checks the `dispatch` engine for the recorded core against the
+    /// recording: at each checkpoint it drives the engine to the recorded
+    /// cycle count and compares state, round-trips it through
+    /// snapshot/restore at the fork and compares again, and at exit
+    /// compares state, memory and tags. The first disagreement is
+    /// reported with instruction-level triage.
+    pub fn check(
+        &self,
+        core_name: &str,
+        dispatch_name: &str,
+        dispatch: (bool, bool),
+        tweak: Option<Tweak>,
+    ) -> Result<(), Box<Divergence>> {
+        let (instrs, core) = (&self.golden.code, self.golden.core);
+        let mut m = build_engine(instrs, core, dispatch, tweak);
+        let diverged = |checkpoint: String, mismatches: Vec<Mismatch>| {
+            Box::new(Divergence {
+                seed: self.seed,
+                core: core_name.to_string(),
+                dispatch: dispatch_name.to_string(),
+                checkpoint,
+                mismatches,
+                first: triage(instrs, core, dispatch, self.budget, tweak),
+                program_len: instrs.len(),
+                listing: instrs.iter().map(|i| format!("{i:?}")).collect(),
+            })
+        };
+
+        for (cp, state) in &self.checkpoints {
+            drive(&mut m, cp.cycles);
+            let mm = compare_state(state, &m);
+            if !mm.is_empty() {
+                let kind = if cp.trap { "trap" } else { "fork" };
+                return Err(diverged(format!("{kind}@{}", cp.cycles), mm));
+            }
+            if cp.fork {
+                // Snapshot/restore round-trip mid-run: the forked machine
+                // must be indistinguishable from the original.
+                m = m.snapshot().to_machine();
+                let mm = compare_state(state, &m);
+                if !mm.is_empty() {
+                    return Err(diverged(format!("snapshot@{}", cp.cycles), mm));
+                }
+            }
+        }
+        let g = &self.golden;
+        drive(&mut m, g.cycles);
+        let mm = compare(g, &m, true);
+        if !mm.is_empty() {
+            return Err(diverged(format!("exit@{}", g.cycles), mm));
+        }
+        Ok(())
+    }
+}
+
 /// Runs `prog` in lockstep on the golden model and the `(core, dispatch)`
-/// engine. `budget` bounds the run; `fork_at` (cycles) round-trips the
-/// engine through snapshot/restore at the first boundary past it. Returns
-/// the surviving golden model on success so callers can harvest coverage.
+/// engine: records the golden run ([`Reference::record`]) and checks the
+/// engine against it ([`Reference::check`]). `budget` bounds the run;
+/// `fork_at` (cycles) round-trips the engine through snapshot/restore at
+/// the first boundary at or past it. Returns the surviving golden model on
+/// success so callers can harvest coverage.
 #[allow(clippy::too_many_arguments)]
 pub fn run_pair(
     prog: &Program,
@@ -131,59 +267,25 @@ pub fn run_pair(
     fork_at: Option<u64>,
     tweak: Option<Tweak>,
 ) -> Result<Golden, Box<Divergence>> {
-    let instrs = prog.instrs();
-    let mut g = Golden::new(core, &instrs);
-    let mut m = build_engine(&instrs, core, dispatch, tweak);
-    let mut forked = fork_at.is_none();
-
-    let diverged = |checkpoint: String, mismatches: Vec<Mismatch>| {
-        Box::new(Divergence {
-            seed: prog.seed,
-            core: core_name.to_string(),
-            dispatch: dispatch_name.to_string(),
-            checkpoint,
-            mismatches,
-            first: triage(prog, core, dispatch, budget, tweak),
-            program_len: instrs.len(),
-            listing: instrs.iter().map(|i| format!("{i:?}")).collect(),
-        })
-    };
-
-    while g.halted.is_none() && g.cycles < budget {
-        let trapped = g.step();
-        let fork_here = !forked && fork_at.is_some_and(|f| g.cycles >= f);
-        if trapped || fork_here {
-            drive(&mut m, g.cycles);
-            let mm = compare(&g, &m, false);
-            if !mm.is_empty() {
-                let kind = if trapped { "trap" } else { "fork" };
-                return Err(diverged(format!("{kind}@{}", g.cycles), mm));
-            }
-            if fork_here {
-                // Snapshot/restore round-trip mid-run: the forked machine
-                // must be indistinguishable from the original.
-                m = m.snapshot().to_machine();
-                forked = true;
-                let mm = compare(&g, &m, false);
-                if !mm.is_empty() {
-                    return Err(diverged(format!("snapshot@{}", g.cycles), mm));
-                }
-            }
-        }
-    }
-    drive(&mut m, g.cycles);
-    let mm = compare(&g, &m, true);
-    if !mm.is_empty() {
-        return Err(diverged(format!("exit@{}", g.cycles), mm));
-    }
-    Ok(g)
+    let reference = Reference::record(prog, &prog.instrs(), core, budget, fork_at);
+    reference.check(core_name, dispatch_name, dispatch, tweak)?;
+    Ok(reference.golden)
 }
 
-/// Full architectural-state comparison; `with_memory` additionally
-/// compares the whole SRAM bank (bytes and capability tags) — done at
-/// exit, where it proves the whole run, not just the live registers.
-/// Fields are compared by value and formatted only when they differ.
+/// Full architectural-state comparison; `with_memory` additionally compares the whole SRAM bank (bytes and
+/// capability tags) — done at exit, where it proves the whole run, not
+/// just the live registers.
 pub fn compare(g: &Golden, m: &Machine, with_memory: bool) -> Vec<Mismatch> {
+    let mut out = compare_state(&State::of(g), m);
+    if with_memory {
+        compare_memory(g, m, &mut out);
+    }
+    out
+}
+
+/// Compares every piece of recorded state with the engine's. Fields are
+/// compared by value and formatted only when they differ.
+fn compare_state(g: &State, m: &Machine) -> Vec<Mismatch> {
     let mut out = Vec::new();
     check(&mut out, "cycles", &g.cycles, &m.cycles);
     if g.cpu != m.cpu {
@@ -228,10 +330,6 @@ pub fn compare(g: &Golden, m: &Machine, with_memory: bool) -> Vec<Mismatch> {
     );
     check(&mut out, "exit", &g.halted, &m.exit_status());
     check(&mut out, "last_trap", &g.last_trap, &m.last_trap());
-
-    if with_memory {
-        compare_memory(g, m, &mut out);
-    }
     out
 }
 
@@ -297,15 +395,14 @@ fn compare_memory(g: &Golden, m: &Machine, out: &mut Vec<Mismatch>) {
 /// Instruction-granular re-run: fresh golden + fresh engine, compared
 /// after *every* atom, to name the first diverging instruction.
 fn triage(
-    prog: &Program,
+    instrs: &[Instr],
     core: CoreModel,
     dispatch: (bool, bool),
     budget: u64,
     tweak: Option<Tweak>,
 ) -> Option<FirstDivergence> {
-    let instrs = prog.instrs();
-    let mut g = Golden::new(core, &instrs);
-    let mut m = build_engine(&instrs, core, dispatch, tweak);
+    let mut g = Golden::new(core, instrs);
+    let mut m = build_engine(instrs, core, dispatch, tweak);
     while g.halted.is_none() && g.cycles < budget {
         let pc = g.cpu.pc();
         g.step();

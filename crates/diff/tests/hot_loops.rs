@@ -8,7 +8,7 @@
 //! landing inside the loop.
 
 use cheriot_core::insn::{AluOp, BranchCond, Instr, MemWidth, Reg};
-use cheriot_diff::{build_engine, core_models, run_pair, Golden, Op, Program, DISPATCH_MODES};
+use cheriot_diff::{build_engine, core_models, Golden, Op, Program, Reference, DISPATCH_MODES};
 
 const BUDGET: u64 = 200_000;
 
@@ -105,17 +105,9 @@ fn hot_loop_guards_match_the_golden_model_in_all_six_engine_configs() {
             let mut dry = Golden::new(core, &instrs);
             dry.run(BUDGET, None);
             assert!(dry.halted.is_some(), "program {p} must halt on {core_name}");
+            let reference = Reference::record(prog, &instrs, core, BUDGET, Some(dry.cycles / 2));
             for (dispatch_name, dispatch) in DISPATCH_MODES {
-                if let Err(d) = run_pair(
-                    prog,
-                    core,
-                    core_name,
-                    dispatch_name,
-                    dispatch,
-                    BUDGET,
-                    Some(dry.cycles / 2),
-                    None,
-                ) {
+                if let Err(d) = reference.check(core_name, dispatch_name, dispatch, None) {
                     panic!("program {p} diverged:\n{d:#?}");
                 }
             }
