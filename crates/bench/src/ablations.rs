@@ -26,7 +26,7 @@ use cheriot_core::revocation::{revoker_reg, RevokerConfig};
 use cheriot_core::sched::work_steal;
 use cheriot_core::{CoreModel, Machine, MachineConfig};
 use cheriot_rtos::Rtos;
-use cheriot_workloads::{run_coremark, CompilerQuirks, CoreMarkConfig};
+use cheriot_workloads::{run_coremark, CoreMarkConfig};
 
 /// Cross-compartment calls per `stack_hwm` variant.
 const CROSS_CALLS: u32 = 1000;
@@ -86,7 +86,7 @@ fn cross_call_cycles(hwm: bool) -> u64 {
     rtos.machine.cycles - start
 }
 
-fn compiler_quirks(quirks: CompilerQuirks) -> u64 {
+fn compiler_quirks(quirks: bool) -> u64 {
     let cfg = CoreMarkConfig {
         quirks,
         ..small_coremark(32, 3, CoreMarkConfig::capabilities_with_filter())
@@ -136,10 +136,10 @@ const VARIANTS: [Variant; 13] = [
     ("stack_hwm", "off", || cycles(cross_call_cycles(false))),
     ("stack_hwm", "on", || cycles(cross_call_cycles(true))),
     ("compiler_quirks", "worst_case", || {
-        cycles(compiler_quirks(CompilerQuirks::worst_case()))
+        cycles(compiler_quirks(true))
     }),
     ("compiler_quirks", "fixed", || {
-        cycles(compiler_quirks(CompilerQuirks::fixed()))
+        cycles(compiler_quirks(false))
     }),
     ("quarantine_threshold", "8KiB", || {
         quarantine_metrics(8 << 10)

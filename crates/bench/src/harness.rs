@@ -15,8 +15,7 @@ use crate::{csv_text, render_table, write_csv};
 use cheriot_core::sched::work_steal;
 use cheriot_core::CoreModel;
 use cheriot_workloads::{
-    overhead_pct, run_alloc_bench, run_coremark, AllocBenchParams, AllocConfig, CompilerQuirks,
-    CoreMarkConfig,
+    overhead_pct, run_alloc_bench, run_coremark, AllocBenchParams, AllocConfig, CoreMarkConfig,
 };
 use std::fmt::Write as _;
 
@@ -152,7 +151,7 @@ pub fn table3() -> Section {
         CoreMarkConfig::capabilities(),
         CoreMarkConfig::capabilities_with_filter(),
         CoreMarkConfig {
-            quirks: CompilerQuirks::fixed(),
+            quirks: false,
             ..CoreMarkConfig::capabilities_with_filter()
         },
     ];
@@ -216,7 +215,7 @@ pub fn table3() -> Section {
     let growth = |bytes: u32| (f64::from(bytes) / f64::from(int) - 1.0) * 100.0;
     let cap = code_size_bytes(&CoreMarkConfig::capabilities());
     let fixed = code_size_bytes(&CoreMarkConfig {
-        quirks: CompilerQuirks::fixed(),
+        quirks: false,
         ..CoreMarkConfig::capabilities()
     });
     let report = format!(

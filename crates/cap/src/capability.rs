@@ -178,11 +178,6 @@ impl Capability {
         self.bounds().length()
     }
 
-    /// The raw encoded bounds fields.
-    pub fn encoded_bounds(self) -> EncodedBounds {
-        self.bounds
-    }
-
     /// Is this capability global (storable anywhere MC+SD permits)?
     #[inline]
     pub fn is_global(self) -> bool {

@@ -261,18 +261,7 @@ pub fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
                 }
             }
             "--budget-cycles" => cfg.budget_cycles = uint(f, value(f, &mut it)?)?,
-            "--profile" => {
-                let v = value(f, &mut it)?;
-                cfg.profile = match v {
-                    "full" => Profile::full(),
-                    "binary" => Profile::binary_safe(),
-                    _ => {
-                        return Err(format!(
-                            "flag `--profile`: expected `full` or `binary`, got `{v}`"
-                        ))
-                    }
-                };
-            }
+            "--binary-safe" => cfg.profile = Profile::binary_safe(),
             "--json" => json_out = Some(PathBuf::from(value(f, &mut it)?)),
             "--repro-dir" => repro_dir = PathBuf::from(value(f, &mut it)?),
             other => return Err(format!("unknown flag `{other}` for `diff-fuzz`")),
@@ -423,8 +412,7 @@ mod tests {
     #[test]
     fn diff_args_profile_and_repro_dir() {
         let a = parse_diff_args(&v(&[
-            "--profile",
-            "binary",
+            "--binary-safe",
             "--repro-dir",
             "out/repros",
             "--budget-cycles",
@@ -438,8 +426,8 @@ mod tests {
 
     #[test]
     fn diff_errors_name_the_flag_and_value() {
-        let e = parse_diff_args(&v(&["--profile", "exotic"])).unwrap_err();
-        assert!(e.contains("--profile") && e.contains("exotic"), "{e}");
+        let e = parse_diff_args(&v(&["--count", "many"])).unwrap_err();
+        assert!(e.contains("--count") && e.contains("many"), "{e}");
         let e = parse_diff_args(&v(&["--count", "0"])).unwrap_err();
         assert!(e.contains("--count"), "{e}");
         let e = parse_diff_args(&v(&["--threads", "0"])).unwrap_err();

@@ -15,7 +15,7 @@
 //!                            [--cadence N] [--max-cycles N]
 //!                            [--json out.json] [--out out.txt]
 //! cheriot-sim diff-fuzz [--seed-base N] [--count K] [--threads T]
-//!                       [--profile full|binary] [--budget-cycles N]
+//!                       [--binary-safe] [--budget-cycles N]
 //!                       [--json out.json] [--repro-dir results]
 //! cheriot-sim farm [--devices N] [--threads T] [--rounds N] [--quantum N]
 //!                  [--settle-rounds N] [--seed N] [--topics N]
@@ -44,7 +44,7 @@ const USAGE: &str = "usage:
 [--kinds <k1,k2,...>] [--faults N] [--cadence N] [--max-cycles N] \
 [--json <out.json>] [--out <out.txt>]
   cheriot-sim diff-fuzz [--seed-base N] [--count K] [--threads T] \
-[--profile full|binary] [--budget-cycles N] [--json <out.json>] \
+[--binary-safe] [--budget-cycles N] [--json <out.json>] \
 [--repro-dir <dir>]
   cheriot-sim farm [--devices N] [--threads T] [--rounds N] [--quantum N] \
 [--settle-rounds N] [--seed N] [--topics N] [--host-rate N] [--sram BYTES] \

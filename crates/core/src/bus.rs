@@ -424,11 +424,6 @@ impl Uart {
         self.rx.extend(bytes.iter().copied());
     }
 
-    /// Bytes currently waiting in the RX FIFO.
-    pub fn rx_pending(&self) -> usize {
-        self.rx.len()
-    }
-
     /// Mutable view of the RX FIFO (fault injection flips bits in
     /// flight here).
     pub fn rx_fifo_mut(&mut self) -> &mut std::collections::VecDeque<u8> {

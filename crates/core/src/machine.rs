@@ -255,10 +255,11 @@ pub struct SnapshotStats {
 ///
 /// A snapshot *is* a machine that never runs: capture
 /// ([`Machine::snapshot`] / [`Machine::snapshot_into`]), restore
-/// ([`Machine::restore_from`]) and fork ([`Snapshot::to_machine`]) all
-/// move state through one copy routine, so there is one definition of
-/// what a machine's state is. A fork shares the snapshot's decoded
-/// blocks and its code image's block store, but no mutable state.
+/// ([`Machine::restore_from`]), fork ([`Snapshot::to_machine`]) and
+/// `Clone` all move state through one copy routine, so there is one
+/// definition of what a machine's state is. A fork shares the
+/// snapshot's decoded blocks and its code image's block store, but no
+/// mutable state.
 /// Host-side observers (tracer, block-trace flag, snapshot counters) are
 /// not part of a snapshot.
 #[derive(Clone)]
@@ -308,38 +309,16 @@ impl Snapshot {
 }
 
 impl Clone for Machine {
-    /// Clones the architectural state, block table included, so a clone
-    /// forks exactly like [`Snapshot::to_machine`]: it holds the same
-    /// shared blocks and a copy of the successor links. The tracer (if
-    /// any) stays with the original: a trace is a log of one machine's
-    /// history, and sinks may hold non-clonable resources such as open
-    /// files. The clone starts with tracing disabled and zeroed snapshot
-    /// counters.
+    /// Forks the machine through the one state copy behind capture,
+    /// restore and [`Snapshot::to_machine`]: the clone holds the same
+    /// shared blocks, a copy of the successor links and the same CoW
+    /// pages. Host-side observers stay with the original: the clone has
+    /// no tracer (sinks may hold non-clonable resources such as open
+    /// files), block tracing off and zeroed snapshot counters.
     fn clone(&self) -> Machine {
-        Machine {
-            cfg: self.cfg,
-            cpu: self.cpu.clone(),
-            sram: self.sram.clone(),
-            bitmap: self.bitmap.clone(),
-            revoker: self.revoker.clone(),
-            cycles: self.cycles,
-            mtimecmp: self.mtimecmp,
-            console: self.console.clone(),
-            gpio_out: self.gpio_out,
-            gpio_writes: self.gpio_writes,
-            bus: self.bus.clone(),
-            stats: self.stats,
-            code: self.code.clone(),
-            blocks: self.blocks.clone(),
-            block_trace: self.block_trace,
-            halted: self.halted,
-            pending_use: self.pending_use,
-            tracer: None,
-            wd_limit: self.wd_limit,
-            last_trap: self.last_trap,
-            snap_stats: SnapshotStats::default(),
-            active_dev: crate::bus::INTC_DEV_ID,
-        }
+        let mut m = Machine::new(self.cfg);
+        m.copy_state_from(self);
+        m
     }
 }
 
@@ -619,7 +598,7 @@ impl Machine {
     }
 
     /// Makes this machine's architectural state equal `src`'s: the one
-    /// state copy behind capture, restore and fork. SRAM moves page-wise
+    /// state copy behind capture, restore, fork and `Clone`. SRAM moves page-wise
     /// (only pages whose handles differ), the console reuses its buffer,
     /// and the code handle and block table are adopted only when the code
     /// handle differs. Returns the pages and host bytes moved: the SRAM
@@ -1032,12 +1011,7 @@ impl Machine {
         }
         if self.sram.contains(dst, buf.len() as u32) {
             self.sram.write_bytes(dst, buf)?;
-            let mut g = dst & !(GRANULE - 1);
-            let end = dst + buf.len() as u32;
-            while g < end {
-                self.revoker.snoop_store(g);
-                g += GRANULE;
-            }
+            self.revoker.snoop_range(dst, buf.len() as u32);
             self.emit_dma(dst, buf.len() as u32);
             return Ok(());
         }

@@ -30,8 +30,8 @@
 //!   rewind moves only the pages written since the last capture/restore;
 //! * untouched pages hold no handle at all (`None` reads as one static
 //!   zero page, and two `None` slots count as the same handle), so a
-//!   fresh bank costs no allocation, and creating, cloning, capturing,
-//!   restoring and dropping a bank touch only the pages something wrote.
+//!   fresh bank costs no allocation, and creating, capturing, restoring
+//!   and dropping a bank touch only the pages something wrote.
 //!
 //! The `--no-cow` escape hatch disables structural sharing: a bank built
 //! with `cow` off ([`Sram::new`]) materialises every page and keeps it
@@ -201,32 +201,6 @@ impl std::fmt::Debug for Sram {
             .field("size", &self.len)
             .field("cow", &self.cow)
             .finish()
-    }
-}
-
-impl Clone for Sram {
-    /// Clones the bank. Under CoW this is one handle clone per written
-    /// page — the clone shares every page with the original and either
-    /// side's next write unshares just that page. With CoW disabled the
-    /// pages are deep-copied. The decoded side cache is derived state and
-    /// starts cold in the clone; CoW counters start at zero.
-    fn clone(&self) -> Sram {
-        let pages = if self.cow {
-            self.pages.clone()
-        } else {
-            self.pages
-                .iter()
-                .map(|p| Some(Arc::new(page_or_zero(p).clone())))
-                .collect()
-        };
-        Sram {
-            base: self.base,
-            len: self.len,
-            pages,
-            caps: Vec::new(),
-            cow: self.cow,
-            cow_stats: CowStats::default(),
-        }
     }
 }
 
@@ -799,6 +773,13 @@ mod tests {
         Sram::new(0x2000_0000, 0x1000, true)
     }
 
+    /// A second bank of `m`'s shape and mode holding `m`'s content.
+    fn fork(m: &Sram) -> Sram {
+        let mut f = Sram::new(m.base, m.len as u32, m.cow);
+        f.copy_from(m);
+        f
+    }
+
     /// Do the two banks hold the very same page handles?
     fn shares_every_page(a: &Sram, b: &Sram) -> bool {
         a.same_shape(b) && a.pages.iter().zip(&b.pages).all(|(x, y)| same_handle(x, y))
@@ -1040,8 +1021,8 @@ mod tests {
         other.write_scalar(0x2000_1000, 4, 3).unwrap();
         assert_eq!(other.copy_from(&snap).pages, 2);
         assert!(other.content_eq(&snap));
-        // A clone of the snapshot shares every handle: nothing moves.
-        assert_eq!(other.copy_from(&snap.clone()).pages, 0);
+        // A fork of the snapshot shares every handle: nothing moves.
+        assert_eq!(other.copy_from(&fork(&snap)).pages, 0);
     }
 
     #[test]
@@ -1248,7 +1229,7 @@ mod tests {
         snap.copy_from(&m);
         assert!(snap.pages.iter().all(Option::is_some));
         assert_eq!(snap.shared_pages(), 0);
-        assert!(m.clone().pages.iter().all(Option::is_some));
+        assert!(fork(&m).pages.iter().all(Option::is_some));
         // Restoring from an untouched CoW bank copies zeros into every
         // page rather than dropping handles.
         let zero = Sram::new(0x2000_0000, 0x4000, true);
@@ -1355,7 +1336,7 @@ mod tests {
     fn clone_shares_under_cow_and_isolates_writes() {
         let mut m = Sram::new(0x2000_0000, 0x2000, true);
         m.write_cap_word(0x2000_0000, 7, true).unwrap();
-        let clone = m.clone();
+        let clone = fork(&m);
         assert!(m.content_eq(&clone));
         m.write_scalar(0x2000_0004, 4, 0xff).unwrap();
         assert_eq!(clone.read_scalar(0x2000_0004, 4).unwrap(), 0);

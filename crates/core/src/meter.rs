@@ -156,7 +156,7 @@ impl<'a> Meter<'a> {
         let beats = u64::from(len.div_ceil(self.m.cfg().core.bus_bytes));
         self.m.advance(cycles, beats);
         self.m.sram.zero_range(addr, len)?;
-        self.m.revoker.snoop_zero_range(addr, len);
+        self.m.revoker.snoop_range(addr, len);
         Ok(())
     }
 
@@ -165,19 +165,6 @@ impl<'a> Meter<'a> {
         let per = self.m.cfg().core.store_base_extra + 1;
         // Painting is a read-modify-write plus loop overhead.
         self.m.advance(words * (2 * per + 2), words * 2);
-    }
-}
-
-/// Extension: snooping a zeroed range (used by [`Meter::zero`]).
-impl crate::revocation::BackgroundRevoker {
-    /// Marks the in-flight word stale if it lies within `[addr, addr+len)`.
-    pub fn snoop_zero_range(&mut self, addr: u32, len: u32) {
-        let mut a = addr & !(GRANULE - 1);
-        let end = addr.saturating_add(len);
-        while a < end {
-            self.snoop_store(a);
-            a += GRANULE;
-        }
     }
 }
 

@@ -330,6 +330,20 @@ impl BackgroundRevoker {
         }
     }
 
+    /// Snoops a write of `len` bytes at `addr` (DMA, bulk zeroing): the
+    /// in-flight word is marked stale if its granule lies in
+    /// `[addr & !7, addr + len)`, i.e. if any byte of the write falls in
+    /// it. One compare, however long the range.
+    pub fn snoop_range(&mut self, addr: u32, len: u32) {
+        let lo = addr & !(GRANULE - 1);
+        let end = u64::from(addr) + u64::from(len);
+        if let Some(f) = &mut self.inflight {
+            if f.addr >= lo && u64::from(f.addr) < end {
+                f.stale = true;
+            }
+        }
+    }
+
     /// Advances the engine by one idle load/store-unit slot.
     ///
     /// Returns `true` if the slot was used (for statistics/power modelling).
@@ -608,6 +622,26 @@ mod tests {
     }
 
     #[test]
+    fn range_snoop_marks_the_in_flight_granule_at_its_edges() {
+        let (mut sram, b) = setup();
+        let mut r = BackgroundRevoker::new(RevokerConfig::default());
+        r.mmio_write(revoker_reg::START, HEAP + 8);
+        r.mmio_write(revoker_reg::END, HEAP + 16);
+        r.kick();
+        r.step(&mut sram, &b); // HEAP+8 is now in flight
+        let stale = |r: &BackgroundRevoker| r.inflight.expect("word in flight").stale;
+        // Ends exactly where the in-flight granule starts.
+        r.snoop_range(HEAP, 8);
+        assert!(!stale(&r));
+        // Starts exactly where it ends.
+        r.snoop_range(HEAP + 16, 64);
+        assert!(!stale(&r));
+        // Starts mid-granule: its first byte lies in the granule.
+        r.snoop_range(HEAP + 15, 1);
+        assert!(stale(&r));
+    }
+
+    #[test]
     fn without_snoop_the_race_loses_updates() {
         // Ablation: demonstrates the §3.3.3 race actually exists in the
         // model if snooping is omitted.
@@ -656,7 +690,8 @@ mod tests {
             };
             let mut r_step = BackgroundRevoker::new(cfg);
             let mut r_batch = BackgroundRevoker::new(cfg);
-            let mut s_step = sram.clone();
+            let mut s_step = setup().0;
+            s_step.copy_from(&sram);
             let mut s_batch = sram;
             for r in [&mut r_step, &mut r_batch] {
                 r.mmio_write(revoker_reg::START, HEAP);
@@ -740,7 +775,8 @@ mod tests {
 
         let mut slots = Vec::new();
         for pipelined in [false, true] {
-            let mut s = sram.clone();
+            let mut s = setup().0;
+            s.copy_from(&sram);
             let mut r = BackgroundRevoker::new(RevokerConfig {
                 pipelined,
                 ..RevokerConfig::default()

@@ -58,39 +58,28 @@ pub const DATA_SIZE: u32 = 0x1000;
 /// window base so every memory op encodes directly.
 const DATA_REACH: u64 = 2040;
 
-/// What the generator is allowed to emit.
+/// What the generator is allowed to emit: everything ([`Profile::full`],
+/// the fuzzer's default), or only programs whose encodings survive a
+/// binary round-trip ([`Profile::binary_safe`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Profile {
-    /// Install a trap vector; enables the deliberately-trapping arms
-    /// (misaligned access, `ecall`/`ebreak`, wrong-size MMIO).
-    pub handler: bool,
-    /// Allow arming the machine timer and enabling interrupts (implies a
-    /// handler when a given seed actually arms it).
-    pub timer: bool,
     /// Restrict to programs whose encodings survive a binary round-trip:
     /// no label-resolved `auipcc` (so no handler, sentries, or posture
     /// switches) and no deliberately-trapping arms, so the program runs
-    /// straight to its `halt`.
+    /// straight to its `halt`. Otherwise every program installs a trap
+    /// vector (enabling the trapping arms) and most arm the timer.
     pub binary_safe: bool,
 }
 
 impl Profile {
     /// The full fuzzing profile: everything on.
     pub fn full() -> Profile {
-        Profile {
-            handler: true,
-            timer: true,
-            binary_safe: false,
-        }
+        Profile { binary_safe: false }
     }
 
     /// Programs that can be encoded to machine code and back untouched.
     pub fn binary_safe() -> Profile {
-        Profile {
-            handler: false,
-            timer: false,
-            binary_safe: true,
-        }
+        Profile { binary_safe: true }
     }
 }
 
@@ -195,9 +184,10 @@ impl Program {
 /// Expands `seed` into a structured program under `profile`.
 pub fn generate(seed: u64, profile: &Profile) -> Program {
     let mut rng = XorShift64::new(seed);
-    let handler = profile.handler && !profile.binary_safe;
+    let handler = !profile.binary_safe;
     // Most handler programs also exercise the timer/interrupt machinery.
-    let timer = profile.timer && handler && rng.gen_range(0, 100) < 70;
+    // The short-circuit keeps binary-safe seeds off the RNG here.
+    let timer = handler && rng.gen_range(0, 100) < 70;
 
     let n_tramps = if profile.binary_safe {
         0

@@ -473,39 +473,7 @@ fn run_faulted_phase(
         },
     );
     let mut injector = Injector::new(plan);
-    let mut checker = InvariantChecker::new(cfg.cadence.max(1));
-    checker.watch_region(DIR_LO, DIR_LO + DIR_LEN);
-    let mut violations: Vec<InvariantViolation> = Vec::new();
-    let deadline = cfg.max_cycles;
-
-    let exit = loop {
-        let next_stop = injector
-            .next_cycle()
-            .unwrap_or(u64::MAX)
-            .min(checker.next_due())
-            .min(deadline)
-            .max(m.cycles + 1);
-        let budget = next_stop - m.cycles;
-        let r = run_with_heap_service(m, heap, budget);
-        injector.poll(m);
-        if checker.due(m.cycles) {
-            violations.extend(checker.check(m, heap));
-        }
-        match r {
-            ExitReason::CycleLimit if m.cycles < deadline => continue,
-            other => break other,
-        }
-    };
-    // Final sweep: corruption planted just before exit must still be seen.
-    violations.extend(checker.check(m, heap));
-    if let Err(e) = heap.check_consistency(m) {
-        violations.push(InvariantViolation {
-            kind: crate::invariant::InvariantKind::BoundsMonotonicity,
-            cycle: m.cycles,
-            addr: None,
-            detail: format!("allocator consistency: {e}"),
-        });
-    }
+    let (exit, violations) = run_under_checker(m, heap, cfg, Some(&mut injector));
 
     let faults_applied = injector.applied();
     let cycles = m.cycles;
@@ -523,7 +491,7 @@ fn run_faulted_phase(
             ExitReason::Watchdog => (Outcome::SimError, format!("{}", m.watchdog_error())),
             ExitReason::CycleLimit => (
                 Outcome::SimError,
-                format!("cycle budget ({deadline}) exhausted"),
+                format!("cycle budget ({}) exhausted", cfg.max_cycles),
             ),
             ExitReason::Fault(t) => (Outcome::TrappedSafely, format!("trap: {t:?}")),
             ExitReason::Halted(code) => {
@@ -672,30 +640,55 @@ fn run_control(seed: u64, cfg: &CampaignConfig) -> Vec<InvariantViolation> {
             detail: "control run failed to load".into(),
         }];
     };
-    check_clean_run(&mut w.m, &mut heap, cfg)
+    run_under_checker(&mut w.m, &mut heap, cfg, None).1
 }
 
-/// Runs a loaded machine to exit with no faults injected, checking
-/// invariants at every cadence point; returns what the checker flagged.
-fn check_clean_run(
+/// Runs a loaded machine until it exits or reaches `cfg.max_cycles`,
+/// applying `injector`'s faults (if any) as their cycles come due and
+/// checking invariants at every cadence point, once more at exit (so
+/// corruption planted just before exit is still seen) and for allocator
+/// consistency. The one checked-run loop behind both the faulted runs
+/// and the fault-free control run. Returns the exit and every violation.
+fn run_under_checker(
     m: &mut Machine,
     heap: &mut HeapAllocator,
     cfg: &CampaignConfig,
-) -> Vec<InvariantViolation> {
+    mut injector: Option<&mut Injector>,
+) -> (ExitReason, Vec<InvariantViolation>) {
     let mut checker = InvariantChecker::new(cfg.cadence.max(1));
     checker.watch_region(DIR_LO, DIR_LO + DIR_LEN);
     let mut violations = Vec::new();
-    loop {
-        let next_stop = checker.next_due().min(cfg.max_cycles).max(m.cycles + 1);
+    let deadline = cfg.max_cycles;
+    let exit = loop {
+        let next_fault = injector.as_ref().and_then(|i| i.next_cycle());
+        let next_stop = next_fault
+            .unwrap_or(u64::MAX)
+            .min(checker.next_due())
+            .min(deadline)
+            .max(m.cycles + 1);
         let budget = next_stop - m.cycles;
         let r = run_with_heap_service(m, heap, budget);
-        violations.extend(checker.check(m, heap));
-        match r {
-            ExitReason::CycleLimit if m.cycles < cfg.max_cycles => continue,
-            _ => break,
+        if let Some(injector) = injector.as_deref_mut() {
+            injector.poll(m);
         }
+        if checker.due(m.cycles) {
+            violations.extend(checker.check(m, heap));
+        }
+        match r {
+            ExitReason::CycleLimit if m.cycles < deadline => continue,
+            other => break other,
+        }
+    };
+    violations.extend(checker.check(m, heap));
+    if let Err(e) = heap.check_consistency(m) {
+        violations.push(InvariantViolation {
+            kind: crate::invariant::InvariantKind::BoundsMonotonicity,
+            cycle: m.cycles,
+            addr: None,
+            detail: format!("allocator consistency: {e}"),
+        });
     }
-    violations
+    (exit, violations)
 }
 
 /// Runs the whole suite: one control run plus `count` seeded campaigns
@@ -811,7 +804,7 @@ mod tests {
     /// control run's violations, from fresh boots only.
     fn oracle_campaigns(cfg: &CampaignConfig) -> (Vec<CampaignResult>, Vec<InvariantViolation>) {
         let (mut m, mut heap) = fresh_run(cfg.seed_base, CHAINED).unwrap();
-        let control = check_clean_run(&mut m, &mut heap, cfg);
+        let control = run_under_checker(&mut m, &mut heap, cfg, None).1;
         let results = (0..u64::from(cfg.count))
             .map(|i| oracle_seed(cfg.seed_base + i, cfg))
             .collect();
@@ -1013,7 +1006,9 @@ mod tests {
         }
         assert!(applied > 0, "no fault was applied");
         let mut heap = w.load(cfg.seed_base).unwrap();
-        assert!(check_clean_run(&mut w.m, &mut heap, &cfg).is_empty());
+        assert!(run_under_checker(&mut w.m, &mut heap, &cfg, None)
+            .1
+            .is_empty());
         let b = w.m.block_stats();
         assert_eq!((b.misses, b.shared), (0, 0), "control run");
     }

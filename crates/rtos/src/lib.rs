@@ -47,5 +47,5 @@ pub use kernel::{Env, Quota, Rtos, SchedStats, Slice, ThreadBody, ALLOC_STACK_US
 pub use queue::{BadBuffer, MessageQueue, QueueError};
 pub use sealing::{SealError, SealingKey, SealingService};
 pub use semihost::run_with_heap_service;
-pub use switcher::{SwitchStats, Switcher, SwitcherCosts};
+pub use switcher::{SwitchStats, Switcher};
 pub use thread::{Thread, ThreadId, ThreadState};

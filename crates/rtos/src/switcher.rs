@@ -16,36 +16,22 @@
 use crate::thread::Thread;
 use cheriot_core::{Machine, TrapCause};
 
-/// Cost parameters of the switcher fast path, in instruction counts.
-/// These model the ~300-instruction hand-written switcher: roughly half
-/// executes on the call path, half on the return path.
-#[derive(Clone, Copy, Debug)]
-pub struct SwitcherCosts {
-    /// ALU/control instructions on the call path (validation, trusted-stack
-    /// bookkeeping, register clearing, bounds derivation).
-    pub call_instrs: u64,
-    /// Capability saves to the trusted stack on call.
-    pub call_cap_stores: u64,
-    /// ALU/control instructions on the return path.
-    pub ret_instrs: u64,
-    /// Capability restores from the trusted stack on return.
-    pub ret_cap_loads: u64,
-    /// Extra instructions per call/return when the stack high-water-mark
-    /// CSRs must be read/written.
-    pub hwm_csr_instrs: u64,
-}
+// Cost of the switcher fast path, in instruction counts. These model the
+// ~300-instruction hand-written switcher: roughly half executes on the
+// call path, half on the return path.
 
-impl Default for SwitcherCosts {
-    fn default() -> SwitcherCosts {
-        SwitcherCosts {
-            call_instrs: 110,
-            call_cap_stores: 16,
-            ret_instrs: 85,
-            ret_cap_loads: 16,
-            hwm_csr_instrs: 4,
-        }
-    }
-}
+/// ALU/control instructions on the call path (validation, trusted-stack
+/// bookkeeping, register clearing, bounds derivation).
+pub const CALL_INSTRS: u64 = 110;
+/// Capability saves to the trusted stack on call.
+pub const CALL_CAP_STORES: u64 = 16;
+/// ALU/control instructions on the return path.
+pub const RET_INSTRS: u64 = 85;
+/// Capability restores from the trusted stack on return.
+pub const RET_CAP_LOADS: u64 = 16;
+/// Extra instructions per call/return when the stack high-water-mark
+/// CSRs must be read/written.
+pub const HWM_CSR_INSTRS: u64 = 4;
 
 /// Switcher statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -61,8 +47,6 @@ pub struct SwitchStats {
 /// The switcher: cost model + stack-clearing mechanics.
 #[derive(Clone, Debug, Default)]
 pub struct Switcher {
-    /// Cost parameters.
-    pub costs: SwitcherCosts,
     /// Accumulated statistics.
     pub stats: SwitchStats,
     /// Compartment invocations that faulted and were unwound.
@@ -86,8 +70,7 @@ impl Switcher {
         hwm_enabled: bool,
     ) -> Result<u32, TrapCause> {
         self.stats.calls += 1;
-        let (instrs, cap_ops) = (self.costs.call_instrs, self.costs.call_cap_stores);
-        self.clear_stack(m, thread, hwm_enabled, instrs, cap_ops)
+        self.clear_stack(m, thread, hwm_enabled, CALL_INSTRS, CALL_CAP_STORES)
     }
 
     /// Performs the return-path work: zeroes what the callee used
@@ -103,8 +86,7 @@ impl Switcher {
         thread: &mut Thread,
         hwm_enabled: bool,
     ) -> Result<u32, TrapCause> {
-        let (instrs, cap_ops) = (self.costs.ret_instrs, self.costs.ret_cap_loads);
-        self.clear_stack(m, thread, hwm_enabled, instrs, cap_ops)
+        self.clear_stack(m, thread, hwm_enabled, RET_INSTRS, RET_CAP_LOADS)
     }
 
     /// The work both switcher paths share: charges `instrs` plus `cap_ops`
@@ -126,7 +108,7 @@ impl Switcher {
         let beats = cap_ops * m.cfg().core.cap_beats();
         let mut instrs = instrs + cap_ops;
         if hwm_enabled {
-            instrs += self.costs.hwm_csr_instrs;
+            instrs += HWM_CSR_INSTRS;
         }
         m.advance(instrs, beats);
 
@@ -154,7 +136,7 @@ impl Switcher {
         let beats = cap_moves * m.cfg().core.cap_beats();
         let mut instrs = cap_moves + 45; // scheduler decision, CSR shuffling
         if hwm_enabled {
-            instrs += 2 * self.costs.hwm_csr_instrs;
+            instrs += 2 * HWM_CSR_INSTRS;
         }
         m.advance(instrs, beats);
     }

@@ -10,8 +10,8 @@
 //!
 //! The two known compiler bugs the paper calls out (address arithmetic not
 //! folded through capabilities; bounds applied to statically-safe global
-//! accesses) are modelled as switchable [`CompilerQuirks`], on by default
-//! so the numbers are worst-case like the paper's.
+//! accesses) are modelled by one switch, [`CoreMarkConfig::quirks`], on
+//! by default so the numbers are worst-case like the paper's.
 //!
 //! Both modes compute the same checksum, which doubles as a functional
 //! equivalence test.
@@ -31,43 +31,18 @@ pub enum PtrMode {
     Capability,
 }
 
-/// The two known CHERI-LLVM deficiencies of paper §7.2 (on = worst case).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompilerQuirks {
-    /// Bug 1: address computation idioms are not folded when the base is a
-    /// capability (extra `cincaddr` per element access in array-of-struct
-    /// loops).
-    pub unfolded_addresses: bool,
-    /// Bug 2: bounds are applied to global accesses even when statically
-    /// safe (extra `csetbounds` per global-object access).
-    pub bounds_on_globals: bool,
-}
-
-impl CompilerQuirks {
-    /// The paper's worst-case configuration (both bugs present).
-    pub fn worst_case() -> CompilerQuirks {
-        CompilerQuirks {
-            unfolded_addresses: true,
-            bounds_on_globals: true,
-        }
-    }
-
-    /// A future fixed compiler.
-    pub fn fixed() -> CompilerQuirks {
-        CompilerQuirks {
-            unfolded_addresses: false,
-            bounds_on_globals: false,
-        }
-    }
-}
-
 /// Benchmark configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CoreMarkConfig {
     /// Pointer representation.
     pub mode: PtrMode,
-    /// Compiler maturity.
-    pub quirks: CompilerQuirks,
+    /// Emit the two known CHERI-LLVM bugs of paper §7.2 (on = the paper's
+    /// worst case, off = a future fixed compiler). Bug 1: address
+    /// computation idioms are not folded when the base is a capability
+    /// (an extra `cincaddr` per element access in array-of-struct loops).
+    /// Bug 2: bounds are applied to global accesses even when statically
+    /// safe (an extra `csetbounds` per global-object access).
+    pub quirks: bool,
     /// Outer iterations of the kernel mix.
     pub iterations: u32,
     /// Linked-list length.
@@ -83,7 +58,7 @@ impl CoreMarkConfig {
     pub fn baseline() -> CoreMarkConfig {
         CoreMarkConfig {
             mode: PtrMode::Integer,
-            quirks: CompilerQuirks::worst_case(),
+            quirks: true,
             iterations: 40,
             list_nodes: 128,
             find_passes: 12,
@@ -145,7 +120,7 @@ const MAT_N: u32 = 8;
 /// `s1` = remaining iterations.
 struct Gen {
     mode: PtrMode,
-    quirks: CompilerQuirks,
+    quirks: bool,
     find_passes: u32,
 }
 
@@ -175,7 +150,7 @@ impl Gen {
             PtrMode::Capability => {
                 a.li(Reg::T2, addr as i32);
                 a.csetaddr(rd, Reg::A0, Reg::T2);
-                if self.quirks.bounds_on_globals {
+                if self.quirks {
                     a.li(Reg::T2, size as i32);
                     a.csetbounds(rd, rd, Reg::T2);
                 }
@@ -227,7 +202,7 @@ impl Gen {
             }
             PtrMode::Capability => {
                 a.cincaddr(rd, rs1, rs2);
-                if self.quirks.unfolded_addresses {
+                if self.quirks {
                     // Bug 1: the backend re-derives instead of folding.
                     a.cincaddrimm(rd, rd, 0);
                 }
@@ -253,7 +228,7 @@ impl Gen {
     /// that iterate over arrays of structures").
     fn add_ptr_imm_aos(&self, a: &mut Asm, rd: Reg, rs1: Reg, imm: i32) {
         self.add_ptr_imm(a, rd, rs1, imm);
-        if self.mode == PtrMode::Capability && self.quirks.unfolded_addresses {
+        if self.mode == PtrMode::Capability && self.quirks {
             a.cincaddrimm(rd, rd, 0);
         }
     }
@@ -646,7 +621,7 @@ mod tests {
     fn quick(mode: PtrMode, filter: bool) -> CoreMarkResult {
         let cfg = CoreMarkConfig {
             mode,
-            quirks: CompilerQuirks::worst_case(),
+            quirks: true,
             iterations: 5,
             list_nodes: 24,
             find_passes: 2,
@@ -802,7 +777,7 @@ mod binary_tests {
         assert!(cap > int, "cap {cap} vs int {int}");
         // The fixed compiler shrinks the gap.
         let fixed = code_size_bytes(&CoreMarkConfig {
-            quirks: CompilerQuirks::fixed(),
+            quirks: false,
             ..CoreMarkConfig::capabilities()
         });
         assert!(fixed < cap);

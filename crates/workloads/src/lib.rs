@@ -16,8 +16,8 @@ pub use allocbench::{
     overhead_pct, run_alloc_bench, AllocBenchParams, AllocBenchResult, AllocConfig,
 };
 pub use coremark::{
-    run_coremark, run_coremark_for_cycles_dispatch, CompilerQuirks, CoreMarkConfig, CoreMarkResult,
-    DispatchMode, PtrMode,
+    run_coremark, run_coremark_for_cycles_dispatch, CoreMarkConfig, CoreMarkResult, DispatchMode,
+    PtrMode,
 };
 pub use iot::{run_iot_app, IotConfig, IotReport};
 pub use soc_demo::{
