@@ -40,9 +40,9 @@
 //!   (`jal x0, +off`) instead of ending the block, so straight-line-plus-
 //!   glue code predecodes as one block covering several [`Block::ranges`].
 //!   At runtime a block that keeps taking the same edge out of its final
-//!   `j` or conditional branch is *promoted* ([`promote`]): its entry gets
-//!   the block followed by its successor, the branch kept inline as a
-//!   guard that side-exits when it resolves the other way.
+//!   `j` or conditional branch is *promoted* ([`BlockBuilder::promote`]):
+//!   its entry gets the block followed by its successor, the branch kept
+//!   inline as a guard that side-exits when it resolves the other way.
 //! * **Successor links**: each entry carries up to two weak links
 //!   `(generation, next_pc, PCC fingerprint) → successor entry` recorded by
 //!   the chained dispatch loop; a matching link lets the loop jump block to
@@ -105,7 +105,7 @@ pub const MAX_COVER_SPAN: usize = 256;
 
 /// Successor-link follows after which a one-way edge is promoted: a block
 /// that has left through the same link `HOT` times, with no second live
-/// link, gets its successor appended ([`promote`]).
+/// link, gets its successor appended ([`BlockBuilder::promote`]).
 pub const HOT: u32 = 16;
 
 /// One instruction with everything the dispatch loop needs precomputed.
@@ -701,33 +701,31 @@ pub(crate) struct BlockStore {
     /// the head and tail, so their addresses identify them for as long as
     /// the memo lives.
     promoted: Vec<[Arc<Block>; 3]>,
+    /// The buffers every block and promotion of the image is built in,
+    /// under the store's lock.
+    builder: BlockBuilder,
 }
 
 impl BlockStore {
     /// The block starting at code slot `slot` of `code`, and whether this
     /// call built it (under `cfg`): built under the lock, so each block of
-    /// the image is built exactly once.
+    /// the image is built exactly once. `None` when no block of `cfg` may
+    /// start there ([`BlockBuilder::build`]).
     pub(crate) fn block(
         &mut self,
         code: &[Instr],
         slot: usize,
         cfg: &MachineConfig,
-    ) -> (Arc<Block>, bool) {
+    ) -> Option<(Arc<Block>, bool)> {
         if self.built.len() < code.len() {
             self.built.resize(code.len(), None);
         }
         if let Some(b) = &self.built[slot] {
-            return (Arc::clone(b), false);
+            return Some((Arc::clone(b), false));
         }
-        let b = Arc::new(build_block(
-            code,
-            slot,
-            &cfg.core,
-            cfg.load_filter,
-            cfg.block_chain,
-        ));
+        let b = Arc::new(self.builder.build(code, slot, cfg)?);
         self.built[slot] = Some(Arc::clone(&b));
-        (b, true)
+        Some((b, true))
     }
 
     /// The superblock promoting the edge from `head` into `tail`,
@@ -746,195 +744,236 @@ impl BlockStore {
         if let Some([_, _, sb]) = memo {
             return Some(Arc::clone(sb));
         }
-        let sb = Arc::new(promote(head, tail, core)?);
+        let sb = Arc::new(self.builder.promote(head, tail, core)?);
         self.promoted
             .push([Arc::clone(head), Arc::clone(tail), Arc::clone(&sb)]);
         Some(sb)
     }
 }
 
-/// Decodes the block starting at code slot `start_idx`: forward until a
-/// control-flow/trap boundary, the end of `code`, [`MAX_BLOCK_LEN`] or
-/// [`MAX_COVER_SPAN`]. With `chase`, unconditional forward jumps
-/// (`jal x0`) to aligned in-range targets are interior: decode continues
-/// at the target (superblocks). `start_idx` must be within `code`.
-pub fn build_block(
-    code: &[Instr],
-    start_idx: usize,
-    core: &CoreModel,
-    load_filter: bool,
-    chase: bool,
-) -> Block {
-    let start = layout::CODE_BASE + 4 * start_idx as u32;
-    let mut insns = Vec::with_capacity(8);
-    let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(1);
-    let mut seg_start = start;
-    let mut idx = start_idx;
-    let mut prev_is_load = true; // a hazard can cross the block entry
-    while let Some(&instr) = code.get(idx) {
-        let pc = layout::CODE_BASE + 4 * idx as u32;
-        let mut d = PredecodedInsn::new(pc, instr, core, load_filter, prev_is_load);
-        if chase {
-            if let Instr::Jal { rd, offset } = instr {
-                let target = pc.wrapping_add(offset as u32);
-                // Forward only (backward jumps are loop edges — the
-                // successor links and runtime promotion handle those
-                // without unrolling), and always leaving room for at least
-                // one instruction at the target, so a chased jump is never
-                // the last instruction (its jump penalty is folded into
-                // `base_cycles`; the dispatch loop must never route it
-                // through `exec`, which would charge the penalty again).
-                if rd == Reg::ZERO
-                    && offset % 4 == 0
-                    && target > pc
-                    && insns.len() + 2 <= MAX_BLOCK_LEN
-                {
-                    let t_idx = ((target - layout::CODE_BASE) / 4) as usize;
-                    if t_idx < code.len() && t_idx - start_idx < MAX_COVER_SPAN {
-                        d.base_cycles += core.jump_penalty;
-                        insns.push(d);
-                        prev_is_load = false;
-                        ranges.push((seg_start, pc + 4));
-                        seg_start = target;
-                        idx = t_idx;
-                        continue;
+/// The buffers a block is built in (DESIGN.md §11). Decode and
+/// promotion write a block's instructions and ranges here, fast-stream
+/// folding writes its stream here, and each finished array is copied
+/// once into an exact-size `Box<[_]>`. A build therefore allocates once
+/// per non-empty array and never reallocates, and the buffers keep their
+/// capacity for the next build. Each code image's store owns one, so the
+/// blocks of an image are built one at a time, under the store's lock.
+#[derive(Debug, Default)]
+pub struct BlockBuilder {
+    insns: Vec<PredecodedInsn>,
+    ranges: Vec<(u32, u32)>,
+    fast: Vec<FastOp>,
+}
+
+impl BlockBuilder {
+    /// Empties the buffers, sizing them on first use for the largest
+    /// block: a block holds at most [`MAX_BLOCK_LEN`] instructions, and
+    /// at most one range and one fast-stream element per instruction.
+    fn reset(&mut self) {
+        self.insns.clear();
+        self.ranges.clear();
+        self.fast.clear();
+        self.insns.reserve(MAX_BLOCK_LEN);
+        self.ranges.reserve(MAX_BLOCK_LEN);
+        self.fast.reserve(MAX_BLOCK_LEN);
+    }
+
+    /// Decodes the block starting at code slot `start_idx` under `cfg`:
+    /// forward until a control-flow/trap boundary, the end of `code`,
+    /// [`MAX_BLOCK_LEN`] or [`MAX_COVER_SPAN`]. With `cfg.block_chain`,
+    /// unconditional forward jumps (`jal x0`) to aligned in-range targets
+    /// are interior: decode continues at the target (superblocks).
+    ///
+    /// Without CHERI (`cfg.cheri_enabled` false) decode also stops before
+    /// a CHERI instruction ([`Instr::is_cheri`]) and chases no jump onto
+    /// one, so the general `exec` path, which traps on it, runs it.
+    /// `None` when the block would be empty: `start_idx` holds such an
+    /// instruction or lies beyond `code`.
+    pub fn build(
+        &mut self,
+        code: &[Instr],
+        start_idx: usize,
+        cfg: &MachineConfig,
+    ) -> Option<Block> {
+        self.reset();
+        let core = &cfg.core;
+        let admits = |instr: &Instr| cfg.cheri_enabled || !instr.is_cheri();
+        let start = layout::CODE_BASE + 4 * start_idx as u32;
+        let mut seg_start = start;
+        let mut idx = start_idx;
+        let mut prev_is_load = true; // a hazard can cross the block entry
+        while let Some(&instr) = code.get(idx).filter(|i| admits(i)) {
+            let pc = layout::CODE_BASE + 4 * idx as u32;
+            let mut d = PredecodedInsn::new(pc, instr, core, cfg.load_filter, prev_is_load);
+            if cfg.block_chain {
+                if let Instr::Jal { rd, offset } = instr {
+                    let target = pc.wrapping_add(offset as u32);
+                    // Forward only (backward jumps are loop edges — the
+                    // successor links and runtime promotion handle those
+                    // without unrolling), and always leaving room for at
+                    // least one instruction at the target, so a chased jump
+                    // is never the last instruction (its jump penalty is
+                    // folded into `base_cycles`; the dispatch loop must
+                    // never route it through `exec`, which would charge
+                    // the penalty again).
+                    if rd == Reg::ZERO
+                        && offset % 4 == 0
+                        && target > pc
+                        && self.insns.len() + 2 <= MAX_BLOCK_LEN
+                    {
+                        let t_idx = ((target - layout::CODE_BASE) / 4) as usize;
+                        if code.get(t_idx).is_some_and(admits) && t_idx - start_idx < MAX_COVER_SPAN
+                        {
+                            d.base_cycles += core.jump_penalty;
+                            self.insns.push(d);
+                            prev_is_load = false;
+                            self.ranges.push((seg_start, pc + 4));
+                            seg_start = target;
+                            idx = t_idx;
+                            continue;
+                        }
                     }
                 }
             }
+            self.insns.push(d);
+            prev_is_load = matches!(instr, Instr::Load { .. } | Instr::Clc { .. });
+            idx += 1;
+            if instr.is_block_boundary()
+                || self.insns.len() >= MAX_BLOCK_LEN
+                || idx - start_idx >= MAX_COVER_SPAN
+            {
+                break;
+            }
         }
-        insns.push(d);
-        prev_is_load = matches!(instr, Instr::Load { .. } | Instr::Clc { .. });
-        idx += 1;
-        if instr.is_block_boundary()
-            || insns.len() >= MAX_BLOCK_LEN
-            || idx - start_idx >= MAX_COVER_SPAN
-        {
-            break;
-        }
-    }
-    ranges.push((seg_start, layout::CODE_BASE + 4 * idx as u32));
-    finish(start, insns, ranges, core)
-}
-
-/// Promotes a hot edge: `head` followed by `tail`, the block at the
-/// successor `head`'s final `j` or conditional branch keeps taking, as one
-/// block starting at `head.start`. The final `j` becomes interior with its
-/// jump penalty folded in, exactly like a decode-time chased jump; a final
-/// conditional branch becomes a *guard* — identified by its interior
-/// position — that continues when it resolves to the next instruction's
-/// `pc` and otherwise leaves the block through its real successor.
-///
-/// `None` when `head` does not end in `j` or a conditional branch, `tail`
-/// does not start at one of its successors, the result would exceed
-/// [`MAX_BLOCK_LEN`], cover some address twice (nothing is unrolled), or
-/// reach more than [`MAX_COVER_SPAN`] - 1 words from `head.start` in
-/// either direction.
-pub fn promote(head: &Block, tail: &Block, core: &CoreModel) -> Option<Block> {
-    let last = head.insns.last()?;
-    let folded_penalty = match last.instr {
-        Instr::Jal { rd, offset } if rd == Reg::ZERO => {
-            (last.pc.wrapping_add(offset as u32) == tail.start).then_some(core.jump_penalty)?
-        }
-        Instr::Branch { offset, .. } => (tail.start == last.pc.wrapping_add(4)
-            || tail.start == last.pc.wrapping_add(offset as u32))
-        .then_some(0)?,
-        _ => return None,
-    };
-    if head.len() + tail.len() > MAX_BLOCK_LEN {
-        return None;
-    }
-    let span = 4 * (MAX_COVER_SPAN as u32 - 1);
-    let (lo, hi) = (
-        head.start.saturating_sub(span),
-        head.start.saturating_add(span),
-    );
-    for &(s, e) in tail.ranges.iter() {
-        if s < lo || e - 4 > hi || head.ranges.iter().any(|&(hs, he)| s < he && hs < e) {
+        if self.insns.is_empty() {
             return None;
         }
+        self.ranges
+            .push((seg_start, layout::CODE_BASE + 4 * idx as u32));
+        Some(self.finish(start, core))
     }
-    let mut insns = Vec::with_capacity(head.len() + tail.len());
-    insns.extend_from_slice(&head.insns);
-    insns.last_mut()?.base_cycles += folded_penalty;
-    let first_tail = insns.len();
-    insns.extend_from_slice(&tail.insns);
-    // The hazard gate of the tail's first instruction was armed only
-    // because a hazard can cross a block entry; behind a `j` or branch
-    // (never a load) no hazard is pending.
-    insns[first_tail].check_hazard = false;
-    let mut ranges = head.ranges.to_vec();
-    for &(s, e) in tail.ranges.iter() {
-        match ranges.last_mut() {
-            Some(r) if r.1 == s => r.1 = e,
-            _ => ranges.push((s, e)),
-        }
-    }
-    Some(finish(head.start, insns, ranges, core))
-}
 
-/// Completes a block from its instructions and covered ranges: the
-/// [`Block::worst_cycles`] bound and the fast stream.
-fn finish(
-    start: u32,
-    insns: Vec<PredecodedInsn>,
-    ranges: Vec<(u32, u32)>,
-    core: &CoreModel,
-) -> Block {
-    let n = insns.len();
-    // Pushed `base_cycles` (interior jumps carry their folded penalty), a
-    // worst-case stall wherever the hazard is consulted, each guard's
-    // taken penalty, and the final instruction's worst penalty.
-    let mut worst_cycles = core.branch_taken_penalty.max(core.jump_penalty);
-    for (i, d) in insns.iter().enumerate() {
-        worst_cycles += d.base_cycles + if d.check_hazard { core.load_to_use } else { 0 };
-        if i + 1 < n && matches!(d.instr, Instr::Branch { .. }) {
-            worst_cycles += core.branch_taken_penalty;
-        }
-    }
-    // Fast stream: fold interior `jal x0` — identified by position, since
-    // every other `jal` ends the block — into the instruction they land
-    // on, and stop at the first instruction the inline arms cannot handle.
-    let mut fast = Vec::with_capacity(n);
-    let mut fast_end = 0u32;
-    let mut fold_cycles = 0u64;
-    let mut fold_retires = 0u32;
-    let mut fold_start: Option<u32> = None;
-    let mut fold_hazard: Option<(bool, [Option<Reg>; 2])> = None;
-    for (i, d) in insns.iter().enumerate() {
-        let interior = i + 1 < n;
-        if interior && matches!(d.instr, Instr::Jal { rd, .. } if rd == Reg::ZERO) {
-            fold_cycles += d.base_cycles;
-            fold_retires += 1;
-            if fold_start.is_none() {
-                fold_start = Some(i as u32);
-                fold_hazard = Some((d.check_hazard, d.srcs));
+    /// Promotes a hot edge: `head` followed by `tail`, the block at the
+    /// successor `head`'s final `j` or conditional branch keeps taking, as
+    /// one block starting at `head.start`. The final `j` becomes interior
+    /// with its jump penalty folded in, exactly like a decode-time chased
+    /// jump; a final conditional branch becomes a *guard* — identified by
+    /// its interior position — that continues when it resolves to the
+    /// next instruction's `pc` and otherwise leaves the block through its
+    /// real successor.
+    ///
+    /// `None` when `head` does not end in `j` or a conditional branch,
+    /// `tail` does not start at one of its successors, the result would
+    /// exceed [`MAX_BLOCK_LEN`], cover some address twice (nothing is
+    /// unrolled), or reach more than [`MAX_COVER_SPAN`] - 1 words from
+    /// `head.start` in either direction.
+    pub fn promote(&mut self, head: &Block, tail: &Block, core: &CoreModel) -> Option<Block> {
+        let last = head.insns.last()?;
+        let folded_penalty = match last.instr {
+            Instr::Jal { rd, offset } if rd == Reg::ZERO => {
+                (last.pc.wrapping_add(offset as u32) == tail.start).then_some(core.jump_penalty)?
             }
-            continue;
+            Instr::Branch { offset, .. } => (tail.start == last.pc.wrapping_add(4)
+                || tail.start == last.pc.wrapping_add(offset as u32))
+            .then_some(0)?,
+            _ => return None,
+        };
+        if head.len() + tail.len() > MAX_BLOCK_LEN {
+            return None;
         }
-        if !(statically_fast(&d.instr) || interior && matches!(d.instr, Instr::Branch { .. })) {
-            break;
+        let span = 4 * (MAX_COVER_SPAN as u32 - 1);
+        let (lo, hi) = (
+            head.start.saturating_sub(span),
+            head.start.saturating_add(span),
+        );
+        for &(s, e) in tail.ranges.iter() {
+            if s < lo || e - 4 > hi || head.ranges.iter().any(|&(hs, he)| s < he && hs < e) {
+                return None;
+            }
         }
-        let (check_hazard, srcs) = fold_hazard.take().unwrap_or((d.check_hazard, d.srcs));
-        fast.push(FastOp {
-            d: *d,
-            cycles: fold_cycles + d.base_cycles,
-            retires: fold_retires + 1,
-            resume: fold_start.take().unwrap_or(i as u32),
-            check_hazard,
-            srcs,
-        });
-        fold_cycles = 0;
-        fold_retires = 0;
-        fast_end = i as u32 + 1;
+        self.reset();
+        self.insns.extend_from_slice(&head.insns);
+        self.insns.last_mut()?.base_cycles += folded_penalty;
+        let first_tail = self.insns.len();
+        self.insns.extend_from_slice(&tail.insns);
+        // The hazard gate of the tail's first instruction was armed only
+        // because a hazard can cross a block entry; behind a `j` or branch
+        // (never a load) no hazard is pending.
+        self.insns[first_tail].check_hazard = false;
+        self.ranges.extend_from_slice(&head.ranges);
+        for &(s, e) in tail.ranges.iter() {
+            match self.ranges.last_mut() {
+                Some(r) if r.1 == s => r.1 = e,
+                _ => self.ranges.push((s, e)),
+            }
+        }
+        Some(self.finish(head.start, core))
     }
-    Block {
-        start,
-        end: ranges.last().map_or(start, |r| r.1),
-        insns: insns.into_boxed_slice(),
-        ranges: ranges.into_boxed_slice(),
-        worst_cycles,
-        fast: fast.into_boxed_slice(),
-        fast_end,
+
+    /// Completes a block from the instructions and covered ranges in the
+    /// buffers: the [`Block::worst_cycles`] bound and the fast stream,
+    /// then one exact-size copy of each array.
+    fn finish(&mut self, start: u32, core: &CoreModel) -> Block {
+        let BlockBuilder {
+            insns,
+            ranges,
+            fast,
+        } = self;
+        let n = insns.len();
+        // Pushed `base_cycles` (interior jumps carry their folded penalty), a
+        // worst-case stall wherever the hazard is consulted, each guard's
+        // taken penalty, and the final instruction's worst penalty.
+        let mut worst_cycles = core.branch_taken_penalty.max(core.jump_penalty);
+        for (i, d) in insns.iter().enumerate() {
+            worst_cycles += d.base_cycles + if d.check_hazard { core.load_to_use } else { 0 };
+            if i + 1 < n && matches!(d.instr, Instr::Branch { .. }) {
+                worst_cycles += core.branch_taken_penalty;
+            }
+        }
+        // Fast stream: fold interior `jal x0` — identified by position, since
+        // every other `jal` ends the block — into the instruction they land
+        // on, and stop at the first instruction the inline arms cannot handle.
+        let mut fast_end = 0u32;
+        let mut fold_cycles = 0u64;
+        let mut fold_retires = 0u32;
+        let mut fold_start: Option<u32> = None;
+        let mut fold_hazard: Option<(bool, [Option<Reg>; 2])> = None;
+        for (i, d) in insns.iter().enumerate() {
+            let interior = i + 1 < n;
+            if interior && matches!(d.instr, Instr::Jal { rd, .. } if rd == Reg::ZERO) {
+                fold_cycles += d.base_cycles;
+                fold_retires += 1;
+                if fold_start.is_none() {
+                    fold_start = Some(i as u32);
+                    fold_hazard = Some((d.check_hazard, d.srcs));
+                }
+                continue;
+            }
+            if !(statically_fast(&d.instr) || interior && matches!(d.instr, Instr::Branch { .. })) {
+                break;
+            }
+            let (check_hazard, srcs) = fold_hazard.take().unwrap_or((d.check_hazard, d.srcs));
+            fast.push(FastOp {
+                d: *d,
+                cycles: fold_cycles + d.base_cycles,
+                retires: fold_retires + 1,
+                resume: fold_start.take().unwrap_or(i as u32),
+                check_hazard,
+                srcs,
+            });
+            fold_cycles = 0;
+            fold_retires = 0;
+            fast_end = i as u32 + 1;
+        }
+        Block {
+            start,
+            end: ranges.last().map_or(start, |r| r.1),
+            insns: insns.as_slice().into(),
+            ranges: ranges.as_slice().into(),
+            worst_cycles,
+            fast: fast.as_slice().into(),
+            fast_end,
+        }
     }
 }
 
@@ -955,6 +994,29 @@ mod tests {
 
     fn nopish(n: usize) -> Vec<Instr> {
         vec![Instr::NOP; n]
+    }
+
+    /// The block at `slot`, built from fresh buffers under `core`, with or
+    /// without the load filter and superblock chasing.
+    fn build_block(
+        code: &[Instr],
+        slot: usize,
+        core: &CoreModel,
+        load_filter: bool,
+        chase: bool,
+    ) -> Block {
+        let cfg = MachineConfig {
+            load_filter,
+            block_chain: chase,
+            ..MachineConfig::new(*core)
+        };
+        BlockBuilder::default()
+            .build(code, slot, &cfg)
+            .expect("a block starts there")
+    }
+
+    fn promote(head: &Block, tail: &Block, core: &CoreModel) -> Option<Block> {
+        BlockBuilder::default().promote(head, tail, core)
     }
 
     #[test]
@@ -1393,22 +1455,61 @@ mod tests {
         });
         let cfg = MachineConfig::new(CoreModel::ibex());
         let sibling = Arc::clone(&code);
-        let (head, built) = sibling.store().block(&code, 0, &cfg);
+        let (head, built) = sibling.store().block(&code, 0, &cfg).unwrap();
         assert!(built);
-        let (again, built) = code.store().block(&code, 0, &cfg);
+        let (again, built) = code.store().block(&code, 0, &cfg).unwrap();
         assert!(!built && Arc::ptr_eq(&head, &again), "one store per image");
-        let (tail, _) = code.store().block(&code, 3, &cfg);
+        let (tail, _) = code.store().block(&code, 3, &cfg).unwrap();
         let sb = code.store().promotion(&head, &tail, &cfg.core).unwrap();
         let memo = sibling.store().promotion(&head, &tail, &cfg.core);
         assert!(Arc::ptr_eq(&sb, &memo.unwrap()));
         // An edit unshares: the copy starts with an empty store.
+        let built = |code: &Code| code.store().block(code, 0, &cfg).unwrap().1;
         Arc::make_mut(&mut code).edit();
-        assert!(code.store().block(&code, 0, &cfg).1);
-        assert!(!sibling.store().block(&sibling, 0, &cfg).1);
+        assert!(built(&code));
+        assert!(!built(&sibling));
         // An edit through a unique handle empties the store.
         drop(sibling);
         Arc::make_mut(&mut code).edit();
-        assert!(code.store().block(&code, 0, &cfg).1);
+        assert!(built(&code));
+    }
+
+    #[test]
+    fn without_cheri_decode_stops_before_cheri_instructions() {
+        let cmove = Instr::CMove {
+            rd: Reg::A0,
+            rs1: Reg::A1,
+        };
+        let jump = Instr::Jal {
+            rd: Reg::ZERO,
+            offset: 8,
+        };
+        // nop; cmove; halt; j +8; nop; cmove; halt
+        let code = vec![
+            Instr::NOP,
+            cmove,
+            Instr::Halt,
+            jump,
+            Instr::NOP,
+            cmove,
+            Instr::Halt,
+        ];
+        let on = MachineConfig::new(CoreModel::ibex());
+        let off = MachineConfig {
+            cheri_enabled: false,
+            ..on
+        };
+        let build = |slot, cfg: &MachineConfig| BlockBuilder::default().build(&code, slot, cfg);
+        assert_eq!(build(0, &on).unwrap().len(), 3);
+        let b = build(0, &off).unwrap();
+        assert_eq!((b.len(), b.end), (1, layout::CODE_BASE + 4));
+        assert!(
+            build(1, &off).is_none(),
+            "no block starts at a CHERI instruction"
+        );
+        // The jump would chase onto `cmove`: it ends its block instead.
+        assert_eq!(build(3, &on).unwrap().len(), 3);
+        assert_eq!(build(3, &off).unwrap().len(), 1);
     }
 
     #[test]

@@ -399,6 +399,39 @@ impl Instr {
         )
     }
 
+    /// Is this a CHERI instruction, illegal on a core without the CHERI
+    /// extension (`MachineConfig::cheri_enabled` false)? The capability
+    /// forms of the pure-register set, `clc`/`csc`, `auipcc`/`auicgp`,
+    /// seal/unseal, the capability compares and representability
+    /// queries, and special capability register access. Jumps stay
+    /// legal: without CHERI they jump to and link plain addresses.
+    pub fn is_cheri(self) -> bool {
+        use Instr::*;
+        matches!(
+            self,
+            Auipcc { .. }
+                | Auicgp { .. }
+                | Clc { .. }
+                | Csc { .. }
+                | CGet { .. }
+                | CSetAddr { .. }
+                | CIncAddr { .. }
+                | CIncAddrImm { .. }
+                | CSetBounds { .. }
+                | CSetBoundsImm { .. }
+                | CAndPerm { .. }
+                | CClearTag { .. }
+                | CMove { .. }
+                | CSeal { .. }
+                | CUnseal { .. }
+                | CTestSubset { .. }
+                | CSetEqualExact { .. }
+                | CRoundRepresentableLength { .. }
+                | CRepresentableAlignmentMask { .. }
+                | CSpecialRw { .. }
+        )
+    }
+
     /// Registers this instruction reads (for load-to-use hazard modelling).
     pub fn sources(self) -> [Option<Reg>; 2] {
         use Instr::*;

@@ -1895,7 +1895,9 @@ impl Machine {
     /// pays no `Arc` refcount traffic. `None` sends the caller to the
     /// per-instruction slow path (the entry is always left populated in
     /// that case): PC outside loaded code, misaligned, a full block table
-    /// ([`crate::blockcache::MAX_ENTRIES`]), or a PCC that does not cover
+    /// ([`crate::blockcache::MAX_ENTRIES`]), an instruction no block of
+    /// this config may start with (a CHERI instruction without CHERI,
+    /// which the general path traps on), or a PCC that does not cover
     /// the whole block (the batched fetch check needs bounds over
     /// `[start, end)` — one interval, so checking the first and last
     /// instruction covers every one in between).
@@ -1929,7 +1931,7 @@ impl Machine {
         if !self.blocks.has_room() {
             return None;
         }
-        let (block, built) = self.code.store().block(&self.code, slot, &self.cfg);
+        let (block, built) = self.code.store().block(&self.code, slot, &self.cfg)?;
         if built {
             self.blocks.stats.misses += 1;
         } else {
@@ -1952,9 +1954,9 @@ impl Machine {
     }
 
     /// The superblock promoting the hot edge from `head` into the block of
-    /// entry `tail` ([`crate::blockcache::promote`]), shared through the
-    /// code image's store, so that siblings promoting the same edge hold
-    /// one superblock. Out of line for the same reason as
+    /// entry `tail` ([`crate::blockcache::BlockBuilder::promote`]), shared
+    /// through the code image's store, so that siblings promoting the same
+    /// edge hold one superblock. Out of line for the same reason as
     /// [`Machine::block_miss`].
     #[inline(never)]
     fn promote_edge(&mut self, head: &Arc<Block>, tail: usize) -> Option<Arc<Block>> {
@@ -2065,7 +2067,15 @@ impl Machine {
     /// the PC moved. On [`PcOutcome::Advance`] the PCC has *not* been
     /// touched — the caller owns the `pc + 4` update, which lets the block
     /// loop batch consecutive updates into one write at the block exit.
+    ///
+    /// Without the CHERI extension every CHERI instruction traps here as
+    /// illegal. The block tiers run a CHERI instruction only through this
+    /// path then: block decode under such a config stops before one and
+    /// builds no block starting at one.
     fn exec(&mut self, instr: Instr, pc: u32) -> Result<(u64, PcOutcome), TrapCause> {
+        if !self.cfg.cheri_enabled && instr.is_cheri() {
+            return Err(TrapCause::IllegalInstruction);
+        }
         let next = pc.wrapping_add(4);
         let mut extra = 0;
         let mut next_pc = next;
