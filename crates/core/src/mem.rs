@@ -607,9 +607,10 @@ impl Sram {
     }
 
     /// Length (in granules, capped at `max_granules`) of the run of
-    /// *untagged* granules starting at granule-aligned `addr`. Scans the
-    /// packed tag words, so an all-clear 64-granule word costs one load —
-    /// this is what lets the background revoker batch over untouched
+    /// *untagged* granules starting at granule-aligned `addr`. A page that
+    /// holds no handle is all-clear and costs one test; elsewhere the scan
+    /// reads the packed tag words, one load per all-clear 64-granule word.
+    /// This is what lets the background revoker batch over untouched
     /// memory. Returns 0 for addresses outside the bank or unaligned.
     pub fn untagged_run(&self, addr: u32, max_granules: u32) -> u32 {
         if max_granules == 0 || !addr.is_multiple_of(GRANULE) || !self.contains(addr, GRANULE) {
@@ -620,7 +621,12 @@ impl Sram {
         let limit = (g0 + max_granules as usize).min(total);
         let mut g = g0;
         while g < limit {
-            let masked = self.tag_word(g >> 6) & (!0u64 << (g & 63));
+            let p = g / PAGE_GRANULES;
+            let Some(page) = &self.pages[p] else {
+                g = (p + 1) * PAGE_GRANULES;
+                continue;
+            };
+            let masked = page.tags[(g >> 6) % PAGE_TAG_WORDS] & (!0u64 << (g & 63));
             if masked != 0 {
                 let next_tagged = (g & !63) + masked.trailing_zeros() as usize;
                 return (next_tagged.min(limit) - g0) as u32;
@@ -632,9 +638,9 @@ impl Sram {
 
     /// [`Sram::untagged_run`] going down: length (in granules, capped at
     /// `max_granules` and at the bank base) of the run of *untagged*
-    /// granules ending at granule-aligned `addr`, `addr` included. Scans
-    /// the packed tag words, one load per all-clear word. Returns 0 for
-    /// addresses outside the bank or unaligned.
+    /// granules ending at granule-aligned `addr`, `addr` included. One
+    /// test per page that holds no handle, one load per all-clear word
+    /// elsewhere. Returns 0 for addresses outside the bank or unaligned.
     pub fn untagged_run_down(&self, addr: u32, max_granules: u32) -> u32 {
         if max_granules == 0 || !addr.is_multiple_of(GRANULE) || !self.contains(addr, GRANULE) {
             return 0;
@@ -644,7 +650,16 @@ impl Sram {
         let limit = g0.saturating_sub(max_granules as usize - 1);
         let mut g = g0;
         loop {
-            let masked = self.tag_word(g >> 6) & (!0u64 >> (63 - (g & 63)));
+            let p = g / PAGE_GRANULES;
+            let Some(page) = &self.pages[p] else {
+                let first = p * PAGE_GRANULES;
+                if first <= limit {
+                    break;
+                }
+                g = first - 1;
+                continue;
+            };
+            let masked = page.tags[(g >> 6) % PAGE_TAG_WORDS] & (!0u64 >> (63 - (g & 63)));
             if masked != 0 {
                 let prev_tagged = (g & !63) + 63 - masked.leading_zeros() as usize;
                 if prev_tagged < limit {
@@ -943,6 +958,143 @@ mod tests {
         assert_eq!(m.untagged_run_down(0x2000_2000, 8), 0);
         assert_eq!(m.untagged_run_down(0x1fff_fff8, 8), 0);
         assert_eq!(m.untagged_run_down(at(10), 0), 0);
+    }
+
+    /// How a page of a [`scan_bank`] is built.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum PageKind {
+        /// Never written: no handle.
+        Untouched,
+        /// Written after the capture: a uniquely-owned handle.
+        Private,
+        /// Written before the capture only: a handle shared with it.
+        Shared,
+    }
+
+    /// A bank of 1–5 pages (the last one partial half the time), each page
+    /// untouched, private or shared, with random tags on the written pages
+    /// (page and word edges favoured). Returns the bank, the capture its
+    /// shared pages are shared with (keep it alive while scanning), and
+    /// the page kinds.
+    fn scan_bank(seed: u64) -> (Sram, Sram, Vec<PageKind>) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cow = rng.gen_bool(0.9);
+        let pages = rng.gen_range(1..=5usize);
+        let mut granules = pages * PAGE_GRANULES;
+        if rng.gen_bool(0.5) {
+            granules -= rng.gen_range(1..PAGE_GRANULES);
+        }
+        let (base, size) = (0x2000_0000u32, (granules * GRANULE as usize) as u32);
+        let at = |g: usize| base + (g * GRANULE as usize) as u32;
+        let kinds: Vec<PageKind> = (0..pages)
+            .map(|_| match rng.gen_range(0..3u8) {
+                0 => PageKind::Untouched,
+                1 => PageKind::Private,
+                _ => PageKind::Shared,
+            })
+            .collect();
+        let mut m = Sram::new(base, size, cow);
+        let span = |p: usize| (p * PAGE_GRANULES, ((p + 1) * PAGE_GRANULES).min(granules));
+        for (p, _) in kinds
+            .iter()
+            .enumerate()
+            .filter(|(_, &k)| k != PageKind::Untouched)
+        {
+            let (lo, hi) = span(p);
+            // A handle even when no tag lands in the page.
+            m.write_scalar(at(rng.gen_range(lo..hi)), 4, 1).unwrap();
+            for _ in 0..rng.gen_range(0..6) {
+                let g = match rng.gen_range(0..6u8) {
+                    0 => lo,
+                    1 => hi - 1,
+                    2 => (rng.gen_range(lo..hi) & !63).max(lo),
+                    3 => (rng.gen_range(lo..hi) | 63).min(hi - 1),
+                    _ => rng.gen_range(lo..hi),
+                };
+                m.write_cap_word(at(g), g as u64, true).unwrap();
+            }
+        }
+        let mut capture = Sram::new(base, size, cow);
+        capture.copy_from(&m);
+        for (p, _) in kinds
+            .iter()
+            .enumerate()
+            .filter(|(_, &k)| k == PageKind::Private)
+        {
+            let (lo, hi) = span(p);
+            let g = rng.gen_range(lo..hi);
+            m.write_cap_word(at(g), 0, rng.gen_bool(0.5)).unwrap();
+        }
+        if cow {
+            for (slot, &k) in m.pages.iter().zip(&kinds) {
+                let want = match k {
+                    PageKind::Untouched => 0,
+                    PageKind::Private => 1,
+                    PageKind::Shared => 2,
+                };
+                assert_eq!(
+                    slot.as_ref().map_or(0, Arc::strong_count),
+                    want,
+                    "{k:?} page"
+                );
+            }
+        }
+        (m, capture, kinds)
+    }
+
+    /// The per-granule reference for [`Sram::untagged_run`] (`step` 1)
+    /// and [`Sram::untagged_run_down`] (`step` -1).
+    fn naive_run(m: &Sram, addr: u32, max_granules: u32, step: i64) -> u32 {
+        if max_granules == 0 || !addr.is_multiple_of(GRANULE) || !m.contains(addr, GRANULE) {
+            return 0;
+        }
+        let mut a = i64::from(addr);
+        let mut n = 0;
+        while n < max_granules
+            && (i64::from(m.base())..m.end() as i64).contains(&a)
+            && !m.tag_at(a as u32)
+        {
+            n += 1;
+            a += step * i64::from(GRANULE);
+        }
+        n
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The page-skipping scans agree with a per-granule `tag_at` walk
+        /// over banks of untouched, private and shared pages, from
+        /// windows that start mid-word, mid-page and at both bank edges,
+        /// with caps of 0, 1, mid-size and past the whole bank.
+        #[test]
+        fn untagged_runs_match_a_per_granule_walk(seed in proptest::prelude::any::<u64>()) {
+            let (m, _capture, kinds) = scan_bank(seed);
+            let total = m.granules();
+            let mut starts = vec![0, 1, 31, 63, 64, 65, total / 2, total - 2, total - 1];
+            for p in 0..kinds.len() {
+                let g = p * PAGE_GRANULES;
+                starts.extend([g.saturating_sub(1), g, g + 1, g + 200, g + 255, g + 511]);
+            }
+            starts.retain(|&g| g < total);
+            let mut addrs: Vec<u32> =
+                starts.iter().map(|&g| m.base() + (g * GRANULE as usize) as u32).collect();
+            addrs.extend([m.base() - GRANULE, m.base() + 4, m.end() as u32, m.end() as u32 - 4]);
+            let t = total as u32;
+            let caps = [0, 1, 2, 63, 64, 65, 300, 512, 513, t - 1, t, t + 1, 2 * t + 7, u32::MAX];
+            for &a in &addrs {
+                for &n in &caps {
+                    proptest::prop_assert_eq!(
+                        m.untagged_run(a, n), naive_run(&m, a, n, 1), "up from {:#x}, cap {}", a, n
+                    );
+                    proptest::prop_assert_eq!(
+                        m.untagged_run_down(a, n), naive_run(&m, a, n, -1),
+                        "down from {:#x}, cap {}", a, n
+                    );
+                }
+            }
+        }
     }
 
     #[test]

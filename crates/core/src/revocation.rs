@@ -413,7 +413,8 @@ impl BackgroundRevoker {
     /// returning how many were consumed. Cycle-for-cycle identical to
     /// calling [`BackgroundRevoker::step`] in a loop, but a run of
     /// untagged granules is skipped in bulk using the SRAM's packed tag
-    /// words ([`Sram::untagged_run`]): in the pipelined engine each
+    /// words ([`Sram::untagged_run`], which steps over a page that holds
+    /// no handle with one host test): in the pipelined engine each
     /// untagged word costs exactly one slot (its load overlaps the
     /// previous word's vacuous check), so the batch charges `run` slots
     /// and leaves the run's last word in flight — the same boundary state

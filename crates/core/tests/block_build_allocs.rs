@@ -1,11 +1,13 @@
 //! Allocation guard for block building (DESIGN.md §11). With warm
 //! buffers, building a block or a promotion allocates exactly once per
 //! non-empty array (instructions, ranges, fast stream) plus the `Arc` a
-//! store publishes it in, and never reallocates. Its own test binary,
+//! store publishes it in, and never reallocates. A machine's block table
+//! allocates its entries once, on the first insert, for up to
+//! `ENTRIES_RESERVED` blocks. Its own test binary,
 //! because it installs a counting global allocator; the counters are per
 //! thread, so tests running in parallel do not see each other's calls.
 
-use cheriot_core::blockcache::{Block, BlockBuilder, MAX_BLOCK_LEN};
+use cheriot_core::blockcache::{Block, BlockBuilder, BlockCache, ENTRIES_RESERVED, MAX_BLOCK_LEN};
 use cheriot_core::insn::{BranchCond, Instr, Reg};
 use cheriot_core::{CoreModel, MachineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -153,4 +155,28 @@ fn fresh_buffers_are_sized_once_for_the_largest_block() {
     // Three buffers, then the three arrays; no growth on the way.
     assert_eq!(allocs, 3 + 3);
     assert_eq!(reallocs, 0);
+}
+
+#[test]
+fn a_fresh_block_table_allocates_its_entries_once() {
+    let block = Arc::new(
+        BlockBuilder::default()
+            .build(&[Instr::Halt], 0, &cfg())
+            .unwrap(),
+    );
+    let mut table = BlockCache::default();
+    let words = 2 * ENTRIES_RESERVED;
+    // The first insert sizes the per-word index and reserves the entries.
+    let (_, allocs, reallocs) = counted(|| table.insert(0, block.clone(), words));
+    assert_eq!((allocs, reallocs), (2, 0), "first insert");
+    let (_, allocs, reallocs) = counted(|| {
+        for slot in 1..ENTRIES_RESERVED {
+            table.insert(slot, block.clone(), words);
+        }
+    });
+    assert_eq!((allocs, reallocs), (0, 0), "inserts up to the reserve");
+    assert_eq!(table.resident(), ENTRIES_RESERVED);
+    // Past the reserve the table grows as any `Vec` does.
+    let (_, _, reallocs) = counted(|| table.insert(ENTRIES_RESERVED, block.clone(), words));
+    assert_eq!(reallocs, 1, "the first insert past the reserve");
 }

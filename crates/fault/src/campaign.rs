@@ -409,17 +409,18 @@ fn pick_live(
     want: impl Fn(u32) -> bool,
     exclude: usize,
 ) -> Option<usize> {
-    let candidates: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter(|&(i, s)| i != exclude && s.map(&want).unwrap_or(false))
-        .map(|(i, _)| i)
-        .collect();
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates[rng.gen_range(0, candidates.len() as u64) as usize])
+    let candidates = || {
+        slots
+            .iter()
+            .enumerate()
+            .filter(|&(i, s)| i != exclude && s.is_some_and(&want))
+            .map(|(i, _)| i)
+    };
+    let n = candidates().count();
+    if n == 0 {
+        return None;
     }
+    candidates().nth(rng.gen_range(0, n as u64) as usize)
 }
 
 /// A [`Outcome::SimError`] result: the simulator refused the seed.

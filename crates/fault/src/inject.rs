@@ -343,8 +343,9 @@ impl Injector {
 /// [`TAG_SEARCH_GRANULES`] granules away in either direction. On a tie the
 /// higher address wins. `addr` may lie outside the bank; granules outside
 /// it are never chosen. Both directions scan packed tag words
-/// ([`Sram::untagged_run`], [`Sram::untagged_run_down`]), so empty memory
-/// costs one load per 64 granules.
+/// ([`Sram::untagged_run`], [`Sram::untagged_run_down`]), so a page that
+/// holds no handle costs one test and an all-clear word of a written
+/// page one load per 64 granules.
 pub fn tag_flip_target(sram: &Sram, addr: u32) -> Option<u32> {
     let addr = u64::from(addr & !(GRANULE - 1));
     let (base, end) = (u64::from(sram.base()), sram.end());
@@ -384,7 +385,8 @@ pub fn tag_flip_target(sram: &Sram, addr: u32) -> Option<u32> {
 /// The granule a [`FaultKind::CapCorrupt`] aimed at `addr` corrupts: the
 /// first tagged granule at or after the granule holding `addr`, within
 /// [`CAP_SCAN_GRANULES`] granules and the bank. `None` when `addr` lies
-/// outside the bank. Scans packed tag words ([`Sram::untagged_run`]).
+/// outside the bank. Scans packed tag words ([`Sram::untagged_run`]),
+/// stepping over a page that holds no handle with one test.
 pub fn cap_corrupt_target(sram: &Sram, addr: u32) -> Option<u32> {
     let addr = addr & !(GRANULE - 1);
     let run = sram.untagged_run(addr, CAP_SCAN_GRANULES);
