@@ -210,7 +210,7 @@ fn software_and_hardware_sweeps_agree_on_safety() {
         h.quarantine_threshold = 1;
         let heap_cap = Capability::root_mem_rw()
             .with_address(m.cfg().heap_base())
-            .set_bounds(u64::from(m.cfg().heap_size))
+            .set_bounds(u64::from(m.cfg().heap_end() - m.cfg().heap_base()))
             .unwrap();
         // Plant a stale capability *inside the heap itself* (a heap object
         // pointing to another heap object).

@@ -163,7 +163,7 @@ fn software_sweep_reports_stripped_words_and_filter_events() {
     h.quarantine_threshold = 1;
     let heap_cap = Capability::root_mem_rw()
         .with_address(m.cfg().heap_base())
-        .set_bounds(u64::from(m.cfg().heap_size))
+        .set_bounds(u64::from(m.cfg().heap_end() - m.cfg().heap_base()))
         .unwrap();
 
     let holder = h.malloc(&mut m, 16).unwrap();

@@ -448,6 +448,25 @@ impl Capability {
         Ok(())
     }
 
+    /// Checks a capability store of `c` at `addr` through this authority
+    /// (`csc`): `SD | MC` over the 8-byte slot, then the Store-Local rule,
+    /// under which a tagged non-global `c` needs [`Permissions::SL`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Capability::check_access`], then
+    /// [`CapFault::PermissionViolation`] naming `SL`.
+    #[inline]
+    pub fn check_store_cap(self, addr: u32, c: Capability) -> Result<(), CapFault> {
+        self.check_access(addr, 8, Permissions::SD | Permissions::MC)?;
+        if c.tag && !c.is_global() && !self.perms.contains(Permissions::SL) {
+            return Err(CapFault::PermissionViolation {
+                needed: Permissions::SL,
+            });
+        }
+        Ok(())
+    }
+
     /// Checks an instruction fetch at `addr` (2-byte granule).
     ///
     /// # Errors
@@ -818,6 +837,28 @@ mod tests {
             c.check_access(0xffff_0000, 4, Permissions::LD),
             Err(CapFault::TagViolation),
             "tag outranks bounds"
+        );
+    }
+
+    #[test]
+    fn store_local_rule_follows_the_slot_checks() {
+        let no_sl = obj(0x1000, 64).and_perms(!Permissions::SL);
+        let local = obj(0x2000, 8).and_perms(!Permissions::GL);
+        assert_eq!(
+            no_sl.check_store_cap(0x1000, local),
+            Err(CapFault::PermissionViolation {
+                needed: Permissions::SL
+            })
+        );
+        // Only a tagged value carries locality.
+        assert_eq!(no_sl.check_store_cap(0x1000, local.cleared()), Ok(()));
+        assert_eq!(
+            no_sl.check_store_cap(0x1040, local),
+            Err(CapFault::BoundsViolation {
+                addr: 0x1040,
+                size: 8
+            }),
+            "the slot check outranks Store-Local"
         );
     }
 

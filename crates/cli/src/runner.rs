@@ -174,16 +174,11 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
         }
         None => Machine::new(cfg),
     };
-    if opts.trace_out.is_some() || opts.metrics {
-        // One tracer serves all three outputs; buffer instruction retires
-        // only when the post-run instruction trace also needs them.
-        m.set_tracer(Tracer::with_sink(
-            Box::new(cheriot_core::trace::VecSink::new()),
-            opts.trace_depth > 0,
-            true,
-        ));
-    } else if opts.trace_depth > 0 {
-        m.set_tracer(Tracer::instr_ring(opts.trace_depth));
+    if opts.trace_out.is_some() || opts.metrics || opts.trace_depth > 0 {
+        // One tracer serves all three outputs: the retire ring feeds the
+        // instruction listing, the timeline the export; the metrics see
+        // every event without a buffer.
+        m.set_tracer(Tracer::new(opts.trace_depth, opts.trace_out.is_some()));
     }
     let entry = m.try_load_program(prog)?;
     m.set_entry(entry);
@@ -210,13 +205,11 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
     }
     if opts.trace_depth > 0 {
         let _ = writeln!(report, "last retired instructions:");
-        let retired = retired_instrs(&m);
-        let skip = retired.len().saturating_sub(opts.trace_depth);
-        for (cycles, pc, instr) in &retired[skip..] {
+        for (cycles, pc, instr) in retired_instrs(&m) {
             let _ = writeln!(
                 report,
                 "  cycle {cycles:>6}  pc {pc:#010x}  {}",
-                cheriot_asm::disassemble(instr)
+                cheriot_asm::disassemble(&instr)
             );
         }
     }
@@ -284,12 +277,12 @@ fn run_instructions(prog: &[Instr], opts: &RunOptions) -> Result<RunOutcome, Run
     })
 }
 
-/// The tracer's buffered instruction retires (oldest first) as
-/// `(cycles, pc, instruction)`, the instruction read back from the code
-/// region by PC. Empty without a tracer that records retires.
+/// The tracer's retire ring (oldest first) as `(cycles, pc,
+/// instruction)`, the instruction read back from the code region by PC.
+/// Empty without a tracer that keeps retires.
 fn retired_instrs(m: &Machine) -> Vec<(u64, u32, Instr)> {
     m.tracer().map_or_else(Vec::new, |t| {
-        t.events()
+        t.retired()
             .iter()
             .filter_map(|ev| match ev.kind {
                 EventKind::InstrRetired { pc } => Some((ev.cycles, pc, m.code_at(pc)?)),
@@ -552,7 +545,8 @@ mod tests {
         let out = run_source("li a0, 9\nhalt\n", &opts).unwrap();
         assert!(out.report.contains("last retired instructions:"));
         assert!(out.report.contains("halt"));
-        // Depth still bounds the printed window even on an unbounded sink.
+        // The retire ring bounds the listing to the depth with the
+        // metrics on as well.
         assert_eq!(
             out.report
                 .lines()
@@ -561,5 +555,28 @@ mod tests {
             2
         );
         assert!(out.report.contains("== metrics summary =="));
+    }
+
+    #[test]
+    fn metrics_leave_the_retire_listing_unchanged_on_a_long_loop() {
+        let src = "li t0, 100000\nloop:\naddi t0, t0, -1\nbnez t0, loop\nhalt\n";
+        let listing = |metrics| {
+            let opts = RunOptions {
+                trace_depth: 4,
+                metrics,
+                ..RunOptions::default()
+            };
+            let out = run_source(src, &opts).unwrap();
+            assert_eq!(out.instructions, 200_002);
+            out.report
+                .lines()
+                .skip_while(|l| *l != "last retired instructions:")
+                .take(5)
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
+        let plain = listing(false);
+        assert_eq!(plain.len(), 5, "header plus four retires");
+        assert_eq!(listing(true), plain);
     }
 }

@@ -285,7 +285,8 @@ pub struct BlockCacheStats {
     pub chain_links: u64,
     /// Retired with the sentry inline cache: always zero. Kept only
     /// because `cheriot-benchmark` still reads it (`dispatch_layers`,
-    /// `block_delta`, `block_add`); ROADMAP item 2 deletes it.
+    /// `block_delta`, `block_add`); ROADMAP item 1's "Retire the sentry
+    /// counters" deletes it.
     pub sentry_ic_hits: u64,
     /// Retired with the sentry inline cache: always zero, kept for the
     /// same readers as [`BlockCacheStats::sentry_ic_hits`].

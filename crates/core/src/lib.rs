@@ -16,8 +16,9 @@
 //!   accesses at the same per-access costs as guest code.
 //! * **[`trace`]** (re-export of `cheriot-trace`) — the structured
 //!   tracing/metrics subsystem; install a [`trace::Tracer`] with
-//!   [`machine::Machine::set_tracer`] to capture timelines and
-//!   per-compartment cycle attribution.
+//!   [`machine::Machine::set_tracer`] to keep the last retired
+//!   instructions, capture timelines, and attribute cycles per
+//!   compartment.
 //!
 //! ## Example
 //!

@@ -52,10 +52,9 @@ pub struct MachineConfig {
     pub core: CoreModel,
     /// Data SRAM size in bytes.
     pub sram_size: u32,
-    /// Offset of the revocable heap region within SRAM.
+    /// Offset of the revocable heap region within SRAM; the heap runs
+    /// from there to the end of SRAM.
     pub heap_offset: u32,
-    /// Size of the revocable heap region.
-    pub heap_size: u32,
     /// Is the temporal-safety load filter wired into the pipeline?
     pub load_filter: bool,
     /// Is the background hardware revoker present?
@@ -99,7 +98,6 @@ impl MachineConfig {
             core,
             sram_size,
             heap_offset: sram_size / 2,
-            heap_size: sram_size / 2,
             load_filter: true,
             hw_revoker: true,
             revoker: RevokerConfig::default(),
@@ -116,9 +114,9 @@ impl MachineConfig {
         layout::SRAM_BASE + self.heap_offset
     }
 
-    /// End address (exclusive) of the heap region.
+    /// End address (exclusive) of the heap region: the end of SRAM.
     pub fn heap_end(&self) -> u32 {
-        self.heap_base() + self.heap_size
+        layout::SRAM_BASE + self.sram_size
     }
 }
 
@@ -204,9 +202,6 @@ pub struct Machine {
     /// This machine's dispatch state over `code`: the blocks it holds and
     /// their successor links (see [`crate::blockcache`]).
     blocks: BlockCache,
-    /// Emit `BlockCompiled`/`BlockInvalidated` trace events? Off by
-    /// default so trace output is byte-identical cache-on vs cache-off.
-    block_trace: bool,
     halted: Option<ExitReason>,
     pending_use: Option<(Reg, u64)>,
     tracer: Option<Box<Tracer>>,
@@ -313,8 +308,7 @@ impl Clone for Machine {
     /// restore and [`Snapshot::to_machine`]: the clone holds the same
     /// shared blocks, a copy of the successor links and the same CoW
     /// pages. Host-side observers stay with the original: the clone has
-    /// no tracer (sinks may hold non-clonable resources such as open
-    /// files), block tracing off and zeroed snapshot counters.
+    /// no tracer and zeroed snapshot counters.
     fn clone(&self) -> Machine {
         let mut m = Machine::new(self.cfg);
         m.copy_state_from(self);
@@ -343,7 +337,6 @@ impl Machine {
             stats: Stats::default(),
             code: Arc::default(),
             blocks: BlockCache::default(),
-            block_trace: false,
             halted: None,
             pending_use: None,
             tracer: None,
@@ -430,13 +423,7 @@ impl Machine {
             // Blocks truncated at the old end of code must re-extend over
             // the new instructions; the generation bump lets observers see
             // that the cache noticed the load.
-            let dropped = self.blocks.on_append(start) as u32;
-            if self.block_trace {
-                self.trace_emit(EventKind::BlockInvalidated {
-                    addr: start,
-                    blocks: dropped,
-                });
-            }
+            self.blocks.on_append(start);
         }
         Ok(start)
     }
@@ -490,13 +477,7 @@ impl Machine {
         // The patch is a CoW break for the shared code region: siblings
         // forked from the same snapshot keep the unpatched instructions.
         let old = core::mem::replace(&mut Arc::make_mut(&mut self.code).edit()[idx], instr);
-        let dropped = self.blocks.invalidate_covering(addr) as u32;
-        if self.block_trace {
-            self.trace_emit(EventKind::BlockInvalidated {
-                addr,
-                blocks: dropped,
-            });
-        }
+        self.blocks.invalidate_covering(addr);
         Ok(old)
     }
 
@@ -543,13 +524,6 @@ impl Machine {
         self.blocks.clear();
     }
 
-    /// Enables emission of [`EventKind::BlockCompiled`] /
-    /// [`EventKind::BlockInvalidated`] trace events. Off by default so
-    /// trace output is byte-identical with the cache on or off.
-    pub fn set_block_trace(&mut self, on: bool) {
-        self.block_trace = on;
-    }
-
     // --- Snapshot / fork ------------------------------------------------------
 
     /// Captures the machine's full architectural state into a fresh
@@ -584,8 +558,7 @@ impl Machine {
     /// (shared blocks, copied links) is installed alongside the code
     /// handle, which brings the image's shared block store with it.
     ///
-    /// The tracer and `block_trace` flag are host-side observers and are
-    /// left untouched.
+    /// The tracer is a host-side observer and is left untouched.
     ///
     /// # Panics
     ///
@@ -1467,17 +1440,8 @@ impl Machine {
             Instr::Csc { rs2, rs1, offset } => {
                 let auth = self.cpu.read(rs1);
                 let addr = auth.address().wrapping_add(offset as u32);
-                auth.check_access(addr, GRANULE, Permissions::SD | Permissions::MC)
-                    .map_err(|f| cheri(rs1, f))?;
                 let c = self.cpu.read(rs2);
-                if c.tag() && !c.is_global() && !auth.perms().contains(Permissions::SL) {
-                    return Err(cheri(
-                        rs1,
-                        cheriot_cap::CapFault::PermissionViolation {
-                            needed: Permissions::SL,
-                        },
-                    ));
-                }
+                auth.check_store_cap(addr, c).map_err(|f| cheri(rs1, f))?;
                 self.bus_write_cap(addr, c)?;
                 self.stats.cap_stores += 1;
             }
@@ -1853,11 +1817,6 @@ impl Machine {
                 }
                 if let Some(nb) = self.blocks.take(slot) {
                     self.blocks.stats.chain_hits += 1;
-                    if self.block_trace {
-                        self.cycles = cyc;
-                        let (from, to) = (block.start, nb.start);
-                        self.trace_emit(EventKind::BlockChained { from, to });
-                    }
                     self.blocks.restore(idx, block);
                     idx = slot;
                     block = nb;
@@ -1871,18 +1830,11 @@ impl Machine {
             if !pcc_synced {
                 self.finish_jump(next_pc);
             }
-            let from_start = block.start;
             self.blocks.restore(idx, block);
             let Some((nidx, nb)) = self.block_take(next_pc) else {
                 return BlockExit::Continue;
             };
             self.blocks.link_insert(idx, gen, next_pc, fp, nidx);
-            if self.block_trace {
-                self.trace_emit(EventKind::BlockLinked {
-                    from: from_start,
-                    to: next_pc,
-                });
-            }
             idx = nidx;
             block = nb;
         }
@@ -1942,10 +1894,6 @@ impl Machine {
         let idx = self
             .blocks
             .insert(slot, Arc::clone(&block), self.code.len());
-        if self.block_trace {
-            let (pc, len) = (block.start, block.insns.len() as u32);
-            self.trace_emit(EventKind::BlockCompiled { pc, len });
-        }
         if self.verify_block_fetch(&block) {
             Some((idx, block))
         } else {

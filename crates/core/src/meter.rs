@@ -125,15 +125,7 @@ impl<'a> Meter<'a> {
         addr: u32,
         c: Capability,
     ) -> Result<(), TrapCause> {
-        auth.check_access(addr, GRANULE, Permissions::SD | Permissions::MC)?;
-        if c.tag() && !c.is_global() && !auth.perms().contains(Permissions::SL) {
-            return Err(TrapCause::Cheri {
-                fault: cheriot_cap::CapFault::PermissionViolation {
-                    needed: Permissions::SL,
-                },
-                reg: 0xff,
-            });
-        }
+        auth.check_store_cap(addr, c)?;
         let beats = self.m.cfg().core.cap_beats();
         let cycles = self.m.cfg().core.store_base_extra + beats;
         self.m.advance(cycles, beats);

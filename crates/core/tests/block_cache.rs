@@ -506,48 +506,3 @@ fn sentry_call_site_chains_and_sees_target_patch() {
         assert_same_state(&m, &s, &format!("mode {mode:?} vs stepwise"));
     }
 }
-
-#[test]
-fn block_trace_events_are_opt_in_and_accurate() {
-    // With the flag set, compilation and invalidation are visible as trace
-    // events; with it clear (the default), the trace stays byte-identical
-    // to a cache-off machine's (checked by the timer test above).
-    let mut m = machine_with(true);
-    let prog = vec![
-        addi(Reg::A0, Reg::A0, 1),
-        addi(Reg::A0, Reg::A0, 1),
-        Instr::Halt,
-    ];
-    let e = m.load_program(&prog);
-    m.set_entry(e);
-    m.set_block_trace(true);
-    m.set_tracer(Tracer::timeline());
-    assert_eq!(m.run(1_000), ExitReason::Halted(2));
-    let kinds: Vec<EventKind> = m
-        .tracer()
-        .unwrap()
-        .events()
-        .iter()
-        .map(|ev| ev.kind)
-        .collect();
-    assert_eq!(kinds, vec![EventKind::BlockCompiled { pc: e, len: 3 }]);
-
-    m.patch_code(e + 4, addi(Reg::A0, Reg::A0, 2)).unwrap();
-    let kinds: Vec<EventKind> = m
-        .tracer()
-        .unwrap()
-        .events()
-        .iter()
-        .map(|ev| ev.kind)
-        .collect();
-    assert_eq!(
-        kinds,
-        vec![
-            EventKind::BlockCompiled { pc: e, len: 3 },
-            EventKind::BlockInvalidated {
-                addr: e + 4,
-                blocks: 1
-            },
-        ]
-    );
-}

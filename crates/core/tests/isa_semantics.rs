@@ -377,7 +377,7 @@ fn trace_buffer_is_bounded_and_ordered() {
     let e = m.load_program(&prog);
     m.set_entry(e);
     m.run(1000);
-    let t = m.tracer().unwrap().events();
+    let t: Vec<_> = m.tracer().unwrap().retired().iter().copied().collect();
     assert_eq!(t.len(), 4, "ring buffer depth respected");
     assert!(t.windows(2).all(|w| w[0].cycles <= w[1].cycles));
     let EventKind::InstrRetired { pc } = t.last().unwrap().kind else {

@@ -130,7 +130,6 @@ fn sram_size_disagreement_is_reported_not_prefix_compared() {
         let mut cfg = MachineConfig::new(core);
         cfg.sram_size = engine_size;
         cfg.heap_offset = engine_size / 2;
-        cfg.heap_size = engine_size / 2;
         let mut m = Machine::new(cfg);
         m.load_program(&prog);
         m.set_entry(layout::CODE_BASE);

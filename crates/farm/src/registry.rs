@@ -41,7 +41,6 @@ pub fn boot_node_image(
     let sram = sram_size.max(16 * 1024).next_multiple_of(4096);
     cfg.sram_size = sram;
     cfg.heap_offset = sram / 2;
-    cfg.heap_size = sram / 2;
     let mut m = Machine::new(cfg);
     m.bus
         .attach(

@@ -160,7 +160,6 @@ impl MachineSpec {
         if let Some(sram) = self.sram_size {
             cfg.sram_size = sram;
             cfg.heap_offset = sram / 2;
-            cfg.heap_size = sram / 2;
         }
         let mut m = Machine::new(cfg);
         let mut bus = DeviceBus::default();

@@ -21,8 +21,8 @@ pub struct TraceEvent {
 /// switcher's trusted-stack discipline guarantees).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
-    /// An instruction retired at `pc`. High-volume; sinks may elect not to
-    /// buffer these (the metrics registry still counts them).
+    /// An instruction retired at `pc`. High-volume: the tracer keeps only
+    /// the last few (the metrics registry still counts them all).
     InstrRetired {
         /// Program counter of the retired instruction.
         pc: u32,
@@ -132,41 +132,6 @@ pub enum EventKind {
         /// Address the capability was loaded from.
         addr: u32,
     },
-    /// The simulator predecoded a basic block on first execution (emitted
-    /// only when the machine's block-trace flag is set).
-    BlockCompiled {
-        /// Start address of the block.
-        pc: u32,
-        /// Instructions in the block.
-        len: u32,
-    },
-    /// Code memory changed (self-modifying store, fault injection, or
-    /// program append) and cached blocks were discarded (emitted only when
-    /// the machine's block-trace flag is set).
-    BlockInvalidated {
-        /// The mutated code address (for appends, the old end of code).
-        addr: u32,
-        /// Number of cached blocks discarded.
-        blocks: u32,
-    },
-    /// The chained dispatch loop recorded a successor link between two
-    /// predecoded blocks (emitted only when the machine's block-trace
-    /// flag is set).
-    BlockLinked {
-        /// Start address of the departing block.
-        from: u32,
-        /// Start address of the successor block.
-        to: u32,
-    },
-    /// A block-to-block transition was taken through a successor link —
-    /// no dispatcher return, no PCC fetch re-check (emitted only when the
-    /// machine's block-trace flag is set).
-    BlockChained {
-        /// Start address of the departing block.
-        from: u32,
-        /// Start address of the successor block.
-        to: u32,
-    },
     /// A guest MMIO read was dispatched to a device on the device bus.
     MmioRead {
         /// Device id on the bus (register names via
@@ -228,10 +193,6 @@ impl EventKind {
             EventKind::RevokerStart { .. } => "revoker_start",
             EventKind::RevokerFinish { .. } => "revoker_finish",
             EventKind::FilterStrip { .. } => "filter_strip",
-            EventKind::BlockCompiled { .. } => "block_compiled",
-            EventKind::BlockInvalidated { .. } => "block_invalidated",
-            EventKind::BlockLinked { .. } => "block_linked",
-            EventKind::BlockChained { .. } => "block_chained",
             EventKind::MmioRead { .. } => "mmio_read",
             EventKind::MmioWrite { .. } => "mmio_write",
             EventKind::DmaTransfer { .. } => "dma_transfer",
@@ -293,15 +254,6 @@ impl EventKind {
                 ("words_invalidated", words_invalidated),
             ],
             EventKind::FilterStrip { addr } => vec![("addr", addr as u64)],
-            EventKind::BlockCompiled { pc, len } => {
-                vec![("pc", pc as u64), ("len", len as u64)]
-            }
-            EventKind::BlockInvalidated { addr, blocks } => {
-                vec![("addr", addr as u64), ("blocks", blocks as u64)]
-            }
-            EventKind::BlockLinked { from, to } | EventKind::BlockChained { from, to } => {
-                vec![("from", from as u64), ("to", to as u64)]
-            }
             EventKind::MmioRead { dev, addr, value }
             | EventKind::MmioWrite { dev, addr, value } => {
                 vec![

@@ -9,8 +9,6 @@
 //!   [`EventKind`]): instruction retire, traps, interrupt delivery and
 //!   posture changes, compartment-switch spans, thread scheduling,
 //!   allocator and quarantine activity, revoker epochs, load-filter hits.
-//! * [`sink`] — where events go: [`RingSink`] (last *N*) or [`VecSink`]
-//!   (everything).
 //! * [`metrics`] — counters, log2 histograms, and per-compartment /
 //!   per-thread cycle attribution derived from switch spans.
 //! * [`export`] — Chrome `trace_event` JSON (for `chrome://tracing` /
@@ -19,9 +17,9 @@
 //!   value, indented and one-line renderers, and a bounded parser.
 //!
 //! The [`Tracer`] ties these together: it forwards each emitted event to
-//! the metrics registry, then to the sink according to its recording
-//! policy (instruction-retire events are high-volume and can be buffered
-//! or merely counted).
+//! the metrics registry, then keeps it in one of two buffers. Instruction
+//! retires are high-volume, so only the last few stay in a bounded ring;
+//! every other event joins the timeline when the timeline is on.
 
 #![warn(missing_docs)]
 
@@ -29,75 +27,88 @@ pub mod event;
 pub mod export;
 pub mod json;
 pub mod metrics;
-pub mod sink;
 
 pub use event::{EventKind, TraceEvent};
 pub use metrics::{DeviceActivity, Histogram, MetricsRegistry};
-pub use sink::{RingSink, TraceSink, VecSink};
+use std::collections::VecDeque;
 
-/// Front-end the simulated machine talks to: recording policy + metrics
-/// registry + sink.
+/// Front-end the simulated machine talks to: metrics registry plus the
+/// two event buffers.
 #[derive(Debug)]
 pub struct Tracer {
-    sink: Box<dyn TraceSink>,
     /// Counters, histograms and cycle attribution (always fed).
     pub metrics: MetricsRegistry,
-    /// Buffer instruction-retire events in the sink? They dominate event
-    /// volume, so timeline traces usually leave them out (the metrics
-    /// instruction counter still advances).
-    record_instrs: bool,
-    /// Buffer everything that is not an instruction-retire event?
-    record_others: bool,
+    /// The last `retire_depth` instruction-retire events, oldest first.
+    retired: VecDeque<TraceEvent>,
+    retire_depth: usize,
+    /// Every other event, in emission order; `None` when the timeline is
+    /// off.
+    timeline: Option<Vec<TraceEvent>>,
+    /// Events the two buffers accepted, including retires the ring has
+    /// since evicted.
+    recorded: u64,
 }
 
 impl Tracer {
-    /// A tracer with an explicit sink and recording policy.
-    pub fn with_sink(sink: Box<dyn TraceSink>, record_instrs: bool, record_others: bool) -> Tracer {
+    /// A tracer keeping the last `retire_depth` instruction retires and,
+    /// if `timeline`, every other event. The metrics see every event
+    /// either way.
+    pub fn new(retire_depth: usize, timeline: bool) -> Tracer {
         Tracer {
-            sink,
             metrics: MetricsRegistry::new(),
-            record_instrs,
-            record_others,
+            retired: VecDeque::with_capacity(retire_depth),
+            retire_depth,
+            timeline: timeline.then(Vec::new),
+            recorded: 0,
         }
     }
 
-    /// Compat configuration for the classic instruction ring: keep the
-    /// last `depth` instruction-retire events, drop everything else from
-    /// the sink.
+    /// The classic instruction ring: the last `depth` instruction
+    /// retires, no timeline.
     pub fn instr_ring(depth: usize) -> Tracer {
-        Tracer::with_sink(Box::new(RingSink::new(depth)), true, false)
+        Tracer::new(depth, false)
     }
 
-    /// Timeline configuration: buffer every structured event except
-    /// instruction retires. The right choice for Chrome-trace export of
-    /// long runs.
+    /// Every structured event except instruction retires. The right
+    /// choice for Chrome-trace export of long runs.
     pub fn timeline() -> Tracer {
-        Tracer::with_sink(Box::new(VecSink::new()), false, true)
+        Tracer::new(0, true)
     }
 
-    /// Emit one event stamped at `cycles`. Metrics always observe it; the
-    /// sink receives it subject to the recording policy.
+    /// Emit one event stamped at `cycles`. Metrics always observe it; it
+    /// then goes to the retire ring or to the timeline.
     #[inline]
     pub fn emit(&mut self, cycles: u64, kind: EventKind) {
         let ev = TraceEvent { cycles, kind };
         self.metrics.observe_event(&ev);
-        let record = match kind {
-            EventKind::InstrRetired { .. } => self.record_instrs,
-            _ => self.record_others,
-        };
-        if record {
-            self.sink.record(ev);
+        match (kind, &mut self.timeline) {
+            (EventKind::InstrRetired { .. }, _) if self.retire_depth > 0 => {
+                if self.retired.len() == self.retire_depth {
+                    self.retired.pop_front();
+                }
+                self.retired.push_back(ev);
+            }
+            (EventKind::InstrRetired { .. }, _) | (_, None) => return,
+            (_, Some(timeline)) => timeline.push(ev),
         }
+        self.recorded += 1;
     }
 
-    /// The sink's buffered events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.sink.events()
+    /// The timeline: every event other than instruction retires, oldest
+    /// first. Empty when the timeline is off.
+    pub fn events(&self) -> &[TraceEvent] {
+        self.timeline.as_deref().unwrap_or_default()
     }
 
-    /// Total events the sink accepted (not the number still buffered).
+    /// The retire ring: the last `retire_depth` instruction retires,
+    /// oldest first.
+    pub fn retired(&self) -> &VecDeque<TraceEvent> {
+        &self.retired
+    }
+
+    /// Total events the buffers accepted (not the number still buffered).
     pub fn recorded(&self) -> u64 {
-        self.sink.recorded()
+        self.recorded
     }
 
     /// Close out a run: settle cycle attribution up to the machine's
@@ -106,14 +117,14 @@ impl Tracer {
         self.metrics.settle(cycles);
     }
 
-    /// Export the buffered events as Chrome `trace_event` JSON.
+    /// Export the timeline as Chrome `trace_event` JSON.
     pub fn chrome_json(&self) -> String {
-        export::chrome_trace_json(&self.events(), &self.metrics)
+        export::chrome_trace_json(self.events(), &self.metrics)
     }
 
-    /// Export the buffered events as flat CSV.
+    /// Export the timeline as flat CSV.
     pub fn csv(&self) -> String {
-        export::csv(&self.events())
+        export::csv(self.events())
     }
 
     /// Render the metrics registry as a text summary table.
@@ -154,9 +165,41 @@ mod tests {
             );
         }
         t.emit(9, EventKind::InterruptPosture { enabled: false });
-        let evs = t.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].kind, EventKind::InstrRetired { pc: 0x1000_0008 });
+        assert_eq!(t.retired().len(), 2);
+        assert_eq!(
+            t.retired()[0].kind,
+            EventKind::InstrRetired { pc: 0x1000_0008 }
+        );
+        assert!(t.events().is_empty());
         assert_eq!(t.metrics.counter("interrupt_posture"), 1);
+        assert_eq!(t.recorded(), 4);
+    }
+
+    #[test]
+    fn bounded_ring_and_timeline_split_a_mixed_stream() {
+        let mut t = Tracer::new(4, true);
+        let mut retires = Vec::new();
+        let mut others = Vec::new();
+        for i in 0..10_000u32 {
+            let ev = TraceEvent {
+                cycles: u64::from(i),
+                kind: EventKind::InstrRetired { pc: 4 * i },
+            };
+            t.emit(ev.cycles, ev.kind);
+            retires.push(ev);
+            if i % 7 == 0 {
+                let ev = TraceEvent {
+                    cycles: u64::from(i),
+                    kind: EventKind::FilterStrip { addr: i },
+                };
+                t.emit(ev.cycles, ev.kind);
+                others.push(ev);
+            }
+        }
+        assert_eq!(*t.retired(), &retires[retires.len() - 4..]);
+        assert_eq!(t.events(), &others[..]);
+        assert_eq!(t.metrics.counter("instr_retired"), 10_000);
+        assert_eq!(t.metrics.counter("filter_strip"), others.len() as u64);
+        assert_eq!(t.recorded(), 10_000 + others.len() as u64);
     }
 }

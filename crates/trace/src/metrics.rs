@@ -1,8 +1,8 @@
 //! Metrics registry: counters, cycle histograms, and per-compartment /
 //! per-thread cycle attribution derived from compartment-switch spans.
 //!
-//! The registry observes every emitted event (including ones the sink
-//! declines to buffer) and maintains:
+//! The registry observes every emitted event (including ones the tracer
+//! does not buffer) and maintains:
 //!
 //! * a counter per event type plus derived counters (`bytes_allocated`,
 //!   `bytes_freed`, `bytes_quarantined`),

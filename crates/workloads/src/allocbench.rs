@@ -110,7 +110,6 @@ pub fn bench_machine(core: CoreModel, config: AllocConfig, hwm: bool) -> Machine
     let mut mc = MachineConfig::new(core);
     mc.sram_size = 256 * 1024;
     mc.heap_offset = 64 * 1024;
-    mc.heap_size = 192 * 1024;
     mc.hwm_enabled = hwm;
     mc.load_filter = true;
     mc.hw_revoker = matches!(config, AllocConfig::Hardware);

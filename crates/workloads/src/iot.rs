@@ -254,7 +254,6 @@ fn run_iot_app_inner(
     let mut mc = MachineConfig::new(cfg.core);
     mc.sram_size = 256 * 1024;
     mc.heap_offset = 64 * 1024;
-    mc.heap_size = 192 * 1024;
     let mut machine = Machine::new(mc);
     if trace {
         // Installed before the RTOS boots so compartment/thread names

@@ -49,7 +49,7 @@ fn main() {
     assert_eq!(r, ExitReason::Halted(144), "fib(12) = 144");
 
     println!("\nlast retired instructions:");
-    for ev in m.tracer().expect("tracer installed").events() {
+    for ev in m.tracer().expect("tracer installed").retired() {
         if let EventKind::InstrRetired { pc } = ev.kind {
             let instr = m.code_at(pc).expect("retired from loaded code");
             println!(
